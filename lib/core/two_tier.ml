@@ -40,8 +40,8 @@ type t = {
   mutable pending_installs : Clock.event_id list;
   mutable rejections_rev : (Tentative.t * string) list;
   mutable sync_listeners : (mobile:int -> unit) list;
-  initial_value : float;
-  mutable committed_rev : Op.t list list; (* base commits, newest first *)
+  replayed : float array;
+      (* serial replay of the committed base transactions, in commit order *)
   unsafe_skip_acceptance : bool;
   reconcile_lag : Obs.histogram option;
       (* local-commit to base-replay delay of every replayed tentative txn *)
@@ -122,6 +122,18 @@ let prospective_results t ops =
   Hashtbl.fold (fun i v acc -> (Oid.of_int i, v) :: acc) scratch []
   |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
 
+(* Apply a committed base transaction to the serial replay, with the same
+   op semantics the master copies were written with. *)
+let replay_committed t ops =
+  let read oid = t.replayed.(Oid.to_int oid) in
+  List.iter
+    (fun op ->
+      if Op.is_update op then begin
+        let i = Oid.to_int (Op.oid op) in
+        t.replayed.(i) <- Op.apply ~read ~current:t.replayed.(i) op
+      end)
+    ops
+
 let run_base_transaction t ?(acceptance = Acceptance.Always)
     ?(tentative_results = []) ~ops ~on_done () =
   let common = t.common in
@@ -187,7 +199,7 @@ let run_base_transaction t ?(acceptance = Acceptance.Always)
             | [] -> ()
             | first :: _ ->
                 propagate_batch t ~src:(owner_of t first.su_oid) updates);
-            t.committed_rev <- ops :: t.committed_rev;
+            replay_committed t ops;
             Common.commit_duration common ~started;
             on_done (`Committed results)
         | Some reason ->
@@ -372,8 +384,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
       schedules = [];
       rejections_rev = [];
       sync_listeners = [];
-      initial_value;
-      committed_rev = [];
+      replayed = Array.make params.Params.db_size initial_value;
       pending_installs = [];
       unsafe_skip_acceptance;
       reconcile_lag =
@@ -507,28 +518,17 @@ let converged t =
    base transactions in commit order on a fresh database must land exactly
    on the master state. 2PL with commit-ordered application makes this an
    invariant; the check is the §7 claim "base transactions execute with
-   single-copy serializability" made executable. *)
+   single-copy serializability" made executable. The replay runs
+   incrementally as each transaction commits, so the history costs
+   O(db_size) memory rather than one entry per commit. *)
 let base_history_serializable t =
-  let db_size = t.common.Common.params.Params.db_size in
-  let replayed = Array.make db_size t.initial_value in
-  List.iter
-    (fun ops ->
-      List.iter
-        (fun op ->
-          if Op.is_update op then begin
-            let i = Oid.to_int (Op.oid op) in
-            let read oid = replayed.(Oid.to_int oid) in
-            replayed.(i) <- Op.apply ~read ~current:replayed.(i) op
-          end)
-        ops)
-    (List.rev t.committed_rev);
   let ok = ref true in
   Array.iteri
     (fun i expected ->
       let oid = Oid.of_int i in
       let actual = Fstore.read (master_store t oid) oid in
       if Float.abs (actual -. expected) > 1e-9 then ok := false)
-    replayed;
+    t.replayed;
   !ok
 
 let quiesce_and_sync t =

@@ -145,7 +145,8 @@ val base_history_serializable : t -> bool
 (** §7 property 2, made executable: replaying every committed base
     transaction in commit order on a fresh database reproduces the master
     state exactly (single-copy serializability of the base tier). Check
-    after a quiesce. *)
+    after a quiesce. The replay is applied as each transaction commits,
+    so the history held costs O(db_size), not one entry per commit. *)
 
 val converged : t -> bool
 (** All base replicas identical and every mobile's stores equal to them.

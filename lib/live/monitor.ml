@@ -150,7 +150,10 @@ let render frame =
       ("reconcile lag", "two_tier.reconcile_lag_seconds");
       ("request service", "serve.request_seconds");
     ];
-  out "\nreplication lag: queue depth %.0f, oldest tentative %.1fs\n"
+  out "\nserver gc: %.0f major collection(s), heap %.1f MiB\n"
+    (gauge "serve.gc.major_collections")
+    (gauge "serve.gc.heap_words" *. float_of_int (Sys.word_size / 8) /. 1048576.);
+  out "replication lag: queue depth %.0f, oldest tentative %.1fs\n"
     (gauge "two_tier.tentative_queue_depth")
     (gauge "two_tier.oldest_tentative_age_seconds");
   (match mobile_rows frame with

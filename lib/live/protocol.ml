@@ -281,27 +281,68 @@ let recv fd codec =
 (* --- incremental frame splitter (non-blocking server side) --- *)
 
 module Splitter = struct
-  type t = { mutable pending : string }
+  (* The unread bytes are [buf.[start .. stop)]. Frames are parsed in
+     place from [start]; the tail moves to the front only once [start]
+     passes half the buffer, so every byte is copied O(1) times. *)
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
-  let create () = { pending = "" }
+  let initial_capacity = 4096
 
-  let feed t chunk = t.pending <- t.pending ^ chunk
+  (* A drained buffer larger than this (one that held a big frame) is
+     dropped for a fresh [initial_capacity] one. *)
+  let retained_capacity = 262144
+
+  let create () = { buf = Bytes.create initial_capacity; start = 0; stop = 0 }
+  let buffered t = t.stop - t.start
+  let capacity t = Bytes.length t.buf
+
+  let frame_length b pos =
+    (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2)
+
+  (* Move the unread bytes to the front of a [capacity]-byte buffer. *)
+  let relocate t capacity =
+    let len = buffered t in
+    let dst = if capacity = Bytes.length t.buf then t.buf else Bytes.create capacity in
+    Bytes.blit t.buf t.start dst 0 len;
+    t.buf <- dst;
+    t.start <- 0;
+    t.stop <- len
+
+  let feed t src len =
+    let cap = Bytes.length t.buf in
+    if t.stop + len > cap then begin
+      let need = buffered t + len in
+      if need <= cap then relocate t cap
+      else
+        (* Grow geometrically, jumping to the whole frame being assembled
+           once doubling comes within half of it: a max_frame payload fed
+           in small chunks allocates about twice its size in buffers. *)
+        let frame =
+          if buffered t >= 4 then 4 + frame_length t.buf t.start else max_int
+        in
+        let doubled = max need (2 * cap) in
+        relocate t (if frame > need && 2 * doubled >= frame then frame else doubled)
+    end;
+    Bytes.blit src 0 t.buf t.stop len;
+    t.stop <- t.stop + len
 
   let next t =
-    let s = t.pending in
-    if String.length s < 4 then None
+    if buffered t < 4 then None
     else
-      let len =
-        Char.code s.[0] lsl 24
-        lor (Char.code s.[1] lsl 16)
-        lor (Char.code s.[2] lsl 8)
-        lor Char.code s.[3]
-      in
+      let len = frame_length t.buf t.start in
       if len > Codec.max_frame then
         raise (Codec.Malformed (Printf.sprintf "frame of %d bytes" len))
-      else if String.length s < 4 + len then None
+      else if buffered t < 4 + len then None
       else begin
-        t.pending <- String.sub s (4 + len) (String.length s - 4 - len);
-        Some (String.sub s 4 len)
+        let payload = Bytes.sub_string t.buf (t.start + 4) len in
+        t.start <- t.start + 4 + len;
+        if t.start = t.stop then begin
+          t.start <- 0;
+          t.stop <- 0;
+          if Bytes.length t.buf > retained_capacity then
+            t.buf <- Bytes.create initial_capacity
+        end
+        else if t.start > Bytes.length t.buf / 2 then relocate t (Bytes.length t.buf);
+        Some payload
       end
 end

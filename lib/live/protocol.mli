@@ -73,14 +73,26 @@ val recv : Unix.file_descr -> 'a Codec.t -> 'a option
     @raise Codec.Malformed on garbage or an oversized frame. *)
 
 (** Reassemble frames from arbitrarily chunked reads (the server's
-    select loop). *)
+    select loop). Splitting is amortised linear in the bytes fed, and the
+    buffer stays within about twice the frame in flight plus one chunk:
+    a client that always ends a read mid-frame cannot grow it. *)
 module Splitter : sig
   type t
 
   val create : unit -> t
-  val feed : t -> string -> unit
+
+  val feed : t -> Bytes.t -> int -> unit
+  (** [feed t chunk len] appends [chunk]'s first [len] bytes, copying
+      them, so the caller may reuse [chunk] at once.
+      @raise Invalid_argument if [len] is outside [chunk]. *)
 
   val next : t -> string option
   (** The next complete payload, if one is buffered.
       @raise Codec.Malformed on an oversized frame. *)
+
+  val buffered : t -> int
+  (** Bytes fed but not yet returned by {!next}. *)
+
+  val capacity : t -> int
+  (** Size of the internal buffer. *)
 end

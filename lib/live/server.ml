@@ -43,6 +43,9 @@ type t = {
   series_oc : out_channel option;
   mutable next_sample : float;
   listen_fd : Unix.file_descr;
+  read_buf : Bytes.t;
+      (* every client read lands here; safe because the loop runs on one
+         domain and each read is fed to its client's splitter at once *)
   mutable clients : client list;
   mutable next_mobile : int;
   (* Sync requests waiting for a mobile's replay to finish, keyed by
@@ -173,11 +176,10 @@ let handle_payload t client payload =
       drop_client t client
 
 let read_client t client =
-  let chunk = Bytes.create 65536 in
-  match Unix.read client.fd chunk 0 (Bytes.length chunk) with
+  match Unix.read client.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> drop_client t client
   | n ->
-      Protocol.Splitter.feed client.splitter (Bytes.sub_string chunk 0 n);
+      Protocol.Splitter.feed client.splitter t.read_buf n;
       let continue = ref true in
       while !continue && client.alive do
         match Protocol.Splitter.next client.splitter with
@@ -300,12 +302,21 @@ let serve config =
       series_oc;
       next_sample = Live_clock.now live +. config.sample_interval;
       listen_fd;
+      read_buf = Bytes.create 65536;
       clients = [];
       next_mobile = Two_tier.base_count sys;
       sync_waiters = Hashtbl.create 16;
       shutdown = false;
     }
   in
+  (* Heap pressure of the serving process, read only at snapshot time. *)
+  Obs.register_source obs (fun () ->
+      let gc = Gc.quick_stat () in
+      [
+        Obs.Gauge ("serve.gc.major_collections", float_of_int gc.Gc.major_collections);
+        Obs.Gauge ("serve.gc.major_words", gc.Gc.major_words);
+        Obs.Gauge ("serve.gc.heap_words", float_of_int gc.Gc.heap_words);
+      ]);
   Two_tier.on_sync sys (fun ~mobile ->
       match Hashtbl.find_opt t.sync_waiters mobile with
       | None -> ()

@@ -29,5 +29,6 @@ let () =
       ("obs", Test_obs.suite);
       ("runtime", Test_runtime.suite);
       ("telemetry", Test_telemetry.suite);
+      ("live", Test_live.suite);
       ("lint", Test_lint.suite);
     ]
