@@ -24,7 +24,6 @@ open Toolkit
 module Experiment = Dangers_experiments.Experiment
 module Registry = Dangers_experiments.Registry
 module Rng = Dangers_util.Rng
-module Heap = Dangers_sim.Heap
 module Engine = Dangers_sim.Engine
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
@@ -74,15 +73,6 @@ let component_tests =
   [
     Test.make ~name:"component/rng-bits64"
       (Staged.stage (fun () -> ignore (Rng.bits64 rng)));
-    Test.make ~name:"component/heap-push-pop-1k"
-      (Staged.stage (fun () ->
-           let h = Heap.create ~cmp:Int.compare () in
-           for i = 999 downto 0 do
-             Heap.push h i
-           done;
-           while not (Heap.is_empty h) do
-             ignore (Heap.pop h)
-           done));
     Test.make ~name:"component/engine-1k-events"
       (Staged.stage (fun () ->
            let engine = Engine.create () in

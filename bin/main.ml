@@ -1082,7 +1082,7 @@ let lint_cmd =
              nondeterministic calls (D1), unordered hashtable iteration \
              in export paths (D2), polymorphic float comparison (D3), \
              unguarded module-level mutable state (R1), partial \
-             functions (P1), runtime-clock discipline (RT1). \
+             functions (P1). \
              Whole-program rules (two-phase, call-graph-aware, \
              summary-cached): mutable state crossing a domain boundary \
              (DR1), atomic read-modify-write windows (DR2), mutex \

@@ -1,7 +1,7 @@
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
@@ -280,6 +280,10 @@ let start_sync t mobile_index =
       send_mobile_mastered t mobile_index;
       replay t mobile_index pending
     end
+    else if m.connected then
+      (* Nothing to replay or refresh: the sync is already complete. It
+         counts in no metric, but a listener waiting on it must hear. *)
+      List.iter (fun listener -> listener ~mobile:mobile_index) t.sync_listeners
   end
 
 let on_connectivity t ~node ~connected =

@@ -33,7 +33,7 @@
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
 module Fstore = Dangers_storage.Store.Fstore
@@ -60,9 +60,9 @@ val create :
 (** Defaults: [Always] acceptance, zero delay, the Table 2 day-cycle
     mobility derived from [params] (fixed phases, staggered starts), no
     mobile-mastered objects, and a fresh simulator runtime — pass
-    [Dangers_runtime.Runtime.live_virtual ()] or [live_wall ()] to run
-    the identical scheme code on the live timer wheel (the serving
-    path). @raise Invalid_argument if [base_nodes] is not
+    [Dangers_runtime.Runtime.live_wall ()] to run the identical scheme
+    code on wall time (the serving path). @raise Invalid_argument if
+    [base_nodes] is not
     in [1, params.nodes] or mobile-owned blocks exceed the database.
 
     [faults] plugs a fault injector into the slave-update network.
@@ -99,8 +99,10 @@ val submit_with :
 
 val on_sync : t -> (mobile:int -> unit) -> unit
 (** Subscribe to sync completions: fires after protocol step 4 (replica
-    refresh) each time a mobile finishes replaying its queue. [mobile]
-    is the mobile index, i.e. node id minus {!base_count}. *)
+    refresh) each time a mobile finishes replaying its queue, and at once
+    when a connected mobile syncs with nothing queued and nothing to
+    refresh (that empty sync is not counted in ["syncs"]). [mobile] is
+    the mobile index, i.e. node id minus {!base_count}. *)
 
 val master_value : t -> Oid.t -> float
 (** Read an object's current master copy (wherever it is mastered) —

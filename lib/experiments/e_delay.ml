@@ -7,7 +7,7 @@
 
 module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Repl_stats = Dangers_replication.Repl_stats
 module Experiment_ = Experiment
 

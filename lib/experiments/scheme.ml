@@ -3,7 +3,7 @@ module Profile = Dangers_workload.Profile
 module Repl_stats = Dangers_replication.Repl_stats
 module Reconcile = Dangers_replication.Reconcile
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Acceptance = Dangers_core.Acceptance
 module Common = Dangers_replication.Common
 module Metrics = Dangers_sim.Metrics

@@ -20,7 +20,7 @@ module Profile = Dangers_workload.Profile
 module Repl_stats = Dangers_replication.Repl_stats
 module Reconcile = Dangers_replication.Reconcile
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Acceptance = Dangers_core.Acceptance
 
 (** {1 Run specification} *)

@@ -122,7 +122,7 @@ let type_is_atomic ty =
   | _ -> false
 
 (* A record that carries its own Mutex.t (or Atomic.t) field is treated
-   as self-guarded shared state: the Domain_pool / Live_clock idiom. The
+   as self-guarded shared state: the Domain_pool / Engine idiom. The
    label array on any one field descriptor lists every field of the
    record, so no environment lookup is needed. *)
 let record_self_guarded (label : Types.label_description) =
@@ -263,7 +263,9 @@ let crossings =
     { x_name = "Domain_pool.parallel_for"; x_label = Some "f"; x_positional = [] };
     { x_name = "Task_pool.map"; x_label = Some "f"; x_positional = [] };
     { x_name = "Pool.parallel_for"; x_label = Some "f"; x_positional = [] };
-    { x_name = "Live_clock.post"; x_label = None; x_positional = [ 1 ] };
+    (* the engine's post, also re-exported by the scheme-facing Clock *)
+    { x_name = "Engine.post"; x_label = None; x_positional = [ 1 ] };
+    { x_name = "Clock.post"; x_label = None; x_positional = [ 1 ] };
   ]
 
 let crossing_of name =

@@ -320,56 +320,6 @@ let p1 =
         List.rev !acc);
   }
 
-(* --- RT1: scheme code must go through the runtime clock --- *)
-
-(* Scheme code (lib/core/) runs on either runtime; naming the simulator's
-   engine — directly or through the conventional [module Engine = ...]
-   alias — or reading the machine clock re-pins it to one backend. The
-   port left lib/core clean; this keeps it that way. *)
-let rt1_banned_prefixes = [ "Dangers_sim.Engine."; "Engine." ]
-
-let rt1_banned_wall_clock =
-  [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
-
-let rt1 =
-  {
-    Rule.id = "RT1";
-    title = "scheme code schedules through the runtime clock only";
-    rationale =
-      "lib/core runs unchanged on the simulator and the live runtime; \
-       calling Dangers_sim.Engine directly (or reading the wall clock) \
-       pins it to one backend and silently breaks sim/live equivalence — \
-       use Dangers_runtime.Clock (now/schedule/cancel)";
-    in_scope = Rule.path_has_prefix [ "lib/core/" ];
-    check =
-      Rule.Unit_check
-        (fun ~file str ->
-        let acc = ref [] in
-        let starts_with prefix name =
-          String.length name >= String.length prefix
-          && String.sub name 0 (String.length prefix) = prefix
-        in
-        Rule.iter_exprs str (fun e ->
-            match e.exp_desc with
-            | Texp_ident (path, _, _) ->
-                let name = Rule.ident_name path in
-                if List.exists (fun p -> starts_with p name) rt1_banned_prefixes
-                then
-                  acc :=
-                    finding ~rule:"RT1" ~file ~loc:e.exp_loc
-                      "direct engine call %s: schedule through \
-                       Dangers_runtime.Clock" name
-                    :: !acc
-                else if List.mem name rt1_banned_wall_clock then
-                  acc :=
-                    finding ~rule:"RT1" ~file ~loc:e.exp_loc
-                      "wall-clock read %s: use Dangers_runtime.Clock.now"
-                      name
-                    :: !acc
-            | _ -> ());
-        List.rev !acc);
-  }
-
 (* --- DR1–DR4: cross-domain data races (whole-program, two-phase) --- *)
 
 (* The interprocedural rules look at everything the build produces:
@@ -435,7 +385,7 @@ let dr4 =
     check = Rule.Program_check Callgraph.dr4;
   }
 
-let all = [ d1; d2; d3; r1; p1; rt1; dr1; dr2; dr3; dr4 ]
+let all = [ d1; d2; d3; r1; p1; dr1; dr2; dr3; dr4 ]
 
 let find id =
   let id = String.uppercase_ascii id in

@@ -1,6 +1,5 @@
 module Clock = Dangers_runtime.Clock
 module Runtime = Dangers_runtime.Runtime
-module Live_clock = Dangers_runtime.Live_clock
 module Codec = Dangers_runtime.Codec
 module Params = Dangers_analytic.Params
 module Connectivity = Dangers_net.Connectivity
@@ -36,7 +35,6 @@ type t = {
   config : config;
   sys : Two_tier.t;
   clock : Clock.t;
-  live : Live_clock.t;
   obs : Obs.t;
   request_seconds : Obs.histogram;
   series : Timeseries.t;
@@ -75,7 +73,7 @@ let scheme_stats t =
    scheme events. Each window streams to [series_out] as it is taken,
    giving a crash-readable series. *)
 let emit_sample t =
-  let now = Live_clock.now t.live in
+  let now = Clock.now t.clock in
   let window = Timeseries.sample t.series ~now in
   (match t.series_oc with
   | None -> ()
@@ -86,7 +84,7 @@ let emit_sample t =
   t.next_sample <- now +. Timeseries.interval t.series
 
 let maybe_sample t =
-  if Live_clock.now t.live >= t.next_sample then emit_sample t
+  if Clock.now t.clock >= t.next_sample then emit_sample t
 
 let respond _t client response =
   if client.alive then
@@ -116,9 +114,9 @@ let await_sync t ~node k =
   Queue.add k queue
 
 let handle_request t client request =
-  let started = Live_clock.now t.live in
+  let started = Clock.now t.clock in
   let finish response =
-    Obs.observe t.request_seconds (Live_clock.now t.live -. started);
+    Obs.observe t.request_seconds (Clock.now t.clock -. started);
     respond t client response
   in
   match request with
@@ -165,7 +163,7 @@ let handle_request t client request =
   | Protocol.Shutdown ->
       finish Protocol.Done;
       t.shutdown <- true;
-      Live_clock.stop t.live
+      Clock.stop t.clock
 
 let handle_payload t client payload =
   match Protocol.of_payload Protocol.request payload with
@@ -261,11 +259,6 @@ let serve config =
       ~base_nodes:config.base_nodes config.params ~seed:config.seed
   in
   let clock = (Two_tier.base sys).Common.clock in
-  let live =
-    match Clock.live clock with
-    | Some live -> live
-    | None -> invalid_arg "Server.serve: runtime is not live"
-  in
   (match Unix.stat config.socket_path with
   | _ -> Unix.unlink config.socket_path
   | exception Unix.Unix_error _ -> ());
@@ -276,7 +269,7 @@ let serve config =
     invalid_arg "Server.serve: sample_interval must be positive";
   let series =
     Timeseries.create ~interval:config.sample_interval
-      ~now:(Live_clock.now live) obs
+      ~now:(Clock.now clock) obs
   in
   let series_oc =
     Option.map
@@ -295,12 +288,11 @@ let serve config =
       config;
       sys;
       clock;
-      live;
       obs;
       request_seconds = Obs.histogram obs "serve.request_seconds";
       series;
       series_oc;
-      next_sample = Live_clock.now live +. config.sample_interval;
+      next_sample = Clock.now clock +. config.sample_interval;
       listen_fd;
       read_buf = Bytes.create 65536;
       clients = [];
@@ -324,13 +316,13 @@ let serve config =
           while not (Queue.is_empty queue) do
             (Queue.pop queue) ()
           done);
-  Live_clock.set_idle_waiter live (Some (fun ~timeout -> wait_io t ~timeout));
+  Clock.set_idle_waiter clock (Some (fun ~timeout -> wait_io t ~timeout));
   let previous_sigint =
     Sys.signal Sys.sigint
       (Sys.Signal_handle
          (fun _ ->
            t.shutdown <- true;
-           Live_clock.stop live))
+           Clock.stop clock))
   in
   log t "serve: two-tier on %s (%d base node(s), %d mobile slot(s), seed %d)"
     config.socket_path config.base_nodes
@@ -341,7 +333,7 @@ let serve config =
      Sys.set_signal Sys.sigint previous_sigint;
      raise exn);
   Sys.set_signal Sys.sigint previous_sigint;
-  Live_clock.set_idle_waiter live None;
+  Clock.set_idle_waiter clock None;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.clients;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
@@ -360,7 +352,7 @@ let serve config =
     Printf.printf
       "serve: done after %.3fs wall — %d base commit(s), %d tentative \
        accepted, %d rejected, %d scope violation(s)\n%!"
-      (Live_clock.now live) stats.Protocol.commits
+      (Clock.now clock) stats.Protocol.commits
       stats.Protocol.tentative_accepted stats.Protocol.tentative_rejected
       stats.Protocol.scope_violations;
   stats

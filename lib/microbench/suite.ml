@@ -6,7 +6,6 @@
 module Mode = Dangers_lock.Mode
 module Lock_manager = Dangers_lock.Lock_manager
 module Engine = Dangers_sim.Engine
-module Heap = Dangers_sim.Heap
 module Observe = Dangers_sim.Observe
 module Par_engine = Dangers_sim.Par_engine
 module Params = Dangers_analytic.Params
@@ -96,19 +95,6 @@ let engine_cancel_churn () =
   done;
   Engine.run engine
 
-(* Heap reuse: fill/drain a shared heap through [clear]; with a
-   capacity-preserving [clear] the backing array is allocated once. *)
-let shared_heap = Heap.create ~cmp:Int.compare ()
-
-let heap_reuse_after_clear () =
-  Heap.clear shared_heap;
-  for i = 0 to 9_999 do
-    Heap.push shared_heap (i * 7919 mod 10_000)
-  done;
-  while not (Heap.is_empty shared_heap) do
-    ignore (Heap.pop shared_heap)
-  done
-
 (* The acceptance-bar benchmark: a full eager-group run in the unstable
    regime the paper warns about (nodes=10, small hot database), dominated
    by lock waits, deadlock detection and restarts. *)
@@ -164,7 +150,6 @@ let benches ~quick =
     scale 20 (Harness.bench ~runs:10 "lock/deadlock-chain" lock_deadlock_chain);
     scale 10 (Harness.bench "engine/event-throughput" engine_event_throughput);
     scale 20 (Harness.bench ~runs:10 "engine/cancel-churn" engine_cancel_churn);
-    scale 20 (Harness.bench ~runs:10 "heap/reuse-after-clear" heap_reuse_after_clear);
     scale 10 (Harness.bench "parsim/window-ring" parsim_window_ring);
     scale 5 (Harness.bench ~warmup:1 "e2e/eager-group-n10" e2e_eager_group);
     scale 4

@@ -1,4 +1,5 @@
 module Clock = Dangers_runtime.Clock
+module Delay = Dangers_runtime.Delay
 module Runtime = Dangers_runtime.Runtime
 module Rng = Dangers_util.Rng
 
@@ -184,23 +185,3 @@ let messages_delivered t = t.delivered
 let messages_parked t = t.parked_count
 let messages_dropped t = t.dropped
 let messages_duplicated t = t.duplicated
-
-(* Compile-time proof that the simulated network satisfies the runtime's
-   transport interface — the contract a third transport must meet. *)
-module _ : Runtime.TRANSPORT = struct
-  type nonrec 'msg t = 'msg t
-
-  let create = create
-  let nodes = nodes
-  let is_connected = is_connected
-  let send = send
-  let broadcast = broadcast
-  let set_connected = set_connected
-  let flush_node = flush_node
-  let on_connectivity_change = on_connectivity_change
-  let messages_sent = messages_sent
-  let messages_delivered = messages_delivered
-  let messages_parked = messages_parked
-  let messages_dropped = messages_dropped
-  let messages_duplicated = messages_duplicated
-end

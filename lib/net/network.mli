@@ -1,5 +1,5 @@
 (** Message network with store-and-forward for disconnected nodes — the
-    canonical {!Dangers_runtime.Runtime.TRANSPORT} implementation.
+    transport every scheme uses, on virtual and on wall time.
 
     Nodes are integers in [0, nodes). A message is delivered by invoking the
     network's [deliver] callback after the sampled delay — but only when both
@@ -8,10 +8,10 @@
     mobile pattern of exchanging deferred replica updates at reconnect
     (§2, §4). Base nodes simply never disconnect.
 
-    All timing goes through the runtime {!Dangers_runtime.Clock}: on a
-    simulator clock this is the simulated network it always was, and on a
-    live clock the same delivery semantics play out in real elapsed time
-    (the live runtime's in-process transport).
+    All timing goes through the runtime {!Dangers_runtime.Clock}: on
+    virtual time this is the simulated network it always was, and on wall
+    time the same delivery semantics play out in real elapsed time (the
+    live runtime's in-process transport).
 
     A {!faults} hook lets a fault injector perturb delivery: drop, duplicate
     or delay individual messages, and block (partition) pairs of nodes.
@@ -47,7 +47,7 @@ val create :
   ?faults:faults ->
   clock:Dangers_runtime.Clock.t ->
   rng:Dangers_util.Rng.t ->
-  delay:Delay.t ->
+  delay:Dangers_runtime.Delay.t ->
   nodes:int ->
   deliver:(src:int -> dst:int -> 'msg -> unit) ->
   unit ->

@@ -44,8 +44,8 @@ val make :
 (** Validates the parameters. The profile defaults to the model's
     ([Profile.of_params]); every object starts at [initial_value]
     (default 0). The runtime defaults to a fresh simulator
-    ([Runtime.sim ()]); pass [Runtime.live_virtual]/[live_wall] to run
-    the same scheme on the live timer wheel. When [obs] is given, pull
+    ([Runtime.sim ()]); pass [Runtime.live_wall ()] to run the same
+    scheme on wall time. When [obs] is given, pull
     sources for the clock ([engine.events_fired_total],
     [engine.queue_high_water]) and the scheme's simulated-time counters
     ([scheme.*_total], since-creation totals) are registered, and

@@ -19,7 +19,7 @@ type t = {
   executor : Executor.t;
   retry_rng : Rng.t;
   delay_rng : Rng.t;
-  delay : Dangers_net.Delay.t;
+  delay : Dangers_runtime.Delay.t;
   ownership : ownership;
   on_commit : (node:int -> Op.t list -> unit) option;
   (* visit_orders.(first) = first :: the other replicas in node order;
@@ -30,9 +30,9 @@ type t = {
 
 let scheme_name = function Group -> "eager-group" | Master -> "eager-master"
 
-let create ?obs ?profile ?initial_value ?(delay = Dangers_net.Delay.Zero)
+let create ?obs ?profile ?initial_value ?(delay = Dangers_runtime.Delay.Zero)
     ?on_commit ownership params ~seed =
-  Dangers_net.Delay.validate delay;
+  Dangers_runtime.Delay.validate delay;
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
   let obs = common.Common.obs in
   let locks = Lock_manager.create ?obs () in
@@ -102,7 +102,7 @@ let submit t ~node ops =
                 (* A remote update costs Action_Time plus the message
                    delay the model ignores; charged here for the
                    delay ablation. *)
-                let extra = Dangers_net.Delay.sample t.delay t.delay_rng in
+                let extra = Dangers_runtime.Delay.sample t.delay t.delay_rng in
                 if Float.equal extra 0. then step
                 else
                   {
@@ -126,9 +126,9 @@ let submit t ~node ops =
      delay models must keep resampling per attempt. *)
   let fixed_steps =
     match t.delay with
-    | Dangers_net.Delay.Zero | Dangers_net.Delay.Constant _ ->
+    | Dangers_runtime.Delay.Zero | Dangers_runtime.Delay.Constant _ ->
         Some (build_steps ())
-    | Dangers_net.Delay.Uniform _ | Dangers_net.Delay.Exponential _ -> None
+    | Dangers_runtime.Delay.Uniform _ | Dangers_runtime.Delay.Exponential _ -> None
   in
   let rec attempt () =
     let owner = Txn_id.Gen.next common.Common.txn_gen in

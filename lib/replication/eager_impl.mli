@@ -27,7 +27,7 @@ type t
 val create :
   ?obs:Dangers_obs.Metrics.t ->
   ?profile:Profile.t -> ?initial_value:float ->
-  ?delay:Dangers_net.Delay.t ->
+  ?delay:Dangers_runtime.Delay.t ->
   ?on_commit:(node:int -> Op.t list -> unit) ->
   ownership -> Params.t -> seed:int -> t
 (** [delay] charges each *remote* update step its sampled message delay on

@@ -22,7 +22,7 @@ module Profile = Dangers_workload.Profile
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 
 type t

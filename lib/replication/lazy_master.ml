@@ -2,7 +2,7 @@ module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock

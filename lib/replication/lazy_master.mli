@@ -19,7 +19,7 @@ module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 
 type master_assignment =
   | Round_robin  (** owner = oid mod nodes — the default spread *)

@@ -10,7 +10,7 @@ module Fstore = Dangers_storage.Store.Fstore
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
 module Op = Dangers_txn.Op
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
 module Domain_pool = Dangers_util.Domain_pool
@@ -515,7 +515,7 @@ let start t =
     Array.to_list
       (Array.map
          (fun node ->
-           Generator.start ~clock:(Clock.of_engine node.engine) ~rng:node.gen_rng
+           Generator.start ~clock:node.engine ~rng:node.gen_rng
              ~tps:t.params.Params.tps ~profile:t.profile
              ~db_size:t.params.Params.db_size
              ~submit:(fun ops -> start_txn t node (Array.of_list ops)))

@@ -31,7 +31,7 @@
 
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Repl_stats = Repl_stats
 

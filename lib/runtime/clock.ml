@@ -1,83 +1,4 @@
-module Engine = Dangers_sim.Engine
+include Dangers_sim.Engine
 
-type t = Sim of Engine.t | Live of Live_clock.t
-
-type event_id =
-  | Sim_event of Engine.event_id
-  | Live_event of Live_clock.event_id
-
-let of_engine engine = Sim engine
-let of_live live = Live live
-
-let sim_engine = function Sim engine -> Some engine | Live _ -> None
-let live = function Live clock -> Some clock | Sim _ -> None
-
-let now = function
-  | Sim engine -> Engine.now engine
-  | Live clock -> Live_clock.now clock
-
-let schedule t ~delay action =
-  match t with
-  | Sim engine -> Sim_event (Engine.schedule engine ~delay action)
-  | Live clock -> Live_event (Live_clock.schedule clock ~delay action)
-
-let schedule_at t ~time action =
-  match t with
-  | Sim engine -> Sim_event (Engine.schedule_at engine ~time action)
-  | Live clock -> Live_event (Live_clock.schedule_at clock ~time action)
-
-let schedule_unit t ~delay action =
-  match t with
-  | Sim engine -> ignore (Engine.schedule engine ~delay action : Engine.event_id)
-  | Live clock ->
-      ignore (Live_clock.schedule clock ~delay action : Live_clock.event_id)
-
-let cancel t event =
-  match (t, event) with
-  | Sim engine, Sim_event ev -> Engine.cancel engine ev
-  | Live clock, Live_event ev -> Live_clock.cancel clock ev
-  | Sim _, Live_event _ | Live _, Sim_event _ ->
-      invalid_arg "Clock.cancel: event from a different backend"
-
-let pending = function
-  | Sim engine -> Engine.pending engine
-  | Live clock -> Live_clock.pending clock
-
-let next_time = function
-  | Sim engine -> Engine.next_time engine
-  | Live clock -> Live_clock.next_time clock
-
-let run ?max_events ?until = function
-  | Sim engine -> Engine.run ?max_events ?until engine
-  | Live clock -> Live_clock.run ?max_events ?until clock
-
-let run_for t span =
-  match t with
-  | Sim engine -> Engine.run_for engine span
-  | Live clock -> Live_clock.run_for clock span
-
-let events_fired = function
-  | Sim engine -> Engine.events_fired engine
-  | Live clock -> Live_clock.events_fired clock
-
-let queue_high_water = function
-  | Sim engine -> Engine.queue_high_water engine
-  | Live clock -> Live_clock.queue_high_water clock
-
-let set_tracer t tracer =
-  match t with
-  | Sim engine -> Engine.set_tracer engine tracer
-  | Live clock -> Live_clock.set_tracer clock tracer
-
-let tracer = function
-  | Sim engine -> Engine.tracer engine
-  | Live clock -> Live_clock.tracer clock
-
-let tracing = function
-  | Sim engine -> Engine.tracing engine
-  | Live clock -> Live_clock.tracing clock
-
-let trace t event =
-  match t with
-  | Sim engine -> Engine.trace engine event
-  | Live clock -> Live_clock.trace clock event
+let sim_engine t = if is_virtual t then Some t else None
+let schedule_unit t ~delay action = ignore (schedule t ~delay action : event_id)

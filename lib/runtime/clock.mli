@@ -1,62 +1,18 @@
-(** The clock every scheme is written against.
+(** The clock every scheme is written against: the event engine itself.
 
-    A closed sum over the two runtime backends: the discrete-event
-    simulator ({!Dangers_sim.Engine}, time advances by fiat) and the
-    live timer wheel ({!Live_clock}, time advances deterministically in
-    virtual mode or with the machine's monotonic clock in wall mode).
-    Scheme code that schedules through this interface runs unmodified on
-    either — the sim/live equivalence suite holds it to that.
+    Schemes schedule through this name so they run unmodified on virtual
+    time (the simulator) and on wall time (the live server, built by
+    {!Live_clock.create}); the two differ only in the engine's time
+    source. *)
 
-    Every operation is one constructor dispatch over the backend; the
-    sim arm compiles to exactly the engine calls the schemes made before
-    the abstraction existed, so simulation cost is unchanged. *)
+include module type of struct
+  include Dangers_sim.Engine
+end
 
-module Engine = Dangers_sim.Engine
-
-type t = Sim of Engine.t | Live of Live_clock.t
-
-type event_id
-(** Handle for cancelling, from either backend. *)
-
-val of_engine : Engine.t -> t
-val of_live : Live_clock.t -> t
-
-val sim_engine : t -> Engine.t option
-(** The underlying engine when this is a simulator clock — for callers
-    (parallel sweep, fuzzer fault plans) that need sim-only machinery. *)
-
-val live : t -> Live_clock.t option
-
-val now : t -> float
-
-val schedule : t -> delay:float -> (unit -> unit) -> event_id
-(** @raise Invalid_argument if [delay] is negative or not finite. *)
-
-val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** @raise Invalid_argument if [time] is in the past. *)
+val sim_engine : t -> Dangers_sim.Engine.t option
+(** The engine when it runs on virtual time — for callers (benchmarks
+    stepping events one at a time) that need a deterministic clock. *)
 
 val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule] for fire-and-forget callers (the executor's per-action
-    delays, the network's arrivals): no handle is wrapped, so the sim
-    arm allocates exactly what [Engine.schedule] always did. *)
-
-val cancel : t -> event_id -> unit
-val pending : t -> int
-val next_time : t -> float option
-
-val run : ?max_events:int -> ?until:float -> t -> unit
-(** Drain / advance the backend ({!Engine.run} / {!Live_clock.run}).
-    Runaway overruns raise the backend's own exception
-    ({!Engine.Runaway} or {!Live_clock.Runaway}). *)
-
-val run_for : t -> float -> unit
-
-val events_fired : t -> int
-val queue_high_water : t -> int
-
-(** {1 Tracing} — forwarded to the backend; no tracer, no cost. *)
-
-val set_tracer : t -> Dangers_sim.Trace.t option -> unit
-val tracer : t -> Dangers_sim.Trace.t option
-val tracing : t -> bool
-val trace : t -> Dangers_sim.Trace.event -> unit
+    delays, the network's arrivals). *)

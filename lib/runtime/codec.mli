@@ -13,8 +13,8 @@
 exception Malformed of string
 
 type 'a t = { encode : Buffer.t -> 'a -> unit; decode : reader -> 'a }
-(** A symmetric pair of payload encoders: what a {!TRANSPORT}
-    implementation needs to move ['a] messages as bytes. *)
+(** A symmetric pair of payload encoders: what a transport needs to move
+    ['a] messages as bytes. *)
 
 and reader
 

@@ -1,312 +1,21 @@
-(* Same inline binary min-heap as the engine (times/seqs/evs parallel
-   arrays, hole-based sifts, (time, seq) lexicographic order) so virtual
-   mode reproduces the engine's event order exactly — that identity is
-   what the sim/live equivalence suite pins. Wall mode adds a monotonic
-   time source, a cross-domain mailbox, and an idle hook in front of the
-   very same queue. *)
-
-module Trace = Dangers_sim.Trace
+module Engine = Dangers_sim.Engine
 
 type mode = Virtual | Wall
 
-type event = { action : unit -> unit; mutable cancelled : bool }
-type event_id = event
-
-type t = {
-  mode : mode;
-  origin : int64; (* monotonic ns at creation; wall time 0 *)
-  mutable clock : float;
-  mutable next_seq : int;
-  mutable fired : int;
-  mutable live : int;
-  mutable times : float array;
-  mutable seqs : int array;
-  mutable evs : event array;
-  mutable size : int;
-  mutable high_water : int;
-  mutable trace : Trace.t option;
-  mutable idle_waiter : (timeout:float -> unit) option;
-  (* Cross-domain entry points. The flags let the single-domain hot loop
-     skip the mutex when nothing external happened. *)
-  mail_mutex : Mutex.t;
-  mutable mailbox_rev : (unit -> unit) list;
-  mail_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
-}
-
-(* Allocated per call: heap slots briefly alias the filler event, and
-   engines may live on different domains — a single shared record
-   would be cross-domain mutable state. *)
-let dummy_event () = { action = ignore; cancelled = true }
-
 let create ?tracer mode =
-  {
-    mode;
-    origin = Monotonic_clock.now ();
-    clock = 0.;
-    next_seq = 0;
-    fired = 0;
-    live = 0;
-    times = Array.make 16 0.;
-    seqs = Array.make 16 0;
-    evs = Array.make 16 (dummy_event ());
-    size = 0;
-    high_water = 0;
-    trace = tracer;
-    idle_waiter = None;
-    mail_mutex = Mutex.create ();
-    mailbox_rev = [];
-    mail_flag = Atomic.make false;
-    stop_flag = Atomic.make false;
-  }
-
-let mode t = t.mode
-
-let wall_now t =
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.origin) *. 1e-9
-
-let now t =
-  match t.mode with
-  | Virtual -> t.clock
-  | Wall ->
-      let w = wall_now t in
-      if w > t.clock then w else t.clock
-
-let grow t =
-  let cap = Array.length t.times in
-  let cap' = 2 * cap in
-  let times = Array.make cap' 0. in
-  let seqs = Array.make cap' 0 in
-  let evs = Array.make cap' (dummy_event ()) in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.evs 0 evs 0 t.size;
-  t.times <- times;
-  t.seqs <- seqs;
-  t.evs <- evs
-
-let push t time seq ev =
-  if t.size = Array.length t.times then grow t;
-  t.size <- t.size + 1;
-  if t.size > t.high_water then t.high_water <- t.size;
-  let i = ref (t.size - 1) in
-  let placed = ref false in
-  while not !placed do
-    if !i = 0 then placed := true
-    else begin
-      let parent = (!i - 1) / 2 in
-      let pt = t.times.(parent) in
-      if time < pt || (Float.equal time pt && seq < t.seqs.(parent)) then begin
-        t.times.(!i) <- pt;
-        t.seqs.(!i) <- t.seqs.(parent);
-        t.evs.(!i) <- t.evs.(parent);
-        i := parent
-      end
-      else placed := true
-    end
-  done;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- seq;
-  t.evs.(!i) <- ev
-
-let remove_min t =
-  let n = t.size - 1 in
-  t.size <- n;
-  if n = 0 then t.evs.(0) <- dummy_event ()
-  else begin
-    let time = t.times.(n) and seq = t.seqs.(n) and ev = t.evs.(n) in
-    t.evs.(n) <- dummy_event ();
-    let i = ref 0 in
-    let placed = ref false in
-    while not !placed do
-      let l = (2 * !i) + 1 in
-      if l >= n then placed := true
-      else begin
-        let r = l + 1 in
-        let c =
-          if
-            r < n
-            && (t.times.(r) < t.times.(l)
-               || (Float.equal t.times.(r) t.times.(l) && t.seqs.(r) < t.seqs.(l)))
-          then r
-          else l
+  let t =
+    match mode with
+    | Virtual -> Engine.create ()
+    | Wall ->
+        let origin = Monotonic_clock.now () in
+        let elapsed () =
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) origin) *. 1e-9
         in
-        let ct = t.times.(c) in
-        if ct < time || (Float.equal ct time && t.seqs.(c) < seq) then begin
-          t.times.(!i) <- ct;
-          t.seqs.(!i) <- t.seqs.(c);
-          t.evs.(!i) <- t.evs.(c);
-          i := c
-        end
-        else placed := true
-      end
-    done;
-    t.times.(!i) <- time;
-    t.seqs.(!i) <- seq;
-    t.evs.(!i) <- ev
-  end
-
-let schedule_at t ~time action =
-  if not (Float.is_finite time) then
-    invalid_arg "Live_clock.schedule_at: non-finite time";
-  if time < t.clock then invalid_arg "Live_clock.schedule_at: time in the past";
-  let event = { action; cancelled = false } in
-  push t time t.next_seq event;
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  event
-
-let schedule t ~delay action =
-  if not (Float.is_finite delay && delay >= 0.) then
-    invalid_arg "Live_clock.schedule: delay must be finite and non-negative";
-  schedule_at t ~time:(t.clock +. delay) action
-
-let cancel t event =
-  if not event.cancelled then begin
-    event.cancelled <- true;
-    t.live <- t.live - 1
-  end
-
-let pending t = t.live
-
-let rec next_time t =
-  if t.size = 0 then None
-  else if t.evs.(0).cancelled then begin
-    remove_min t;
-    next_time t
-  end
-  else Some t.times.(0)
-
-let post t thunk =
-  Mutex.lock t.mail_mutex;
-  t.mailbox_rev <- thunk :: t.mailbox_rev;
-  Atomic.set t.mail_flag true;
-  Mutex.unlock t.mail_mutex
-
-let drain_posts t =
-  if Atomic.get t.mail_flag then begin
-    Mutex.lock t.mail_mutex;
-    let posted = List.rev t.mailbox_rev in
-    t.mailbox_rev <- [];
-    Atomic.set t.mail_flag false;
-    Mutex.unlock t.mail_mutex;
-    List.iter (fun thunk -> thunk ()) posted
-  end
-
-let set_idle_waiter t waiter = t.idle_waiter <- waiter
-let stop t = Atomic.set t.stop_flag true
-
-exception Runaway of int
-
-(* Fire the root event (known live and due). Virtual mode moves the clock
-   to the event; wall mode never rewinds it. *)
-let fire t event time =
-  remove_min t;
-  event.cancelled <- true;
-  t.live <- t.live - 1;
-  (match t.mode with
-  | Virtual -> t.clock <- time
-  | Wall -> if time > t.clock then t.clock <- time);
-  t.fired <- t.fired + 1;
-  event.action ()
-
-(* The longest single park between checks of the stop flag and mailbox;
-   select-based waiters return early on I/O anyway. *)
-let max_idle = 0.05
-
-let idle t span =
-  let timeout = Float.min (Float.max span 0.) max_idle in
-  match t.idle_waiter with
-  | Some waiter -> waiter ~timeout
-  | None -> if timeout > 0. then Unix.sleepf timeout
-
-let run ?max_events ?until t =
-  Atomic.set t.stop_flag false;
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
-  let tick () =
-    if !budget = 0 then
-      raise (Runaway (match max_events with Some n -> n | None -> max_int));
-    decr budget
+        Engine.create_wall ~elapsed ~sleep:Unix.sleepf
   in
-  match t.mode with
-  | Virtual -> (
-      (* Identical to [Engine.run], plus the stop/post checks. *)
-      match until with
-      | None ->
-          let continue = ref true in
-          while !continue do
-            if Atomic.get t.stop_flag then continue := false
-            else begin
-              drain_posts t;
-              match next_time t with
-              | None -> if not (Atomic.get t.mail_flag) then continue := false
-              | Some time ->
-                  tick ();
-                  fire t t.evs.(0) time
-            end
-          done
-      | Some deadline ->
-          let continue = ref true in
-          while !continue do
-            if Atomic.get t.stop_flag then continue := false
-            else begin
-              drain_posts t;
-              match next_time t with
-              | Some time when time <= deadline ->
-                  tick ();
-                  fire t t.evs.(0) time
-              | Some _ | None ->
-                  if not (Atomic.get t.mail_flag) then continue := false
-            end
-          done;
-          if not (Atomic.get t.stop_flag) && deadline > t.clock then
-            t.clock <- deadline)
-  | Wall ->
-      let continue = ref true in
-      while !continue do
-        if Atomic.get t.stop_flag then continue := false
-        else begin
-          drain_posts t;
-          let w = wall_now t in
-          if w > t.clock then t.clock <- w;
-          let horizon =
-            match until with
-            | Some deadline -> deadline
-            | None -> infinity
-          in
-          match next_time t with
-          | Some time when time <= t.clock && time <= horizon ->
-              tick ();
-              fire t t.evs.(0) time
-          | Some time when time <= horizon ->
-              (* Next event is in the real future: park until it is due. *)
-              idle t (time -. t.clock)
-          | Some _ | None ->
-              if t.clock >= horizon then continue := false
-              else if Float.is_finite horizon then idle t (horizon -. t.clock)
-              else begin
-                match t.idle_waiter with
-                | None when not (Atomic.get t.mail_flag) ->
-                    (* Queue drained, nothing can wake us: the run is over. *)
-                    continue := false
-                | None | Some _ -> idle t max_idle
-              end
-        end
-      done
+  Engine.set_tracer t tracer;
+  t
 
-let run_for t span =
-  if not (Float.is_finite span && span >= 0.) then
-    invalid_arg "Live_clock.run_for: span must be finite and non-negative";
-  run t ~until:(t.clock +. span)
-
-let events_fired t = t.fired
-let queue_high_water t = t.high_water
-
-let set_tracer t tracer = t.trace <- tracer
-let tracer t = t.trace
-let tracing t = match t.trace with Some _ -> true | None -> false
-
-let trace t event =
-  match t.trace with
-  | Some tr -> Trace.record tr ~now:t.clock event
-  | None -> ()
+let now = Engine.now
+let schedule = Engine.schedule
+let run = Engine.run

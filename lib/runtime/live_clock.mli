@@ -1,90 +1,21 @@
-(** Timer wheel for running scheme code outside the simulator.
+(** The engine's time sources, bound to this machine.
 
-    The live clock keeps the engine's contract — a priority queue of
-    events fired in (time, then schedule-order) sequence — but can bind
-    its notion of "now" to the machine's monotonic clock instead of the
-    next event's timestamp:
-
-    - [Virtual] mode is a drop-in deterministic replacement for
-      {!Dangers_sim.Engine}: time jumps to each event as it fires, equal
-      times break ties in schedule order, [run ~until] leaves the clock
-      at the deadline. Scheme code ported to {!Clock.t} can be checked
-      for sim/live equivalence against this mode, because the event
-      order is identical by construction.
-    - [Wall] mode anchors time 0 at [create] and lets the monotonic
-      clock drive: an event scheduled at [~delay:d] fires once [d] real
-      seconds have elapsed. Between due events the run loop either calls
-      the installed {!set_idle_waiter} (a server parks in [select]
-      there) or sleeps.
-
-    The clock itself is single-domain: only the domain running {!run}
-    may call [schedule]/[cancel]. Other domains hand work over with
-    {!post}, the only thread-safe entry point. *)
+    [Wall] anchors time 0 at [create] on the monotonic clock and lets it
+    drive the {!Dangers_sim.Engine}: an event scheduled at [~delay:d]
+    fires once [d] real seconds have elapsed, and an idle run sleeps with
+    [Unix.sleepf]. [Virtual] is the simulator's deterministic time. *)
 
 type mode = Virtual | Wall
 
-type t
-type event_id
+val create : ?tracer:Dangers_sim.Trace.t -> mode -> Dangers_sim.Engine.t
+(** Time starts at 0. *)
 
-exception Runaway of int
-(** Raised by {!run} when [max_events] fire without draining the queue
-    — same contract as {!Dangers_sim.Engine.Runaway}. *)
+(** {1 Engine operations}, re-exported for callers that hold only a wall
+    clock. *)
 
-val create : ?tracer:Dangers_sim.Trace.t -> mode -> t
-(** Time starts at 0 (in [Wall] mode, "0" is the moment of creation on
-    the monotonic clock). *)
+val now : Dangers_sim.Engine.t -> float
 
-val mode : t -> mode
+val schedule :
+  Dangers_sim.Engine.t -> delay:float -> (unit -> unit) -> Dangers_sim.Engine.event_id
 
-val now : t -> float
-(** Seconds. [Virtual]: the last fired event's time. [Wall]: monotonic
-    seconds since [create], never decreasing within a [run]. *)
-
-val schedule : t -> delay:float -> (unit -> unit) -> event_id
-(** @raise Invalid_argument if [delay] is negative or not finite. *)
-
-val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** @raise Invalid_argument if [time] is in the past. *)
-
-val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
-
-val pending : t -> int
-val next_time : t -> float option
-
-val post : t -> (unit -> unit) -> unit
-(** Thread-safe: enqueue a closure to run on the clock's domain, at the
-    current time, before the next timer event is considered. This is how
-    another domain (or a socket-accept loop) injects work. *)
-
-val set_idle_waiter : t -> (timeout:float -> unit) option -> unit
-(** [Wall] mode only: called whenever the run loop has nothing due, with
-    the number of seconds until the next timer event (capped; always
-    finite and non-negative). A server blocks in [Unix.select] here and
-    services I/O; returning early is always safe. Without a waiter the
-    loop sleeps. *)
-
-val stop : t -> unit
-(** Thread-safe: make the current {!run} return after the event in
-    flight. The queue is left intact. *)
-
-val run : ?max_events:int -> ?until:float -> t -> unit
-(** Fire events until the queue drains, [until] passes, or {!stop} is
-    called. [Virtual] matches [Engine.run] exactly (with [~until] the
-    clock ends at the deadline). [Wall] waits for real time to catch up
-    with each event; with no [until], an empty queue ends the run only
-    when no idle waiter is installed (a server with a waiter keeps
-    serving until {!stop}). *)
-
-val run_for : t -> float -> unit
-(** [run_for t span] = [run t ~until:(now t +. span)]. *)
-
-val events_fired : t -> int
-val queue_high_water : t -> int
-
-(** {1 Tracing} — same contract as the engine's. *)
-
-val set_tracer : t -> Dangers_sim.Trace.t option -> unit
-val tracer : t -> Dangers_sim.Trace.t option
-val tracing : t -> bool
-val trace : t -> Dangers_sim.Trace.event -> unit
+val run : ?max_events:int -> ?until:float -> Dangers_sim.Engine.t -> unit

@@ -1,19 +1,3 @@
-module type CLOCK = sig
-  type t
-  type event_id
-
-  val now : t -> float
-  val schedule : t -> delay:float -> (unit -> unit) -> event_id
-  val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-  val cancel : t -> event_id -> unit
-  val pending : t -> int
-  val run : ?max_events:int -> ?until:float -> t -> unit
-  val run_for : t -> float -> unit
-end
-
-module Sim_clock : CLOCK with type t = Dangers_sim.Engine.t = Dangers_sim.Engine
-module Live : CLOCK with type t = Live_clock.t = Live_clock
-
 type fault_action =
   | Pass
   | Drop
@@ -31,51 +15,8 @@ let no_faults =
     on_transmit = (fun ~src:_ ~dst:_ -> Pass);
   }
 
-module type TRANSPORT = sig
-  type 'msg t
-
-  val create :
-    ?obs:Dangers_obs.Metrics.t ->
-    ?faults:faults ->
-    clock:Clock.t ->
-    rng:Dangers_util.Rng.t ->
-    delay:Delay.t ->
-    nodes:int ->
-    deliver:(src:int -> dst:int -> 'msg -> unit) ->
-    unit ->
-    'msg t
-
-  val nodes : 'msg t -> int
-  val is_connected : 'msg t -> node:int -> bool
-  val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-  val broadcast : 'msg t -> src:int -> 'msg -> unit
-  val set_connected : 'msg t -> node:int -> bool -> unit
-  val flush_node : 'msg t -> node:int -> unit
-
-  val on_connectivity_change :
-    'msg t -> (node:int -> connected:bool -> unit) -> unit
-
-  val messages_sent : 'msg t -> int
-  val messages_delivered : 'msg t -> int
-  val messages_parked : 'msg t -> int
-  val messages_dropped : 'msg t -> int
-  val messages_duplicated : 'msg t -> int
-end
-
 type t = { name : string; clock : Clock.t }
 
-let sim ?engine () =
-  let engine =
-    match engine with Some e -> e | None -> Dangers_sim.Engine.create ()
-  in
-  { name = "sim"; clock = Clock.of_engine engine }
+let sim () = { name = "sim"; clock = Dangers_sim.Engine.create () }
 
-let live_virtual () =
-  { name = "live-virtual"; clock = Clock.of_live (Live_clock.create Virtual) }
-
-let live_wall () =
-  { name = "live-wall"; clock = Clock.of_live (Live_clock.create Wall) }
-
-let of_clock ~name clock = { name; clock }
-
-let is_live t = match t.clock with Clock.Live _ -> true | Clock.Sim _ -> false
+let live_wall () = { name = "live-wall"; clock = Live_clock.create Wall }

@@ -1,43 +1,19 @@
-(** The execution runtime a scheme runs on: a clock plus a transport.
+(** The execution runtime a scheme runs on: a clock plus the fault hooks
+    its transport consults.
 
     Schemes never name the simulator directly; they take a {!t} (or just
-    its {!Clock.t}) and schedule time and messages through it. Two
-    runtimes exist today:
+    its {!Clock.t}) and schedule time and messages through it. The clock
+    is always the one event engine; the two runtimes differ only in its
+    time source:
 
-    - the {e sim} runtime — {!Dangers_sim.Engine} time plus the
-      simulated {!Dangers_net.Network} transport, byte-identical to the
-      pre-abstraction simulator; and
-    - the {e live} runtime — {!Live_clock} time (virtual for
-      deterministic tests, wall for real serving) plus the same
-      transport semantics driven by real elapsed time, with
-      {!Codec}-framed messages on the socket boundary.
+    - the {e sim} runtime runs on virtual time, byte-identical to the
+      simulator's fixed-seed outputs; and
+    - the {e live} runtime runs on wall time, with {!Codec}-framed
+      messages on the socket boundary.
 
-    {!CLOCK} and {!TRANSPORT} are the module interfaces a third runtime
-    must satisfy (docs/LIVE.md walks through adding one); the concrete
-    implementations in-tree are checked against them. *)
+    Both drive the same simulated {!Dangers_net.Network} transport. *)
 
-(** {1 The clock interface} *)
-
-module type CLOCK = sig
-  type t
-  type event_id
-
-  val now : t -> float
-  val schedule : t -> delay:float -> (unit -> unit) -> event_id
-  val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-  val cancel : t -> event_id -> unit
-  val pending : t -> int
-  val run : ?max_events:int -> ?until:float -> t -> unit
-  val run_for : t -> float -> unit
-end
-
-module Sim_clock : CLOCK with type t = Dangers_sim.Engine.t
-(** The engine, as a clock. *)
-
-module Live : CLOCK with type t = Live_clock.t
-(** The live timer wheel, as a clock. *)
-
-(** {1 The transport interface} *)
+(** {1 Transport fault hooks} *)
 
 type fault_action =
   | Pass
@@ -52,37 +28,6 @@ type faults = {
 
 val no_faults : faults
 
-module type TRANSPORT = sig
-  type 'msg t
-
-  val create :
-    ?obs:Dangers_obs.Metrics.t ->
-    ?faults:faults ->
-    clock:Clock.t ->
-    rng:Dangers_util.Rng.t ->
-    delay:Delay.t ->
-    nodes:int ->
-    deliver:(src:int -> dst:int -> 'msg -> unit) ->
-    unit ->
-    'msg t
-
-  val nodes : 'msg t -> int
-  val is_connected : 'msg t -> node:int -> bool
-  val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-  val broadcast : 'msg t -> src:int -> 'msg -> unit
-  val set_connected : 'msg t -> node:int -> bool -> unit
-  val flush_node : 'msg t -> node:int -> unit
-
-  val on_connectivity_change :
-    'msg t -> (node:int -> connected:bool -> unit) -> unit
-
-  val messages_sent : 'msg t -> int
-  val messages_delivered : 'msg t -> int
-  val messages_parked : 'msg t -> int
-  val messages_dropped : 'msg t -> int
-  val messages_duplicated : 'msg t -> int
-end
-
 (** {1 Runtime handles} *)
 
 type t = { name : string; clock : Clock.t }
@@ -92,17 +37,8 @@ type t = { name : string; clock : Clock.t }
     schemes build theirs from the clock
     (see {!Dangers_net.Network.create}). *)
 
-val sim : ?engine:Dangers_sim.Engine.t -> unit -> t
-(** A fresh simulator runtime (or one wrapping an existing engine). *)
-
-val live_virtual : unit -> t
-(** Deterministic live runtime: engine-identical event order, no real
-    sleeping — the backend the sim/live equivalence suite compares
-    against. *)
+val sim : unit -> t
+(** A fresh virtual-time runtime. *)
 
 val live_wall : unit -> t
-(** Wall-clock live runtime: delays elapse in real time. *)
-
-val of_clock : name:string -> Clock.t -> t
-
-val is_live : t -> bool
+(** Wall-clock runtime: delays elapse in real time. *)

@@ -1,7 +1,7 @@
 (* The event queue is the hottest loop of every simulation: an eager run at
    nodes=10 fires tens of millions of events. The engine therefore keeps its
-   own inline binary min-heap over parallel arrays instead of a generic
-   [Heap.t] of event records:
+   own inline binary min-heap over parallel arrays instead of a generic heap
+   of event records:
 
    - [times] is a plain [float array] (unboxed floats), so the key compare
      in sift operations is a raw float compare, not two closure calls into a
@@ -12,12 +12,24 @@
      caller ([action] plus the [cancelled] flag); the time and sequence live
      only in the heap arrays.
    - Sift up/down move a hole instead of swapping, and [step]/[run] never
-     allocate an [option]. *)
+     allocate an [option].
 
-type event = { action : unit -> unit; mutable cancelled : bool }
+   The same queue serves the simulator and the live server. A time source
+   decides the one thing that differs: virtual time jumps to the next
+   event, wall time reads a monotonic clock and waits for an event that is
+   not yet due. Both run loops also drain cross-domain posts and honour
+   [stop]; the virtual loop pays two atomic flag loads per event for that
+   and nothing else. *)
+
+type event = { mutable action : unit -> unit; mutable cancelled : bool }
 type event_id = event
 
+type time =
+  | Virtual
+  | Wall of { elapsed : unit -> float; sleep : float -> unit }
+
 type t = {
+  time : time;
   mutable clock : float;
   mutable next_seq : int;
   mutable fired : int;
@@ -29,6 +41,13 @@ type t = {
   mutable size : int;
   mutable high_water : int;
   mutable trace : Trace.t option;
+  mutable idle_waiter : (timeout:float -> unit) option;
+  (* Cross-domain entry points. The flags let the single-domain hot loop
+     skip the mutex when nothing external happened. *)
+  mail_mutex : Mutex.t;
+  mutable mailbox_rev : (unit -> unit) list;
+  mail_flag : bool Atomic.t;
+  stop_flag : bool Atomic.t;
 }
 
 (* Allocated per call: heap slots briefly alias the filler event, and
@@ -36,8 +55,9 @@ type t = {
    would be cross-domain mutable state. *)
 let dummy_event () = { action = ignore; cancelled = true }
 
-let create () =
+let with_time time =
   {
+    time;
     clock = 0.;
     next_seq = 0;
     fired = 0;
@@ -48,9 +68,23 @@ let create () =
     size = 0;
     high_water = 0;
     trace = None;
+    idle_waiter = None;
+    mail_mutex = Mutex.create ();
+    mailbox_rev = [];
+    mail_flag = Atomic.make false;
+    stop_flag = Atomic.make false;
   }
 
-let now t = t.clock
+let create () = with_time Virtual
+let create_wall ~elapsed ~sleep = with_time (Wall { elapsed; sleep })
+let is_virtual t = match t.time with Virtual -> true | Wall _ -> false
+
+let now t =
+  match t.time with
+  | Virtual -> t.clock
+  | Wall w ->
+      let elapsed = w.elapsed () in
+      if elapsed > t.clock then elapsed else t.clock
 
 let grow t =
   let cap = Array.length t.times in
@@ -144,76 +178,144 @@ let schedule t ~delay action =
     invalid_arg "Engine.schedule: delay must be finite and non-negative";
   schedule_at t ~time:(t.clock +. delay) action
 
+(* A cancelled event may sit in the heap until it reaches the root; drop
+   its closure now so it does not pin what it captured until then. *)
 let cancel t event =
   if not event.cancelled then begin
     event.cancelled <- true;
+    event.action <- ignore;
     t.live <- t.live - 1
   end
 
 let pending t = t.live
 
-(* Cancelled roots are popped eagerly so the answer is the time of an event
-   that will actually fire; this keeps the parallel engine's window bound
-   (the global minimum of these) exact rather than pessimistic. *)
-let rec next_time t =
-  if t.size = 0 then None
-  else if t.evs.(0).cancelled then begin
-    remove_min t;
-    next_time t
-  end
-  else Some t.times.(0)
+(* Cancelled roots are popped eagerly so the root is an event that will
+   actually fire; this keeps the parallel engine's window bound (the global
+   minimum of [next_time]) exact rather than pessimistic. *)
+let drop_cancelled t =
+  while t.size > 0 && t.evs.(0).cancelled do
+    remove_min t
+  done
 
-let rec step t =
+let next_time t =
+  drop_cancelled t;
+  if t.size = 0 then None else Some t.times.(0)
+
+(* Fire the root, known live. Virtual time never schedules into the past,
+   so the clock only moves forward in either mode; under wall time it may
+   already be past the event. *)
+let fire t =
+  let event = t.evs.(0) and time = t.times.(0) in
+  remove_min t;
+  (* Mark fired events as no longer live so a later [cancel] (e.g. a
+     schedule stopped from inside its own callback) stays a no-op instead
+     of corrupting the live count. *)
+  event.cancelled <- true;
+  t.live <- t.live - 1;
+  if time > t.clock then t.clock <- time;
+  t.fired <- t.fired + 1;
+  event.action ()
+
+let step t =
+  drop_cancelled t;
   if t.size = 0 then false
   else begin
-    let event = t.evs.(0) in
-    let time = t.times.(0) in
-    remove_min t;
-    if event.cancelled then step t
-    else begin
-      (* Mark fired events as no longer live so a later [cancel] (e.g. a
-         schedule stopped from inside its own callback) stays a no-op
-         instead of corrupting the live count. *)
-      event.cancelled <- true;
-      t.live <- t.live - 1;
-      t.clock <- time;
-      t.fired <- t.fired + 1;
-      event.action ();
-      true
-    end
+    fire t;
+    true
   end
+
+let post t thunk =
+  Mutex.lock t.mail_mutex;
+  t.mailbox_rev <- thunk :: t.mailbox_rev;
+  Atomic.set t.mail_flag true;
+  Mutex.unlock t.mail_mutex
+
+let drain_posts t =
+  Mutex.lock t.mail_mutex;
+  let posted = List.rev t.mailbox_rev in
+  t.mailbox_rev <- [];
+  Atomic.set t.mail_flag false;
+  Mutex.unlock t.mail_mutex;
+  List.iter (fun thunk -> thunk ()) posted
+
+let set_idle_waiter t waiter = t.idle_waiter <- waiter
+let stop t = Atomic.set t.stop_flag true
 
 exception Runaway of int
 
+(* The longest single park between checks of the stop flag and mailbox;
+   select-based waiters return early on I/O anyway. *)
+let max_idle = 0.05
+
+let idle t ~sleep span =
+  let timeout = Float.min (Float.max span 0.) max_idle in
+  match t.idle_waiter with
+  | Some waiter -> waiter ~timeout
+  | None -> if timeout > 0. then sleep timeout
+
+(* The budget is spent only on events that fire, so a queue that drains in
+   exactly [limit] events ends cleanly. *)
+let run_virtual t ~limit ~deadline =
+  let budget = ref limit in
+  let continue = ref true in
+  while !continue do
+    if Atomic.get t.stop_flag then continue := false
+    else begin
+      if Atomic.get t.mail_flag then drain_posts t;
+      drop_cancelled t;
+      if t.size > 0 && t.times.(0) <= deadline then begin
+        if !budget = 0 then raise (Runaway limit);
+        decr budget;
+        fire t
+      end
+      else if not (Atomic.get t.mail_flag) then continue := false
+    end
+  done
+
+let run_wall t ~elapsed ~sleep ~limit ~deadline =
+  let budget = ref limit in
+  let continue = ref true in
+  while !continue do
+    if Atomic.get t.stop_flag then continue := false
+    else begin
+      if Atomic.get t.mail_flag then drain_posts t;
+      let now = elapsed () in
+      if now > t.clock then t.clock <- now;
+      drop_cancelled t;
+      if t.size > 0 && t.times.(0) <= deadline then begin
+        if t.times.(0) <= t.clock then begin
+          if !budget = 0 then raise (Runaway limit);
+          decr budget;
+          fire t
+        end
+        else
+          (* Next event is in the real future: park until it is due. *)
+          idle t ~sleep (t.times.(0) -. t.clock)
+      end
+      else if t.clock >= deadline then continue := false
+      else if Float.is_finite deadline then idle t ~sleep (deadline -. t.clock)
+      else begin
+        match t.idle_waiter with
+        | None when not (Atomic.get t.mail_flag) ->
+            (* Queue drained, nothing can wake us: the run is over. *)
+            continue := false
+        | None | Some _ -> idle t ~sleep max_idle
+      end
+    end
+  done
+
 let run ?max_events ?until t =
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
-  let tick () =
-    if !budget = 0 then
-      raise (Runaway (match max_events with Some n -> n | None -> max_int));
-    decr budget
-  in
-  match until with
-  | None ->
-      let continue = ref true in
-      while !continue do
-        tick ();
-        if not (step t) then continue := false
-      done
-  | Some deadline ->
-      let rec loop () =
-        if t.size > 0 then
-          if t.evs.(0).cancelled then begin
-            remove_min t;
-            loop ()
-          end
-          else if t.times.(0) <= deadline then begin
-            tick ();
-            ignore (step t);
-            loop ()
-          end
-      in
-      loop ();
-      if deadline > t.clock then t.clock <- deadline
+  Atomic.set t.stop_flag false;
+  let limit = match max_events with Some n -> n | None -> max_int in
+  let deadline = match until with Some d -> d | None -> infinity in
+  match t.time with
+  | Virtual -> (
+      run_virtual t ~limit ~deadline;
+      (* [run ~until] leaves the clock at the deadline unless stopped. *)
+      match until with
+      | Some d when d > t.clock && not (Atomic.get t.stop_flag) -> t.clock <- d
+      | Some _ | None -> ())
+  | Wall { elapsed; sleep } -> run_wall t ~elapsed ~sleep ~limit ~deadline
 
 let run_for t span =
   if not (Float.is_finite span && span >= 0.) then

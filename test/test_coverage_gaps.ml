@@ -9,7 +9,7 @@ module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Params = Dangers_analytic.Params
 module Rng = Dangers_util.Rng
 module Common = Dangers_replication.Common
@@ -64,7 +64,7 @@ let test_exponential_connectivity () =
     }
   in
   let schedule =
-    Connectivity.install ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:3) ~spec
+    Connectivity.install ~clock:engine ~rng:(Rng.create ~seed:3) ~spec
       ~set_connected:(fun _ -> incr toggles)
   in
   Engine.run engine ~until:1000.;

@@ -13,7 +13,7 @@ module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Lock_manager = Dangers_lock.Lock_manager
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 module Stats = Dangers_util.Stats
 
@@ -70,7 +70,7 @@ let test_profile_reads () =
 let test_readers_share () =
   let engine = Engine.create () in
   let locks = Lock_manager.create () in
-  let executor = Executor.create ~clock:(Clock.of_engine engine) ~locks ~action_time:0.1 () in
+  let executor = Executor.create ~clock:engine ~locks ~action_time:0.1 () in
   let gen = Txn_id.Gen.create () in
   let done_at = ref [] in
   let submit () =
@@ -90,7 +90,7 @@ let test_readers_share () =
 let test_writer_waits_for_reader () =
   let engine = Engine.create () in
   let locks = Lock_manager.create () in
-  let executor = Executor.create ~clock:(Clock.of_engine engine) ~locks ~action_time:0.1 () in
+  let executor = Executor.create ~clock:engine ~locks ~action_time:0.1 () in
   let gen = Txn_id.Gen.create () in
   let times = ref [] in
   let submit step tag =

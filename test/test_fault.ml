@@ -9,7 +9,6 @@ module Invariants = Dangers_fault.Invariants
 module Fuzz = Dangers_fault.Fuzz
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Trace = Dangers_sim.Trace
 module Rng = Dangers_util.Rng
 module Fstore = Dangers_storage.Store.Fstore
@@ -98,7 +97,7 @@ let test_injector_drops_messages () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:2
+      ~clock:engine ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ () -> incr received)
       ()
   in
@@ -119,7 +118,7 @@ let test_injector_duplicates_messages () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:2
+      ~clock:engine ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ () -> incr received)
       ()
   in
@@ -139,12 +138,12 @@ let test_injector_partition_parks_then_heals () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:3
+      ~clock:engine ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:3
       ~deliver:(fun ~src:_ ~dst:_ label ->
         arrivals := (label, Engine.now engine) :: !arrivals)
       ()
   in
-  Fault_injector.start injector ~clock:(Clock.of_engine engine)
+  Fault_injector.start injector ~clock:engine
     ~flush_node:(fun ~node -> Network.flush_node network ~node)
     ();
   (* Across the cut while split: parked. Within a block: flows. *)
@@ -165,7 +164,7 @@ let test_injector_crash_restart_cycle () =
   let injector = Fault_injector.create ~plan ~rng:(Rng.create ~seed:1) in
   let log = ref [] in
   let push tag = log := (tag, Engine.now engine) :: !log in
-  Fault_injector.start injector ~clock:(Clock.of_engine engine)
+  Fault_injector.start injector ~clock:engine
     ~set_connected:(fun ~node state ->
       push (Printf.sprintf "connect n%d %b" node state))
     ~on_crash:(fun ~node -> push (Printf.sprintf "crash n%d" node))
@@ -195,7 +194,7 @@ let test_injector_stop_restores () =
   let plan = manual_plan ~crashes ~partitions:[ partition ] ~nodes:2 () in
   let injector = Fault_injector.create ~plan ~rng:(Rng.create ~seed:1) in
   let restarts = ref 0 in
-  Fault_injector.start injector ~clock:(Clock.of_engine engine)
+  Fault_injector.start injector ~clock:engine
     ~on_restart:(fun ~node:_ -> incr restarts)
     ();
   Engine.run engine ~until:2.;
@@ -214,7 +213,7 @@ let test_injector_traces_faults () =
   let crashes = [ { Fault_plan.node = 0; at = 1.; up_at = 2. } ] in
   let plan = manual_plan ~crashes ~nodes:2 () in
   let injector = Fault_injector.create ~plan ~rng:(Rng.create ~seed:1) in
-  Fault_injector.start injector ~clock:(Clock.of_engine engine) ();
+  Fault_injector.start injector ~clock:engine ();
   Engine.run engine;
   let events =
     List.rev (Trace.fold tracer ~init:[] (fun acc e -> e.Trace.event :: acc))

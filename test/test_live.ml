@@ -223,6 +223,9 @@ let test_server () =
   (match rpc a (Protocol.Query (Oid.of_int 3)) with
   | Protocol.Value v -> Alcotest.check (Alcotest.float 1e-9) "replayed" 1.5 v
   | _ -> Alcotest.fail "expected a value");
+  (* Connected, nothing queued, nothing to refresh: an empty sync still
+     answers (within the receive timeout set by [connect]). *)
+  checkb "empty sync answers" true (rpc a Protocol.Sync = Protocol.Synced);
   (* A garbage frame drops only its sender. *)
   write_string b "\000\000\000\001\255";
   (match recv b with

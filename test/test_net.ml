@@ -1,10 +1,9 @@
 (* Delay, Network, Connectivity tests. *)
 
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Connectivity = Dangers_net.Connectivity
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Rng = Dangers_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
@@ -29,7 +28,7 @@ let make_network ?(delay = Delay.Zero) ~nodes () =
   let engine = Engine.create () in
   let received = ref [] in
   let network =
-    Network.create ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:9) ~delay ~nodes
+    Network.create ~clock:engine ~rng:(Rng.create ~seed:9) ~delay ~nodes
       ~deliver:(fun ~src ~dst msg -> received := (src, dst, msg) :: !received)
       ()
   in
@@ -59,7 +58,7 @@ let test_constant_delay_timing () =
   ignore received;
   (* Watch the clock at delivery via a fresh network with a closure. *)
   let network2 =
-    Network.create ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:1) ~delay:(Delay.Constant 2.0)
+    Network.create ~clock:engine ~rng:(Rng.create ~seed:1) ~delay:(Delay.Constant 2.0)
       ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ _ -> arrival := Engine.now engine)
       ()
@@ -111,7 +110,7 @@ let test_day_cycle_schedule () =
   let trace = ref [] in
   let spec = Connectivity.day_cycle ~connected:10. ~disconnected:5. in
   let schedule =
-    Connectivity.install ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:3) ~spec
+    Connectivity.install ~clock:engine ~rng:(Rng.create ~seed:3) ~spec
       ~set_connected:(fun state -> trace := (Engine.now engine, state) :: !trace)
   in
   Engine.run engine ~until:31.;
@@ -128,7 +127,7 @@ let test_base_node_never_disconnects () =
   let engine = Engine.create () in
   let changes = ref 0 in
   let _schedule =
-    Connectivity.install ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:4)
+    Connectivity.install ~clock:engine ~rng:(Rng.create ~seed:4)
       ~spec:Connectivity.base_node
       ~set_connected:(fun _ -> incr changes)
   in
@@ -141,7 +140,7 @@ let test_stop_cancels_inflight_toggle () =
   let trace = ref [] in
   let spec = Connectivity.day_cycle ~connected:10. ~disconnected:5. in
   let schedule =
-    Connectivity.install ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:3) ~spec
+    Connectivity.install ~clock:engine ~rng:(Rng.create ~seed:3) ~spec
       ~set_connected:(fun state -> trace := (Engine.now engine, state) :: !trace)
   in
   (* Run past the first toggle; the next one (t=15) is already armed on the
@@ -164,7 +163,7 @@ let faulty_network ~faults ~nodes () =
   let engine = Engine.create () in
   let received = ref [] in
   let network =
-    Network.create ~faults ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:9)
+    Network.create ~faults ~clock:engine ~rng:(Rng.create ~seed:9)
       ~delay:Delay.Zero ~nodes
       ~deliver:(fun ~src ~dst msg ->
         received := (src, dst, msg, Engine.now engine) :: !received)

@@ -4,7 +4,6 @@
    registered scheme at --sim-domains 1, 2 and 4. *)
 
 module Engine = Dangers_sim.Engine
-module Heap = Dangers_sim.Heap
 module Partition = Dangers_sim.Partition
 module Par_engine = Dangers_sim.Par_engine
 module Observe = Dangers_sim.Observe
@@ -38,7 +37,7 @@ let test_next_time_skips_cancelled () =
   (* next_time pops dead roots but must not fire anything *)
   checki "no cancelled event fired" 1 (Engine.events_fired e)
 
-(* --- Heap lifecycle: clear and pop must not pin dead closures --- *)
+(* --- Engine lifecycle: fired and cancelled events must not pin closures --- *)
 
 let weak_of_list xs =
   let w = Weak.create (List.length xs) in
@@ -52,33 +51,41 @@ let live w =
   done;
   !n
 
-let test_clear_releases_elements () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
-  let boxed = List.init 64 (fun i -> (i, ref i)) in
-  let w = weak_of_list boxed in
-  List.iter (Heap.push h) boxed;
-  Heap.clear h;
-  Gc.full_major ();
-  (* the capacity-preserving clear may keep every slot aliased to one
-     element; everything else must be gone *)
-  checkb
-    (Printf.sprintf "at most one element survives clear (%d live)" (live w))
-    true (live w <= 1);
-  checki "cleared" 0 (Heap.length h);
-  checkb "capacity kept" true (Heap.capacity h >= 64)
+(* One event at each time 1..n whose closure captures its own box; events
+   at even times are cancelled straight away. Only the weak view of the
+   boxes escapes, so whatever stays alive is pinned by the engine. *)
+let[@inline never] schedule_boxes e ~n =
+  let boxes = List.init n (fun i -> ref i) in
+  List.iteri
+    (fun i box ->
+      let time = i + 1 in
+      let ev = Engine.schedule e ~delay:(float_of_int time) (fun () -> incr box) in
+      if time mod 2 = 0 then Engine.cancel e ev)
+    boxes;
+  weak_of_list boxes
 
 let test_pop_releases_slot () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
-  let boxed = List.init 16 (fun i -> (i, ref i)) in
-  let w = weak_of_list boxed in
-  List.iter (Heap.push h) boxed;
-  while not (Heap.is_empty h) do
-    ignore (Heap.pop h)
-  done;
+  let e = Engine.create () in
+  let w = schedule_boxes e ~n:16 in
+  Engine.run e;
   Gc.full_major ();
   checkb
-    (Printf.sprintf "popped elements collectable (%d live)" (live w))
+    (Printf.sprintf "fired and cancelled closures collectable (%d live)" (live w))
     true (live w <= 1)
+
+let test_run_until_releases_cancelled () =
+  let e = Engine.create () in
+  let w = schedule_boxes e ~n:16 in
+  Engine.run e ~until:8.5;
+  Gc.full_major ();
+  (* still pending: the live events at 9, 11, 13 and 15 *)
+  checkb "pending closures kept" true
+    (List.for_all (fun time -> Weak.check w (time - 1)) [ 9; 11; 13; 15 ]);
+  checkb
+    (Printf.sprintf "fired and cancelled closures collectable (%d live)" (live w))
+    true (live w <= 5);
+  (* also keeps the engine itself reachable across the collection *)
+  checki "four still pending" 4 (Engine.pending e)
 
 (* --- Partition router: deterministic merge and the conservative check --- *)
 
@@ -121,8 +128,9 @@ let test_router_safe_time () =
    Each case is a batch of (src, dst, delay) sends fanned out from a
    driver event per partition at time 0. Delivery times are tie-free by
    construction, so the global delivery order the barrier produces must
-   equal the order a single serial heap would pop — and no delivery may
-   precede the receiver's completed horizon. *)
+   equal the sorted delivery times — the order one serial engine would
+   fire them in — and no delivery may precede the receiver's completed
+   horizon. *)
 
 let router_order_prop =
   let gen =
@@ -158,12 +166,12 @@ let router_order_prop =
       done;
       Par_engine.run t;
       let expected =
-        let h = Heap.create ~cmp:Float.compare () in
-        List.iteri
-          (fun i (src, dst, units) ->
-            if src <> dst then Heap.push h (delay i units))
-          ops;
-        Heap.to_sorted_list h
+        List.sort Float.compare
+          (List.concat
+             (List.mapi
+                (fun i (src, dst, units) ->
+                  if src <> dst then [ delay i units ] else [])
+                ops))
       in
       List.rev !log = expected)
 
@@ -348,9 +356,9 @@ let suite =
   [
     Alcotest.test_case "next_time skips cancelled roots" `Quick
       test_next_time_skips_cancelled;
-    Alcotest.test_case "heap clear releases elements" `Quick
-      test_clear_releases_elements;
     Alcotest.test_case "heap pop releases slot" `Quick test_pop_releases_slot;
+    Alcotest.test_case "run ~until releases cancelled closures" `Quick
+      test_run_until_releases_cancelled;
     Alcotest.test_case "router merge order" `Quick test_router_merge_order;
     Alcotest.test_case "router rejects past delivery" `Quick
       test_router_conservative_violation;

@@ -8,7 +8,7 @@ module Fstore = Dangers_storage.Store.Fstore
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Network = Dangers_net.Network
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Update_log = Dangers_storage.Update_log
 module Mode = Dangers_lock.Mode
 module Lock_table = Dangers_lock.Lock_table
@@ -34,7 +34,7 @@ let network_conservation =
       let engine = Engine.create () in
       let received = Hashtbl.create 64 in
       let network =
-        Network.create ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:1) ~delay:Delay.Zero
+        Network.create ~clock:engine ~rng:(Rng.create ~seed:1) ~delay:Delay.Zero
           ~nodes:4
           ~deliver:(fun ~src:_ ~dst:_ id ->
             Hashtbl.replace received id (1 + Option.value ~default:0 (Hashtbl.find_opt received id)))

@@ -5,12 +5,11 @@ module Trace = Dangers_sim.Trace
 module Trace_export = Dangers_sim.Trace_export
 module Json = Dangers_obs.Json
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Executor = Dangers_txn.Executor
 module Txn_id = Dangers_txn.Txn_id
 module Lock_manager = Dangers_lock.Lock_manager
 module Network = Dangers_net.Network
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
@@ -51,7 +50,7 @@ let test_executor_emits () =
   let tracer = Trace.create () in
   Engine.set_tracer engine (Some tracer);
   let executor =
-    Executor.create ~clock:(Clock.of_engine engine) ~locks:(Lock_manager.create ()) ~action_time:0.01 ()
+    Executor.create ~clock:engine ~locks:(Lock_manager.create ()) ~action_time:0.01 ()
   in
   let gen = Txn_id.Gen.create () in
   let submit steps =
@@ -78,7 +77,7 @@ let test_network_emits () =
   let tracer = Trace.create () in
   Engine.set_tracer engine (Some tracer);
   let network =
-    Network.create ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:1) ~delay:Delay.Zero ~nodes:2
+    Network.create ~clock:engine ~rng:(Rng.create ~seed:1) ~delay:Delay.Zero ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ () -> ()) ()
   in
   Network.set_connected network ~node:1 false;

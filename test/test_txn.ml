@@ -5,7 +5,6 @@ module Oid = Dangers_storage.Oid
 module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Lock_manager = Dangers_lock.Lock_manager
 
 let checkb = Alcotest.check Alcotest.bool
@@ -67,7 +66,7 @@ let make_executor () =
   let executor =
     Executor.create
       ~on_wait:(fun () -> incr waits)
-      ~clock:(Clock.of_engine engine) ~locks ~action_time:0.1 ()
+      ~clock:engine ~locks ~action_time:0.1 ()
   in
   (engine, executor, waits)
 

@@ -6,7 +6,6 @@ module Scenario = Dangers_workload.Scenario
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Rng = Dangers_util.Rng
 module Params = Dangers_analytic.Params
 
@@ -84,7 +83,7 @@ let test_generator_rate () =
   let rng = Rng.create ~seed:5 in
   let submitted = ref 0 in
   let generator =
-    Generator.start ~clock:(Clock.of_engine engine) ~rng ~tps:10. ~profile:(Profile.create ~actions:2 ())
+    Generator.start ~clock:engine ~rng ~tps:10. ~profile:(Profile.create ~actions:2 ())
       ~db_size:100
       ~submit:(fun ops ->
         checki "ops per txn" 2 (List.length ops);
