@@ -58,7 +58,7 @@ let eager_story () =
      was written - the conflict surfaced as a lock wait, never as \
      inconsistent books\n";
   Printf.printf "waits observed: %d; books identical: %b\n"
-    (Metrics.total_count base.Common.metrics Repl_stats.waits)
+    (Metrics.total base.Common.stats.Repl_stats.waits)
     (Fstore.content_equal base.Common.stores.(0) base.Common.stores.(2))
 
 let lazy_story () =
@@ -71,9 +71,7 @@ let lazy_story () =
   Lazy_group.submit sys ~node:1 [ Op.Assign (account, opening -. 800.) ];
   Common.drain base;
   let balance = Fstore.read base.Common.stores.(2) account in
-  let reconciliations =
-    Metrics.total_count base.Common.metrics Repl_stats.reconciliations
-  in
+  let reconciliations = Metrics.total base.Common.stats.Repl_stats.reconciliations in
   Printf.printf "bank ledger after convergence: $%.2f\n" balance;
   Printf.printf
     "reconciliations needed: %d  (two $800 checks were written against one \

@@ -56,8 +56,8 @@ let two_tier_run ~seed =
   Two_tier.quiesce_and_sync sys;
   Printf.printf
     "  two-tier:              tentative=%d accepted=%d rejected=%d converged=%b\n"
-    (Dangers_sim.Metrics.total_count (Two_tier.base sys).Common.metrics
-       "tentative_commits")
+    (Dangers_sim.Metrics.total
+       (Two_tier.base sys).Common.stats.Dangers_replication.Repl_stats.tentative_commits)
     (Two_tier.tentative_accepted sys)
     (Two_tier.tentative_rejected sys)
     (Two_tier.converged sys)

@@ -70,7 +70,7 @@ let master_store t oid =
   else Mobile_node.master_store t.mobiles.(owner - t.base_count).record
 
 let deliver t ~src:_ ~dst updates =
-  Metrics.incr t.common.Common.metrics "replica_txns";
+  Metrics.incr t.common.Common.stats.Repl_stats.replica_txns;
   List.iter
     (fun u ->
       Timestamp.Clock.witness t.common.Common.clocks.(dst) u.su_stamp;
@@ -84,8 +84,8 @@ let deliver t ~src:_ ~dst updates =
             u.su_stamp
       in
       match outcome with
-      | `Applied -> Metrics.incr t.common.Common.metrics Repl_stats.replica_applied
-      | `Stale -> Metrics.incr t.common.Common.metrics Repl_stats.stale_discards)
+      | `Applied -> Metrics.incr t.common.Common.stats.Repl_stats.replica_applied
+      | `Stale -> Metrics.incr t.common.Common.stats.Repl_stats.stale_discards)
     updates
 
 (* One lazy slave transaction per node that does not master everything in
@@ -137,7 +137,7 @@ let replay_committed t ops =
 let run_base_transaction t ?(acceptance = Acceptance.Always)
     ?(tentative_results = []) ~ops ~on_done () =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let rec attempt () =
     let owner_id = Txn_id.Gen.next common.Common.txn_gen in
     let started = Clock.now common.Common.clock in
@@ -206,8 +206,8 @@ let run_base_transaction t ?(acceptance = Acceptance.Always)
             (* The base transaction aborts: no master copy changes. *)
             on_done (`Rejected reason))
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr metrics Repl_stats.deadlocks;
-        Metrics.incr metrics Repl_stats.restarts;
+        Metrics.incr stats.Repl_stats.deadlocks;
+        Metrics.incr stats.Repl_stats.restarts;
         Clock.schedule_unit common.Common.clock
           ~delay:(Common.backoff_delay common t.retry_rng)
           attempt)
@@ -223,7 +223,7 @@ let finish_sync t mobile_index =
     Mobile_node.refresh_from m.record
       t.common.Common.stores.(host_of t mobile_index);
     m.needs_refresh <- false;
-    Metrics.incr t.common.Common.metrics "syncs";
+    Metrics.incr t.common.Common.stats.Repl_stats.syncs;
     List.iter (fun listener -> listener ~mobile:mobile_index) t.sync_listeners
   end
   else m.needs_refresh <- true
@@ -235,17 +235,17 @@ let rec replay t mobile_index = function
         ~tentative_results:txn.Tentative.tentative_results
         ~ops:txn.Tentative.ops
         ~on_done:(fun result ->
-          let metrics = t.common.Common.metrics in
+          let stats = t.common.Common.stats in
           (match t.reconcile_lag with
           | None -> ()
           | Some h ->
               Obs.observe h
                 (Clock.now t.common.Common.clock -. txn.Tentative.committed_at));
           (match result with
-          | `Committed _ -> Metrics.incr metrics "tentative_accepted"
+          | `Committed _ -> Metrics.incr stats.Repl_stats.tentative_accepted
           | `Rejected reason ->
-              Metrics.incr metrics "tentative_rejected";
-              Metrics.incr metrics Repl_stats.reconciliations;
+              Metrics.incr stats.Repl_stats.tentative_rejected;
+              Metrics.incr stats.Repl_stats.reconciliations;
               t.rejections_rev <- (txn, reason) :: t.rejections_rev);
           replay t mobile_index rest)
         ()
@@ -308,9 +308,9 @@ type submit_result =
   | `Scope_violation ]
 
 let submit_with t ~node ~on_result ops =
-  let metrics = t.common.Common.metrics in
+  let stats = t.common.Common.stats in
   if not (scope_ok t ~node ops) then begin
-    Metrics.incr metrics "scope_violations";
+    Metrics.incr stats.Repl_stats.scope_violations;
     on_result `Scope_violation
   end
   else if not (is_mobile t node) then
@@ -324,7 +324,7 @@ let submit_with t ~node ~on_result ops =
         ~on_done:(fun result -> on_result (result :> submit_result))
         ()
     else begin
-      Metrics.incr metrics "tentative_commits";
+      Metrics.incr stats.Repl_stats.tentative_commits;
       ignore
         (Mobile_node.run_tentative m.record ~ops ~acceptance:t.acceptance
            ~now:(Clock.now t.common.Common.clock));
@@ -359,7 +359,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
   in
   let base_executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
       ~clock:common.Common.clock
       ~locks:(Lock_manager.create ?obs ())
       ~action_time:params.Params.action_time ()
@@ -483,13 +483,17 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"two-tier" t.common.Common.metrics
+let summary t = Common.summary ~scheme:"two-tier" t.common
 
 let set_node_connected t ~node state = Network.set_connected (network t) ~node state
 let flush_node t ~node = Network.flush_node (network t) ~node
 
-let tentative_accepted t = Metrics.total_count t.common.Common.metrics "tentative_accepted"
-let tentative_rejected t = Metrics.total_count t.common.Common.metrics "tentative_rejected"
+let tentative_accepted t =
+  Metrics.total t.common.Common.stats.Repl_stats.tentative_accepted
+
+let tentative_rejected t =
+  Metrics.total t.common.Common.stats.Repl_stats.tentative_rejected
+
 let rejection_log t = List.rev t.rejections_rev
 
 let connect_all t =

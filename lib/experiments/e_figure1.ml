@@ -26,19 +26,15 @@ let eager_duration ~nodes ~seed =
   let sys = Eager_impl.create Eager_impl.Group (params_for nodes) ~seed in
   Eager_impl.submit sys ~node:0 ops;
   Common.drain (Eager_impl.base sys);
-  Stats.mean
-    (Metrics.sample_stats (Eager_impl.base sys).Common.metrics
-       Repl_stats.duration_sample)
+  Stats.mean (Metrics.txn_duration (Eager_impl.base sys).Common.metrics)
 
 let lazy_counts ~nodes ~seed =
   let sys = Lazy_group.create (params_for nodes) ~seed in
   Lazy_group.submit sys ~node:0 ops;
   Common.drain (Lazy_group.base sys);
-  let metrics = (Lazy_group.base sys).Common.metrics in
-  let root_duration =
-    Stats.mean (Metrics.sample_stats metrics Repl_stats.duration_sample)
-  in
-  (root_duration, Metrics.total_count metrics "replica_txns")
+  let base = Lazy_group.base sys in
+  let root_duration = Stats.mean (Metrics.txn_duration base.Common.metrics) in
+  (root_duration, Metrics.total base.Common.stats.Repl_stats.replica_txns)
 
 let experiment =
   {

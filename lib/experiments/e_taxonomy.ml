@@ -31,11 +31,12 @@ let params =
 let ops_for i =
   [ Op.Increment (Oid.of_int (6 * i), 1.); Op.Increment (Oid.of_int ((6 * i) + 3), 1.) ]
 
-let count_txns metrics =
-  let get name = Metrics.total_count metrics name in
+let count_txns base =
+  let s = base.Common.stats in
   float_of_int
-    (get Repl_stats.commits + get Repl_stats.restarts + get "replica_txns"
-   + get "tentative_commits")
+    (Metrics.total s.Repl_stats.commits + Metrics.total s.Repl_stats.restarts
+    + Metrics.total s.Repl_stats.replica_txns
+    + Metrics.total s.Repl_stats.tentative_commits)
   /. float_of_int batch
 
 let measure_eager ownership ~seed =
@@ -44,7 +45,7 @@ let measure_eager ownership ~seed =
     Eager_impl.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Eager_impl.base sys);
-  count_txns (Eager_impl.base sys).Common.metrics
+  count_txns (Eager_impl.base sys)
 
 let measure_lazy_group ~seed =
   let sys = Lazy_group.create params ~seed in
@@ -52,7 +53,7 @@ let measure_lazy_group ~seed =
     Lazy_group.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Lazy_group.base sys);
-  count_txns (Lazy_group.base sys).Common.metrics
+  count_txns (Lazy_group.base sys)
 
 let measure_lazy_master ~seed =
   let sys = Lazy_master.create params ~seed in
@@ -60,7 +61,7 @@ let measure_lazy_master ~seed =
     Lazy_master.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Lazy_master.base sys);
-  count_txns (Lazy_master.base sys).Common.metrics
+  count_txns (Lazy_master.base sys)
 
 let measure_two_tier ~seed =
   (* One mobile, disconnected: every transaction is tentative, replayed at
@@ -89,7 +90,7 @@ let measure_two_tier ~seed =
       ]
   done;
   Two_tier.quiesce_and_sync sys;
-  count_txns (Two_tier.base sys).Common.metrics
+  count_txns (Two_tier.base sys)
 
 let experiment =
   {

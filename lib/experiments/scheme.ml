@@ -174,10 +174,7 @@ module Lazy_undo : SCHEME = struct
     Common.measure (Lazy_group_undo.base sys) ~warmup ~span;
     Lazy_group_undo.stop_load sys;
     Lazy_group_undo.force_sync sys;
-    let summary =
-      Repl_stats.summarize ~scheme:name
-        (Lazy_group_undo.base sys).Common.metrics
-    in
+    let summary = Common.summary ~scheme:name (Lazy_group_undo.base sys) in
     {
       summary;
       diagnostics =
@@ -221,13 +218,14 @@ module Two_tier : SCHEME = struct
        only meaningful after the final quiesce-and-sync. *)
     let summary = Two_tier_impl.summary sys in
     Two_tier_impl.quiesce_and_sync sys;
-    let metrics = (Two_tier_impl.base sys).Common.metrics in
     {
       summary;
       diagnostics =
         [
           ( "tentative_commits",
-            float_of_int (Metrics.total_count metrics "tentative_commits") );
+            float_of_int
+              (Metrics.total
+                 (Two_tier_impl.base sys).Common.stats.Repl_stats.tentative_commits) );
           ( "tentative_accepted",
             float_of_int (Two_tier_impl.tentative_accepted sys) );
           ( "tentative_rejected",

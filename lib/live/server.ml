@@ -57,13 +57,13 @@ let log t fmt =
   else Printf.eprintf (fmt ^^ "\n%!")
 
 let scheme_stats t =
-  let metrics = (Two_tier.base t.sys).Common.metrics in
+  let stats = (Two_tier.base t.sys).Common.stats in
   {
     Protocol.commits = (Two_tier.summary t.sys).Dangers_replication.Repl_stats.commits;
     tentative_accepted = Two_tier.tentative_accepted t.sys;
     tentative_rejected = Two_tier.tentative_rejected t.sys;
     scope_violations =
-      Dangers_sim.Metrics.total_count metrics "scope_violations";
+      Dangers_sim.Metrics.total stats.Dangers_replication.Repl_stats.scope_violations;
     warnings_total = Warnings.total ();
     warnings = Warnings.keys ();
   }

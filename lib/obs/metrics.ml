@@ -37,17 +37,20 @@ let create () =
     phases_rev = [];
   }
 
+let unregistered_counter name = { c_name = name; c_value = 0 }
+
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = unregistered_counter name in
       Hashtbl.add t.counters name c;
       c
 
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
+let counter_name c = c.c_name
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with

@@ -28,9 +28,15 @@ type counter
 val counter : t -> string -> counter
 (** Interned: the same name returns the same handle. *)
 
+val unregistered_counter : string -> counter
+(** A handle no registry interns, for a component that keeps its counters
+    private (one set per system, or per domain) and reports them through
+    its own {!register_source}. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
+val counter_name : counter -> string
 
 (** {1 Gauges} *)
 

@@ -10,7 +10,6 @@ module Profile = Dangers_workload.Profile
 module Generator = Dangers_workload.Generator
 module Rng = Dangers_util.Rng
 module Obs = Dangers_obs.Metrics
-module Profiling = Dangers_obs.Profiling
 
 type base = {
   params : Params.t;
@@ -19,6 +18,7 @@ type base = {
   runtime : Runtime.t;
   clock : Clock.t;
   metrics : Metrics.t;
+  stats : Repl_stats.t;
   rng : Rng.t;
   stores : Fstore.t array;
   clocks : Timestamp.Clock.t array;
@@ -54,25 +54,8 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
   (match (Dangers_sim.Observe.ambient_tracer (), Clock.tracer clock) with
   | Some tracer, None -> Clock.set_tracer clock (Some tracer)
   | (None | Some _), _ -> ());
-  let metrics = Metrics.create ~now:(fun () -> Clock.now clock) () in
-  (match obs with
-  | None -> ()
-  | Some registry ->
-      Obs.register_source registry (fun () ->
-          [
-            Obs.Count ("engine.events_fired_total", Clock.events_fired clock);
-            Obs.Gauge
-              ( "engine.queue_high_water",
-                float_of_int (Clock.queue_high_water clock) );
-          ]);
-      (* The scheme's own simulated-time counters (commits, restarts,
-         replica_applied, ...), since-creation totals rather than the
-         measured window the paper-facing summary reports. *)
-      Obs.register_source registry (fun () ->
-          List.map
-            (fun name ->
-              Obs.Count ("scheme." ^ name ^ "_total", Metrics.total_count metrics name))
-            (Metrics.counter_names metrics)));
+  let metrics = Metrics.of_engine clock in
+  Option.iter (Metrics.export metrics) obs;
   {
     params;
     profile;
@@ -80,6 +63,7 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
     runtime;
     clock;
     metrics;
+    stats = Repl_stats.create metrics;
     rng = Rng.create ~seed;
     stores =
       Array.init params.Params.nodes (fun _ ->
@@ -115,23 +99,18 @@ let backoff_delay base rng =
   (0.5 +. Rng.float rng 1.0) *. duration
 
 let commit_duration base ~started =
-  Metrics.incr base.metrics Repl_stats.commits;
+  Metrics.incr base.stats.Repl_stats.commits;
   let duration = Clock.now base.clock -. started in
-  Metrics.sample base.metrics Repl_stats.duration_sample duration;
+  Dangers_util.Stats.add (Metrics.txn_duration base.metrics) duration;
   match base.commit_seconds with
   | None -> ()
   | Some h -> Obs.observe h duration
 
+let summary ~scheme base = Repl_stats.summarize ~scheme base.metrics base.stats
+
 (* A drain that never ends is a bug (a generator or connectivity schedule
    left running); surface it instead of hanging. *)
 let drain base = Clock.run ~max_events:200_000_000 base.clock
-
-let profiled base phase f =
-  match base.obs with
-  | None -> f ()
-  | Some registry ->
-      let (), p = Profiling.timed phase f in
-      Obs.record_phase registry p
 
 (* Sample the attached series on the simulated clock across the measured
    window. The loop never reschedules past [stop_at], so [drain] still
@@ -148,7 +127,8 @@ let start_series_sampling base series ~stop_at =
   Clock.schedule_unit base.clock ~delay:interval tick
 
 let measure base ~warmup ~span =
-  profiled base "warmup" (fun () -> Clock.run_for base.clock warmup);
+  let profiled = Dangers_sim.Observe.profiled ?obs:base.obs in
+  profiled "warmup" (fun () -> Clock.run_for base.clock warmup);
   Metrics.start_window base.metrics;
   (match base.series with
   | None -> ()
@@ -156,4 +136,4 @@ let measure base ~warmup ~span =
       Dangers_obs.Timeseries.rebase series ~now:(Clock.now base.clock);
       start_series_sampling base series
         ~stop_at:(Clock.now base.clock +. span));
-  profiled base "measured" (fun () -> Clock.run_for base.clock span)
+  profiled "measured" (fun () -> Clock.run_for base.clock span)

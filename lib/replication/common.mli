@@ -1,5 +1,5 @@
 (** Shared scaffolding for the replication-scheme simulators: one engine,
-    one metrics registry, a replica store and Lamport clock per node,
+    one set of scheme counters, a replica store and Lamport clock per node,
     per-node RNG splits, and the measured-window drill. *)
 
 module Params = Dangers_analytic.Params
@@ -20,7 +20,8 @@ type base = {
   initial_value : float;
   runtime : Runtime.t;  (** the execution runtime this system was built on *)
   clock : Clock.t;  (** = [runtime.clock]; every event the scheme schedules *)
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** the measured window over [stats] *)
+  stats : Repl_stats.t;  (** this system's scheme counters *)
   rng : Rng.t;
   stores : Fstore.t array;  (** one replica of the whole database per node *)
   clocks : Timestamp.Clock.t array;
@@ -45,11 +46,9 @@ val make :
     ([Profile.of_params]); every object starts at [initial_value]
     (default 0). The runtime defaults to a fresh simulator
     ([Runtime.sim ()]); pass [Runtime.live_wall ()] to run the same
-    scheme on wall time. When [obs] is given, pull
-    sources for the clock ([engine.events_fired_total],
-    [engine.queue_high_water]) and the scheme's simulated-time counters
-    ([scheme.*_total], since-creation totals) are registered, and
-    {!measure} records per-phase wall-clock and allocation profiles. *)
+    scheme on wall time. When [obs] is given, {!Metrics.export} reports
+    the clock and the scheme counters to it, and {!measure} records
+    per-phase wall-clock and allocation profiles. *)
 
 val start_generators : base -> submit:(node:int -> Dangers_txn.Op.t list -> unit) -> unit
 (** One Poisson generator per node at [params.tps], each on its own RNG
@@ -66,6 +65,9 @@ val backoff_delay : base -> Rng.t -> float
 val commit_duration : base -> started:float -> unit
 (** Record a committed transaction's duration sample and bump the commit
     counter. *)
+
+val summary : scheme:string -> base -> Repl_stats.summary
+(** {!Repl_stats.summarize} over this system's window and counters. *)
 
 val drain : base -> unit
 (** Run the clock until no events remain (generators must be stopped). *)

@@ -38,7 +38,7 @@ let create ?obs ?profile ?initial_value ?(delay = Dangers_runtime.Delay.Zero)
   let locks = Lock_manager.create ?obs () in
   let executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
       ~clock:common.Common.clock ~locks
       ~action_time:params.Params.action_time ()
   in
@@ -86,7 +86,7 @@ let apply_everywhere t ~origin ops =
 
 let submit t ~node ops =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let build_steps () =
     List.concat_map
       (fun op ->
@@ -142,8 +142,8 @@ let submit t ~node ops =
         Common.commit_duration common ~started;
         match t.on_commit with Some f -> f ~node ops | None -> ())
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr metrics Repl_stats.deadlocks;
-        Metrics.incr metrics Repl_stats.restarts;
+        Metrics.incr stats.Repl_stats.deadlocks;
+        Metrics.incr stats.Repl_stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -155,4 +155,4 @@ let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit 
 let stop_load t = Common.stop_generators t.common
 
 let summary t =
-  Repl_stats.summarize ~scheme:(scheme_name t.ownership) t.common.Common.metrics
+  Common.summary ~scheme:(scheme_name t.ownership) t.common

@@ -39,7 +39,7 @@ let max_stamp a b = if Timestamp.newer a ~than:b then a else b
 (* Apply one incoming replica update at [dst], counting §4's outcomes. *)
 let apply_update t ~dst (u : Reconcile.update) =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let store = common.Common.stores.(dst) in
   Timestamp.Clock.witness common.Common.clocks.(dst) u.Reconcile.stamp;
   let current_stamp = Fstore.stamp store u.Reconcile.oid in
@@ -56,19 +56,19 @@ let apply_update t ~dst (u : Reconcile.update) =
   if is_additive_delta then begin
     (* Commutative discipline: always merge the delta, never overwrite with
        the absolute value — any application order yields the same sum. *)
-    if not chain_intact then Metrics.incr metrics Repl_stats.reconciliations;
+    if not chain_intact then Metrics.incr stats.Repl_stats.reconciliations;
     let delta = match u.Reconcile.delta with Some d -> d | None -> assert false in
     let current = Fstore.read store u.Reconcile.oid in
     Fstore.write store u.Reconcile.oid (current +. delta)
       (max_stamp current_stamp u.Reconcile.stamp);
-    Metrics.incr metrics Repl_stats.replica_applied
+    Metrics.incr stats.Repl_stats.replica_applied
   end
   else if chain_intact then begin
     Fstore.write store u.Reconcile.oid u.Reconcile.value u.Reconcile.stamp;
-    Metrics.incr metrics Repl_stats.replica_applied
+    Metrics.incr stats.Repl_stats.replica_applied
   end
   else begin
-    Metrics.incr metrics Repl_stats.reconciliations;
+    Metrics.incr stats.Repl_stats.reconciliations;
     let current_value = Fstore.read store u.Reconcile.oid in
     let stamp' = max_stamp current_stamp u.Reconcile.stamp in
     match Reconcile.resolve t.rule ~current_value ~current_stamp u with
@@ -95,10 +95,10 @@ let deliver t ~src:_ ~dst updates =
     in
     Executor.run t.executors.(dst) ~owner ~steps
       ~on_commit:(fun () ->
-        Metrics.incr common.Common.metrics "replica_txns";
+        Metrics.incr common.Common.stats.Repl_stats.replica_txns;
         List.iter (apply_update t ~dst) updates)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics "replica_restarts";
+        Metrics.incr common.Common.stats.Repl_stats.replica_restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -160,8 +160,8 @@ let submit t ~node ops =
         root_commit t ~node ops;
         Common.commit_duration common ~started)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics Repl_stats.deadlocks;
-        Metrics.incr common.Common.metrics Repl_stats.restarts;
+        Metrics.incr common.Common.stats.Repl_stats.deadlocks;
+        Metrics.incr common.Common.stats.Repl_stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -176,7 +176,7 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
   let executors =
     Array.init params.Params.nodes (fun _ ->
         Executor.create
-          ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+          ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
           ~clock:common.Common.clock
           ~locks:(Lock_manager.create ?obs ())
           ~action_time:params.Params.action_time ())
@@ -232,7 +232,7 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"lazy-group" t.common.Common.metrics
+let summary t = Common.summary ~scheme:"lazy-group" t.common
 
 let expected_sum t oid = t.expected.(Oid.to_int oid)
 

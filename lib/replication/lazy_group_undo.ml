@@ -43,8 +43,6 @@ type t = {
   (* Receiver-side pre-images for possible backout, per (node, txn). *)
   applied : (int * int, (Oid.t * float * Timestamp.t) list) Hashtbl.t;
   mutable next_txn : int;
-  mutable durable_count : int;
-  mutable undone_count : int;
   lag : Stats.t;
   mutable schedules : Connectivity.t list;
   mutable pending_installs : Clock.event_id list;
@@ -62,8 +60,7 @@ let revert store undo_list =
 let finish_undo t txn pending =
   if not pending.p_aborted then begin
     pending.p_aborted <- true;
-    t.undone_count <- t.undone_count + 1;
-    Metrics.incr t.common.Common.metrics "undone";
+    Metrics.incr t.common.Common.stats.Repl_stats.undone;
     revert t.common.Common.stores.(pending.p_origin) pending.p_undo;
     (* Tell everyone who might have applied it to back it out. *)
     Network.broadcast (network t) ~src:pending.p_origin
@@ -93,7 +90,7 @@ let handle_replicate t ~src ~dst ~txn updates =
     Network.send (network t) ~src:dst ~dst:src (Ack txn)
   end
   else begin
-    Metrics.incr t.common.Common.metrics Repl_stats.reconciliations;
+    Metrics.incr t.common.Common.stats.Repl_stats.reconciliations;
     Network.send (network t) ~src:dst ~dst:src (Nack txn)
   end
 
@@ -129,8 +126,7 @@ let deliver t ~src ~dst message =
             (not pending.p_aborted)
             && pending.p_acks = t.common.Common.params.Params.nodes - 1
           then begin
-            t.durable_count <- t.durable_count + 1;
-            Metrics.incr t.common.Common.metrics "durable";
+            Metrics.incr t.common.Common.stats.Repl_stats.durable;
             Stats.add t.lag
               (Clock.now t.common.Common.clock -. pending.p_committed_at);
             Hashtbl.remove t.pending txn
@@ -178,7 +174,7 @@ let submit t ~node ops =
         p_acks = 0;
         p_aborted = false;
       };
-    Metrics.incr t.common.Common.metrics Repl_stats.commits;
+    Metrics.incr t.common.Common.stats.Repl_stats.commits;
     Network.broadcast (network t) ~src:node
       (Replicate { txn; updates = List.rev !updates })
   end
@@ -193,8 +189,6 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
       pending = Hashtbl.create 256;
       applied = Hashtbl.create 256;
       next_txn = 0;
-      durable_count = 0;
-      undone_count = 0;
       lag = Stats.create ();
       schedules = [];
       pending_installs = [];
@@ -240,9 +234,9 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let durable t = t.durable_count
+let durable t = Metrics.total t.common.Common.stats.Repl_stats.durable
 let tentative_outstanding t = Hashtbl.length t.pending
-let undone t = t.undone_count
+let undone t = Metrics.total t.common.Common.stats.Repl_stats.undone
 let durability_lag t = t.lag
 
 let force_sync t =

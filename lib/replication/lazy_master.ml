@@ -41,15 +41,15 @@ let network t =
    Thomas write rule. *)
 let deliver t ~src:_ ~dst (updates : slave_update list) =
   let common = t.common in
-  Metrics.incr common.Common.metrics "replica_txns";
+  Metrics.incr common.Common.stats.Repl_stats.replica_txns;
   List.iter
     (fun u ->
       Timestamp.Clock.witness common.Common.clocks.(dst) u.stamp;
       match
         Fstore.apply_if_newer common.Common.stores.(dst) u.oid u.value u.stamp
       with
-      | `Applied -> Metrics.incr common.Common.metrics Repl_stats.replica_applied
-      | `Stale -> Metrics.incr common.Common.metrics Repl_stats.stale_discards)
+      | `Applied -> Metrics.incr common.Common.stats.Repl_stats.replica_applied
+      | `Stale -> Metrics.incr common.Common.stats.Repl_stats.stale_discards)
     updates
 
 let master_commit t ~origin ops =
@@ -102,8 +102,8 @@ let submit t ~node ops =
         master_commit t ~origin:node ops;
         Common.commit_duration common ~started)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics Repl_stats.deadlocks;
-        Metrics.incr common.Common.metrics Repl_stats.restarts;
+        Metrics.incr common.Common.stats.Repl_stats.deadlocks;
+        Metrics.incr common.Common.stats.Repl_stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -121,7 +121,7 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
   let obs = common.Common.obs in
   let master_executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
       ~clock:common.Common.clock
       ~locks:(Lock_manager.create ?obs ())
       ~action_time:params.Params.action_time ()
@@ -145,4 +145,4 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"lazy-master" t.common.Common.metrics
+let summary t = Common.summary ~scheme:"lazy-master" t.common

@@ -14,8 +14,6 @@ module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
 module Domain_pool = Dangers_util.Domain_pool
-module Obs = Dangers_obs.Metrics
-module Profiling = Dangers_obs.Profiling
 module Repl_stats = Repl_stats
 
 (* Transaction identity: home node plus a home-local serial. Retries are
@@ -56,6 +54,7 @@ type node = {
   id : int;
   engine : Engine.t;
   metrics : Metrics.t;
+  stats : Repl_stats.t;
   store : Fstore.t;
   lamport : Timestamp.Clock.t;
   locks : (int, entry) Hashtbl.t;
@@ -79,11 +78,6 @@ type t = {
 }
 
 let scheme_name = "par-eager-group"
-
-(* Extra counters beyond the shared Repl_stats names. *)
-let c_timeout_aborts = "timeout_aborts"
-let c_probes = "deadlock_probes"
-let c_apply_dropped = "apply_dropped"
 
 let node_count t = Array.length t.nodes
 
@@ -194,14 +188,14 @@ and probe_blockers t site ~waiter ~holders =
   List.iter
     (fun blocker ->
       if not (owner_equal blocker waiter) then begin
-        Metrics.incr site.metrics c_probes;
+        Metrics.incr site.stats.Repl_stats.deadlock_probes;
         send t ~src:site.id ~dst:blocker.home
           (Probe { initiator = waiter; subject = blocker; ttl = 2 * node_count t })
       end)
     holders
 
 and blocked t site ~owner ~holders =
-  Metrics.incr site.metrics Repl_stats.waits;
+  Metrics.incr site.stats.Repl_stats.waits;
   probe_blockers t site ~waiter:owner ~holders
 
 and handle t ~src ~dst msg =
@@ -220,8 +214,8 @@ and handle t ~src ~dst msg =
         (fun (oid, value, stamp) ->
           Timestamp.Clock.witness node.lamport stamp;
           match Fstore.apply_if_newer node.store (Oid.of_int oid) value stamp with
-          | `Applied -> Metrics.incr node.metrics Repl_stats.replica_applied
-          | `Stale -> Metrics.incr node.metrics Repl_stats.stale_discards)
+          | `Applied -> Metrics.incr node.stats.Repl_stats.replica_applied
+          | `Stale -> Metrics.incr node.stats.Repl_stats.stale_discards)
         writes;
       release_owner node owner ~grant:(fun ~oid o -> granted t node ~oid o)
   | Release { owner } ->
@@ -251,7 +245,7 @@ and handle t ~src ~dst msg =
                   if owner_equal holder initiator then
                     send t ~src:dst ~dst:initiator.home (Victim { owner = initiator })
                   else begin
-                    Metrics.incr node.metrics c_probes;
+                    Metrics.incr node.stats.Repl_stats.deadlock_probes;
                     send t ~src:dst ~dst:holder.home
                       (Probe { initiator; subject = holder; ttl = ttl - 1 })
                   end)
@@ -264,7 +258,7 @@ and handle t ~src ~dst msg =
             (* Still blocked: a genuine cycle. Already granted everything:
                the probe is stale; let it run. *)
             if (not txn.t_done) && txn.t_awaiting <> [] then begin
-              Metrics.incr node.metrics Repl_stats.deadlocks;
+              Metrics.incr node.stats.Repl_stats.deadlocks;
               abort_and_retry t node txn
             end)
 
@@ -342,8 +336,8 @@ and commit t node txn =
   in
   release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
   broadcast_apply t node ~owner:txn.t_owner ~writes;
-  Metrics.incr node.metrics Repl_stats.commits;
-  Metrics.sample node.metrics Repl_stats.duration_sample
+  Metrics.incr node.stats.Repl_stats.commits;
+  Dangers_util.Stats.add (Metrics.txn_duration node.metrics)
     (Engine.now node.engine -. txn.t_started)
 
 and broadcast_apply t node ~owner ~writes =
@@ -362,14 +356,14 @@ and broadcast_apply t node ~owner ~writes =
             (* Partitioned link: the update is lost to this replica, but
                its locks must still release — the control plane is
                reliable (see the mli). *)
-            Metrics.incr node.metrics c_apply_dropped;
+            Metrics.incr node.stats.Repl_stats.apply_dropped;
             post (Release { owner })
           end
           else begin
             match faults.Network.on_transmit ~src:node.id ~dst with
             | Network.Pass -> post apply
             | Network.Drop ->
-                Metrics.incr node.metrics c_apply_dropped;
+                Metrics.incr node.stats.Repl_stats.apply_dropped;
                 post (Release { owner })
             | Network.Duplicate ->
                 post apply;
@@ -390,7 +384,7 @@ and finish_txn _t node txn =
 
 and abort_and_retry t node txn =
   finish_txn t node txn;
-  Metrics.incr node.metrics Repl_stats.restarts;
+  Metrics.incr node.stats.Repl_stats.restarts;
   release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
   for dst = 0 to node_count t - 1 do
     if dst <> node.id then send t ~src:node.id ~dst (Release { owner = txn.t_owner })
@@ -426,7 +420,7 @@ and start_txn t node ops =
       (Engine.schedule node.engine ~delay:(lock_timeout t) (fun () ->
            if not txn.t_done then
              if txn.t_awaiting <> [] then begin
-               Metrics.incr node.metrics c_timeout_aborts;
+               Metrics.incr node.stats.Repl_stats.timeout_aborts;
                abort_and_retry t node txn
              end
              else
@@ -460,11 +454,15 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
   let nodes =
     Array.init params.Params.nodes (fun id ->
         let rng = Rng.split root in
+        let engine = Par_engine.engine par id in
+        let metrics = Metrics.of_engine engine in
+        Option.iter (Metrics.export metrics) obs;
         let node =
           {
             id;
-            engine = Par_engine.engine par id;
-            metrics = Metrics.of_engine (Par_engine.engine par id);
+            engine;
+            metrics;
+            stats = Repl_stats.create metrics;
             store =
               Fstore.create ~db_size:params.Params.db_size ~init:(fun _ ->
                   initial_value);
@@ -483,26 +481,6 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
   let t =
     { params; profile; delay; lookahead; faults; nodes; par; generators = [] }
   in
-  (match obs with
-  | None -> ()
-  | Some registry ->
-      Array.iter
-        (fun node ->
-          Obs.register_source registry (fun () ->
-              [
-                Obs.Count
-                  ("engine.events_fired_total", Engine.events_fired node.engine);
-                Obs.Gauge
-                  ( "engine.queue_high_water",
-                    float_of_int (Engine.queue_high_water node.engine) );
-              ]);
-          Obs.register_source registry (fun () ->
-              List.map
-                (fun name ->
-                  Obs.Count
-                    ("scheme." ^ name ^ "_total", Metrics.total_count node.metrics name))
-                (Metrics.counter_names node.metrics)))
-        nodes);
   Par_engine.set_handler par (fun ~src ~dst ~time msg ->
       ignore
         (Engine.schedule_at (Par_engine.engine par dst) ~time (fun () ->
@@ -534,20 +512,12 @@ let with_pool ~domains f =
         f (Some pool))
   end
 
-let profiled t phase f =
-  match Observe.ambient_obs () with
-  | None -> f ()
-  | Some registry ->
-      ignore t;
-      let (), p = Profiling.timed phase f in
-      Obs.record_phase registry p
-
 let measure ?(domains = 1) t ~warmup ~span =
   with_pool ~domains (fun pool ->
-      profiled t "warmup" (fun () ->
+      Observe.profiled "warmup" (fun () ->
           Par_engine.run ?pool t.par ~until:warmup);
       Array.iter (fun node -> Metrics.start_window node.metrics) t.nodes;
-      profiled t "measured" (fun () ->
+      Observe.profiled "measured" (fun () ->
           Par_engine.run ?pool t.par ~until:(warmup +. span)))
 
 let quiesce ?(domains = 1) ?(max_events = 200_000_000) t =
@@ -555,23 +525,23 @@ let quiesce ?(domains = 1) ?(max_events = 200_000_000) t =
   with_pool ~domains (fun pool -> Par_engine.run ?pool ~max_events t.par)
 
 let summary t =
-  let sum name =
+  let sum counter =
     Array.fold_left
-      (fun acc node -> acc + Metrics.count node.metrics name)
+      (fun acc node -> acc + Metrics.count node.metrics (counter node.stats))
       0 t.nodes
   in
   let window = Metrics.window_elapsed t.nodes.(0).metrics in
   let rate count =
     if window <= 0. then 0. else float_of_int count /. window
   in
-  let commits = sum Repl_stats.commits in
-  let waits = sum Repl_stats.waits in
-  let deadlocks = sum Repl_stats.deadlocks in
-  let restarts = sum Repl_stats.restarts in
+  let commits = sum (fun s -> s.Repl_stats.commits) in
+  let waits = sum (fun s -> s.Repl_stats.waits) in
+  let deadlocks = sum (fun s -> s.Repl_stats.deadlocks) in
+  let restarts = sum (fun s -> s.Repl_stats.restarts) in
   let duration_total, duration_count =
     Array.fold_left
       (fun (total, count) node ->
-        let s = Metrics.sample_stats node.metrics Repl_stats.duration_sample in
+        let s = Metrics.txn_duration node.metrics in
         (total +. Dangers_util.Stats.total s, count + Dangers_util.Stats.count s))
       (0., 0) t.nodes
   in
@@ -593,19 +563,17 @@ let summary t =
   }
 
 let diagnostics t =
-  let sum name =
-    Array.fold_left
-      (fun acc node -> acc + Metrics.total_count node.metrics name)
-      0 t.nodes
+  let sum counter =
+    Array.fold_left (fun acc node -> acc + Metrics.total (counter node.stats)) 0 t.nodes
   in
   [
     ("windows", float_of_int (Par_engine.windows t.par));
     ("lookahead_stalls", float_of_int (Par_engine.stalls t.par));
     ("null_messages", float_of_int (Par_engine.null_messages t.par));
     ("channel_posts", float_of_int (Par_engine.posts_total t.par));
-    ("deadlock_probes", float_of_int (sum c_probes));
-    ("timeout_aborts", float_of_int (sum c_timeout_aborts));
-    ("apply_dropped", float_of_int (sum c_apply_dropped));
+    ("deadlock_probes", float_of_int (sum (fun s -> s.Repl_stats.deadlock_probes)));
+    ("timeout_aborts", float_of_int (sum (fun s -> s.Repl_stats.timeout_aborts)));
+    ("apply_dropped", float_of_int (sum (fun s -> s.Repl_stats.apply_dropped)));
   ]
 
 let converged t =

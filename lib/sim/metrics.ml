@@ -1,73 +1,57 @@
+module Obs = Dangers_obs.Metrics
 module Stats = Dangers_util.Stats
 
-type counter = { mutable window : int; mutable lifetime : int }
+type counter = Obs.counter
+type windowed = { handle : counter; mutable baseline : int }
 
 type t = {
-  now : unit -> float;
-  counters : (string, counter) Hashtbl.t;
-  samples : (string, Stats.t) Hashtbl.t;
+  engine : Engine.t;
+  mutable counters : windowed list;
   mutable window_start : float;
+  txn_duration : Stats.t;
 }
 
-let create ~now () =
+let of_engine engine =
   {
-    now;
-    counters = Hashtbl.create 32;
-    samples = Hashtbl.create 32;
-    window_start = now ();
+    engine;
+    counters = [];
+    window_start = Engine.now engine;
+    txn_duration = Stats.create ();
   }
 
-let of_engine engine = create ~now:(fun () -> Engine.now engine) ()
+let counter t name =
+  let handle = Obs.unregistered_counter name in
+  t.counters <- { handle; baseline = 0 } :: t.counters;
+  handle
 
-let counter_for t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
-      let c = { window = 0; lifetime = 0 } in
-      Hashtbl.add t.counters name c;
-      c
+let incr = Obs.incr
+let total = Obs.counter_value
 
-let incr_by t name n =
-  let c = counter_for t name in
-  c.window <- c.window + n;
-  c.lifetime <- c.lifetime + n
+let count t c =
+  match List.find_opt (fun w -> w.handle == c) t.counters with
+  | Some w -> total c - w.baseline
+  | None -> invalid_arg "Metrics.count: handle belongs to another view"
 
-let incr t name = incr_by t name 1
+let window_elapsed t = Engine.now t.engine -. t.window_start
 
-let count t name =
-  match Hashtbl.find_opt t.counters name with Some c -> c.window | None -> 0
-
-let total_count t name =
-  match Hashtbl.find_opt t.counters name with Some c -> c.lifetime | None -> 0
-
-let window_elapsed t = t.now () -. t.window_start
-
-let rate t name =
+let rate t c =
   let elapsed = window_elapsed t in
-  if elapsed <= 0. then 0. else float_of_int (count t name) /. elapsed
+  if elapsed <= 0. then 0. else float_of_int (count t c) /. elapsed
 
-let sample t name x =
-  let stats =
-    match Hashtbl.find_opt t.samples name with
-    | Some s -> s
-    | None ->
-        let s = Stats.create () in
-        Hashtbl.add t.samples name s;
-        s
-  in
-  Stats.add stats x
-
-let sample_stats t name =
-  match Hashtbl.find_opt t.samples name with
-  | Some s -> s
-  | None -> Stats.create ()
+let txn_duration t = t.txn_duration
 
 let start_window t =
-  (* In-place reset of every window counter; no output depends on the
-     table's visit order. *)
-  (Hashtbl.iter (fun _ c -> c.window <- 0) t.counters [@lint.allow "D2"]);
-  t.window_start <- t.now ()
+  List.iter (fun w -> w.baseline <- total w.handle) t.counters;
+  t.window_start <- Engine.now t.engine
 
-let counter_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.counters []
-  |> List.sort String.compare
+let export t registry =
+  Obs.register_source registry (fun () ->
+      Obs.Count ("engine.events_fired_total", Engine.events_fired t.engine)
+      :: Obs.Gauge
+           ("engine.queue_high_water", float_of_int (Engine.queue_high_water t.engine))
+      :: List.filter_map
+           (fun w ->
+             let n = total w.handle in
+             if n = 0 then None
+             else Some (Obs.Count ("scheme." ^ Obs.counter_name w.handle ^ "_total", n)))
+           t.counters)

@@ -1,50 +1,43 @@
-(** Named counters and samples tied to simulated time.
+(** A measured window over {!Dangers_obs.Metrics} counter handles, on one
+    engine's simulated clock.
 
     Experiments run a warmup phase and then a measured window; rates are
-    reported as events per simulated second within the window, which is what
-    the paper's per-second equations predict. *)
+    events per simulated second within the window, which is what the
+    paper's per-second equations predict. The window keeps a baseline per
+    handle, not a second copy of every count. *)
 
 type t
-
-val create : now:(unit -> float) -> unit -> t
-(** [now] is the time source the window rates divide by — any runtime
-    clock's [now] (the metrics layer cannot depend on the runtime
-    library, so it takes the closure rather than the clock). *)
+type counter = Dangers_obs.Metrics.counter
 
 val of_engine : Engine.t -> t
-(** [create] over an engine's simulated clock. *)
+(** A view whose window starts now. *)
 
-(** {1 Counters} *)
+val counter : t -> string -> counter
+(** A fresh handle no registry interns, so systems sharing one registry,
+    and partitions on different domains, never share a handle. *)
 
-val incr : t -> string -> unit
-val incr_by : t -> string -> int -> unit
+val incr : counter -> unit
 
-val count : t -> string -> int
-(** Count within the current window (0 for unknown names). *)
+val count : t -> counter -> int
+(** Count within the current window.
+    @raise Invalid_argument for a handle another view made. *)
 
-val total_count : t -> string -> int
+val total : counter -> int
 (** Count since creation, ignoring windows. *)
 
-val rate : t -> string -> float
+val rate : t -> counter -> float
 (** [count / elapsed-window-time]; 0 when no time has elapsed. *)
 
-(** {1 Samples} *)
-
-val sample : t -> string -> float -> unit
-(** Record an observation (e.g. a transaction's duration) into the named
-    accumulator. *)
-
-val sample_stats : t -> string -> Dangers_util.Stats.t
-(** The accumulator for a name; an empty one for unknown names. Samples are
-    not windowed. *)
-
-(** {1 Windows} *)
+val txn_duration : t -> Dangers_util.Stats.t
+(** Committed user-transaction durations, seconds; not windowed. *)
 
 val start_window : t -> unit
-(** Zero all window counts and mark the current simulated time as the window
-    start. Call after warmup. *)
+(** Baseline every handle at its current value and mark the current
+    simulated time as the window start. Call after warmup. *)
 
 val window_elapsed : t -> float
 
-val counter_names : t -> string list
-(** Sorted; for reporting. *)
+val export : t -> Dangers_obs.Metrics.t -> unit
+(** Register one snapshot source: [engine.events_fired_total],
+    [engine.queue_high_water], and [scheme.<name>_total] for every handle
+    that has fired (since-creation totals). *)

@@ -24,3 +24,11 @@ let ambient_obs () = (current ()).obs
 let ambient_tracer () = (current ()).tracer
 let ambient_series () = (current ()).series
 let ambient_domains () = (current ()).domains
+
+let profiled ?obs phase f =
+  let obs = match obs with Some _ -> obs | None -> ambient_obs () in
+  match obs with
+  | None -> f ()
+  | Some registry ->
+      let (), p = Dangers_obs.Profiling.timed phase f in
+      Dangers_obs.Metrics.record_phase registry p

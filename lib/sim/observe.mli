@@ -41,3 +41,8 @@ val ambient_series : unit -> Dangers_obs.Timeseries.t option
 
 val ambient_domains : unit -> int
 (** The installed budget; 1 with nothing installed. *)
+
+val profiled : ?obs:Dangers_obs.Metrics.t -> string -> (unit -> unit) -> unit
+(** Run the callback; when a registry is given or installed as the ambient
+    one, record its wall-clock and allocation profile there as the named
+    phase. *)

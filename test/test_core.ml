@@ -195,7 +195,7 @@ let test_two_tier_connected_behaves_like_lazy_master () =
   let s = Two_tier.summary sys in
   checkb "base commits" true (s.Repl_stats.commits > 50);
   checki "no tentative work when connected" 0
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "tentative_commits");
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.tentative_commits);
   checkb "converged" true (Two_tier.converged sys)
 
 let test_two_tier_tentative_replay_commutative () =
@@ -206,9 +206,9 @@ let test_two_tier_tentative_replay_commutative () =
   Two_tier.start sys;
   Clock.run_for (Two_tier.base sys).Common.clock 120.;
   Two_tier.quiesce_and_sync sys;
-  let metrics = (Two_tier.base sys).Common.metrics in
+  let stats = (Two_tier.base sys).Common.stats in
   checkb "tentative transactions ran" true
-    (Metrics.total_count metrics "tentative_commits" > 10);
+    (Metrics.total stats.Repl_stats.tentative_commits > 10);
   checkb "replays accepted" true (Two_tier.tentative_accepted sys > 10);
   checki "commutative updates: no rejects" 0 (Two_tier.tentative_rejected sys);
   checkb "no system delusion: converged" true (Two_tier.converged sys)
@@ -236,7 +236,7 @@ let test_two_tier_rejection_with_acceptance () =
   let clock = (Two_tier.base sys).Common.clock in
   Two_tier.submit sys ~node:1 [ Op.Increment (o 5, 10.) ];
   checki "queued as tentative" 1
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "tentative_commits");
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.tentative_commits);
   (* The base moves the object while the mobile is away; the base
      transaction holds the lock before the reconnect replay can run. *)
   Two_tier.run_base_transaction sys ~ops:[ Op.Assign (o 5, 999.) ]
@@ -271,7 +271,7 @@ let test_two_tier_overdraft_rejected () =
   Two_tier.submit sys ~node:1 (Commutative.debit account 800.);
   Two_tier.submit sys ~node:1 (Commutative.debit account 800.);
   checki "two tentative" 2
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "tentative_commits");
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.tentative_commits);
   Two_tier.quiesce_and_sync sys;
   checki "first debit cleared" 1 (Two_tier.tentative_accepted sys);
   checki "second bounced" 1 (Two_tier.tentative_rejected sys);
@@ -292,12 +292,12 @@ let test_two_tier_scope_rule () =
   (* A transaction at node 1 touching node 2's object violates scope. *)
   Two_tier.submit sys ~node:1 [ Op.Increment (o 27, 1.) ];
   checki "scope violation counted" 1
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "scope_violations");
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.scope_violations);
   (* Own-mastered and base-mastered are fine. *)
   Two_tier.submit sys ~node:1 [ Op.Increment (o 22, 1.); Op.Increment (o 3, 1.) ];
   Common.drain (Two_tier.base sys);
   checki "no extra violation" 1
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "scope_violations")
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.scope_violations)
 
 let test_two_tier_mobile_owned_sync () =
   (* The mobile masters a block of objects (step 2 of the reconnect

@@ -140,16 +140,16 @@ let test_custom_rule_and_acceptance () =
 let test_summary_pp_and_metrics_names () =
   let engine = Engine.create () in
   let metrics = Metrics.of_engine engine in
-  Metrics.incr metrics Repl_stats.commits;
-  Metrics.incr metrics Repl_stats.waits;
+  let stats = Repl_stats.create metrics in
+  Metrics.incr stats.Repl_stats.commits;
+  Metrics.incr stats.Repl_stats.waits;
   ignore (Engine.schedule engine ~delay:2. (fun () -> ()));
   Engine.run engine;
-  let summary = Repl_stats.summarize ~scheme:"test" metrics in
+  let summary = Repl_stats.summarize ~scheme:"test" metrics stats in
   let rendered = Format.asprintf "%a" Repl_stats.pp_summary summary in
   checkb "pp mentions scheme" true (String.length rendered > 10);
-  Alcotest.check (Alcotest.list Alcotest.string) "counter names sorted"
-    [ Repl_stats.commits; Repl_stats.waits ]
-    (Metrics.counter_names metrics);
+  checki "summary commits" 1 summary.Repl_stats.commits;
+  checkf "summary wait rate" 0.5 summary.Repl_stats.wait_rate;
   checki "events fired" 1 (Engine.events_fired engine)
 
 (* --- Two-tier submit routes through a connected mobile directly --- *)
@@ -162,7 +162,7 @@ let test_connected_mobile_direct () =
   Two_tier.submit sys ~node:1 [ Op.Increment (o 1, 4.) ];
   Common.drain (Two_tier.base sys);
   checki "no tentative work" 0
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "tentative_commits");
+    (Metrics.total (Two_tier.base sys).Common.stats.Repl_stats.tentative_commits);
   checkf "applied at the base" 4.
     (Dangers_storage.Store.Fstore.read (Two_tier.base sys).Common.stores.(0) (o 1))
 

@@ -120,7 +120,7 @@ let test_eager_read_txn_is_local_and_silent () =
   Common.drain base;
   checkb "no store changed" true (Fstore.content_equal snapshot base.Common.stores.(1));
   checkf "read txn duration = reads x action_time" 0.02
-    (Stats.mean (Metrics.sample_stats base.Common.metrics Repl_stats.duration_sample))
+    (Stats.mean (Metrics.txn_duration base.Common.metrics))
 
 (* --- Eager: message delay stretches remote steps --- *)
 
@@ -131,8 +131,7 @@ let test_eager_delay_charges_remote_steps () =
     Eager_impl.submit sys ~node:0 [ Op.Assign (o 1, 1.); Op.Assign (o 2, 2.) ];
     Common.drain (Eager_impl.base sys);
     Stats.mean
-      (Metrics.sample_stats (Eager_impl.base sys).Common.metrics
-         Repl_stats.duration_sample)
+      (Metrics.txn_duration (Eager_impl.base sys).Common.metrics)
   in
   (* 2 updates x 3 nodes x 10ms. *)
   checkf "zero delay baseline" 0.06 (duration Delay.Zero);

@@ -9,6 +9,11 @@ module Observe = Dangers_sim.Observe
 module Trace = Dangers_sim.Trace
 module Scheme = Dangers_experiments.Scheme
 module Params = Dangers_analytic.Params
+module Connectivity = Dangers_net.Connectivity
+module Sim_metrics = Dangers_sim.Metrics
+module Common = Dangers_replication.Common
+module Repl_stats = Dangers_replication.Repl_stats
+module Eager_group = Dangers_replication.Eager_group
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -157,6 +162,125 @@ let test_scheme_find_underscores () =
     | Some s -> String.equal (Scheme.name s) "two-tier"
     | None -> false)
 
+(* Scheme counters are private to their system: two systems reporting into
+   one registry each summarize only their own window, and the registry's
+   [scheme.*_total] is the sum of both lifetimes. *)
+let test_shared_registry_separate_windows () =
+  let params = { Params.default with Params.nodes = 3; db_size = 200; tps = 3. } in
+  let build ?obs seed =
+    let sys = Eager_group.create ?obs params ~seed in
+    Eager_group.start sys;
+    sys
+  in
+  let measure sys ~warmup =
+    Common.measure (Eager_group.base sys) ~warmup ~span:8.;
+    Eager_group.stop_load sys
+  in
+  let registry = Metrics.create () in
+  let a = build ~obs:registry 5 in
+  let b = build ~obs:registry 6 in
+  measure a ~warmup:2.;
+  measure b ~warmup:4.;
+  let solo seed ~warmup =
+    let sys = build seed in
+    measure sys ~warmup;
+    Eager_group.summary sys
+  in
+  checkb "first system's window is its own" true
+    (Eager_group.summary a = solo 5 ~warmup:2.);
+  checkb "second system's window is its own" true
+    (Eager_group.summary b = solo 6 ~warmup:4.);
+  let lifetime sys =
+    Sim_metrics.total (Eager_group.base sys).Common.stats.Repl_stats.commits
+  in
+  checkb "the window excludes warmup commits" true
+    ((Eager_group.summary a).Repl_stats.commits < lifetime a);
+  checki "registry total sums both systems"
+    (lifetime a + lifetime b)
+    (Option.get
+       (Metrics.snapshot_counter (Metrics.snapshot registry) "scheme.commits_total"))
+
+(* The complete [scheme.*_total] set of one fixed-seed observed run per
+   scheme: counters that never fire stay out of the snapshot. *)
+let expected_scheme_counters =
+  [
+    ( "eager-group",
+      [
+        ("scheme.commits_total", 289);
+        ("scheme.deadlocks_total", 1);
+        ("scheme.restarts_total", 1);
+        ("scheme.waits_total", 31);
+      ] );
+    ("eager-master", [ ("scheme.commits_total", 289); ("scheme.waits_total", 30) ]);
+    ( "lazy-group",
+      [
+        ("scheme.commits_total", 291);
+        ("scheme.reconciliations_total", 728);
+        ("scheme.replica_applied_total", 2648);
+        ("scheme.replica_restarts_total", 9);
+        ("scheme.replica_txns_total", 844);
+        ("scheme.waits_total", 249);
+      ] );
+    ( "lazy-master",
+      [
+        ("scheme.commits_total", 292);
+        ("scheme.replica_applied_total", 3504);
+        ("scheme.replica_txns_total", 1161);
+        ("scheme.waits_total", 7);
+      ] );
+    ( "lazy-undo",
+      [
+        ("scheme.commits_total", 293);
+        ("scheme.durable_total", 103);
+        ("scheme.reconciliations_total", 400);
+        ("scheme.undone_total", 190);
+      ] );
+    ( "two-tier",
+      [
+        ("scheme.commits_total", 292);
+        ("scheme.replica_applied_total", 3497);
+        ("scheme.replica_txns_total", 1123);
+        ("scheme.stale_discards_total", 7);
+        ("scheme.syncs_total", 6);
+        ("scheme.tentative_accepted_total", 29);
+        ("scheme.tentative_commits_total", 29);
+        ("scheme.waits_total", 10);
+      ] );
+    ( "par-eager-group",
+      [
+        ("scheme.commits_total", 288);
+        ("scheme.deadlock_probes_total", 32600);
+        ("scheme.deadlocks_total", 23);
+        ("scheme.replica_applied_total", 3444);
+        ("scheme.restarts_total", 28);
+        ("scheme.timeout_aborts_total", 5);
+        ("scheme.waits_total", 722);
+      ] );
+  ]
+
+let test_scheme_counters_pinned () =
+  let params = { Params.default with Params.nodes = 4; db_size = 200; tps = 3. } in
+  let spec =
+    Scheme.spec
+      ~connectivity:(Connectivity.day_cycle ~connected:6. ~disconnected:4.)
+      params
+  in
+  List.iter
+    (fun (name, expected) ->
+      let registry = Metrics.create () in
+      ignore
+        (Observe.with_observation ~obs:registry (fun () ->
+             Scheme.run_named name spec ~seed:11 ~warmup:5. ~span:20.));
+      let scheme_counters =
+        List.filter
+          (fun (key, _) -> String.starts_with ~prefix:"scheme." key)
+          (Metrics.snapshot registry).Metrics.s_counters
+      in
+      Alcotest.check
+        Alcotest.(list (pair string int))
+        (name ^ " scheme counters") expected scheme_counters)
+    expected_scheme_counters
+
 let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
@@ -170,4 +294,7 @@ let suite =
       test_observed_runs_identical;
     Alcotest.test_case "scheme find underscores" `Quick
       test_scheme_find_underscores;
+    Alcotest.test_case "shared registry, separate windows" `Quick
+      test_shared_registry_separate_windows;
+    Alcotest.test_case "scheme counters pinned" `Quick test_scheme_counters_pinned;
   ]

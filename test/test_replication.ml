@@ -44,7 +44,7 @@ let test_eager_group_replicates () =
   Array.iter (fun s -> checkf "replica updated" 42. (Fstore.read s (o 7))) stores;
   checkb "replicas identical" true (stores_converged stores);
   checki "one commit" 1
-    (Metrics.total_count (Eager_group.base sys).Common.metrics Repl_stats.commits)
+    (Metrics.total (Eager_group.base sys).Common.stats.Repl_stats.commits)
 
 let test_eager_group_under_load () =
   let sys = Eager_group.create small_params ~seed:2 in
@@ -67,10 +67,10 @@ let test_eager_deadlock_forced () =
   Eager_group.submit sys ~node:0 [ Op.Assign (o 1, 1.); Op.Assign (o 2, 1.) ];
   Eager_group.submit sys ~node:0 [ Op.Assign (o 2, 2.); Op.Assign (o 1, 2.) ];
   Common.drain (Eager_group.base sys);
-  let metrics = (Eager_group.base sys).Common.metrics in
-  checki "both committed" 2 (Metrics.total_count metrics Repl_stats.commits);
-  checki "one deadlock" 1 (Metrics.total_count metrics Repl_stats.deadlocks);
-  checki "one restart" 1 (Metrics.total_count metrics Repl_stats.restarts)
+  let stats = (Eager_group.base sys).Common.stats in
+  checki "both committed" 2 (Metrics.total stats.Repl_stats.commits);
+  checki "one deadlock" 1 (Metrics.total stats.Repl_stats.deadlocks);
+  checki "one restart" 1 (Metrics.total stats.Repl_stats.restarts)
 
 let test_eager_duration_scales_with_nodes () =
   (* Equation (6): an uncontended eager transaction lasts
@@ -82,8 +82,7 @@ let test_eager_duration_scales_with_nodes () =
       [ Op.Assign (o 1, 1.); Op.Assign (o 2, 1.); Op.Assign (o 3, 1.) ];
     Common.drain (Eager_group.base sys);
     Dangers_util.Stats.mean
-      (Metrics.sample_stats (Eager_group.base sys).Common.metrics
-         Repl_stats.duration_sample)
+      (Metrics.txn_duration (Eager_group.base sys).Common.metrics)
   in
   checkf "one node: 3 x 0.01" 0.03 (duration 1);
   checkf "four nodes: 3 x 4 x 0.01" 0.12 (duration 4)
@@ -106,9 +105,9 @@ let test_lazy_group_propagates () =
   Common.drain (Lazy_group.base sys);
   let stores = (Lazy_group.base sys).Common.stores in
   Array.iter (fun s -> checkf "lazy replica updated" 5. (Fstore.read s (o 9))) stores;
-  let metrics = (Lazy_group.base sys).Common.metrics in
-  checki "applied at two peers" 2 (Metrics.total_count metrics Repl_stats.replica_applied);
-  checki "no reconciliation" 0 (Metrics.total_count metrics Repl_stats.reconciliations)
+  let stats = (Lazy_group.base sys).Common.stats in
+  checki "applied at two peers" 2 (Metrics.total stats.Repl_stats.replica_applied);
+  checki "no reconciliation" 0 (Metrics.total stats.Repl_stats.reconciliations)
 
 let test_lazy_group_conflict_reconciles () =
   (* Both nodes assign the same object "simultaneously": each peer sees a
@@ -119,9 +118,9 @@ let test_lazy_group_conflict_reconciles () =
   Lazy_group.submit sys ~node:0 [ Op.Assign (o 3, 100.) ];
   Lazy_group.submit sys ~node:1 [ Op.Assign (o 3, 200.) ];
   Common.drain (Lazy_group.base sys);
-  let metrics = (Lazy_group.base sys).Common.metrics in
+  let stats = (Lazy_group.base sys).Common.stats in
   checkb "reconciliations detected" true
-    (Metrics.total_count metrics Repl_stats.reconciliations >= 1);
+    (Metrics.total stats.Repl_stats.reconciliations >= 1);
   let stores = (Lazy_group.base sys).Common.stores in
   checkb "replicas converged" true (stores_converged stores);
   (* Timestamp priority: node 1's stamp (same counter, higher node) wins. *)
@@ -146,7 +145,7 @@ let test_lazy_group_additive_exact () =
              acc && Float.abs (value -. Lazy_group.expected_sum sys oid) < 1e-6))
        stores);
   checkb "some commits" true
-    (Metrics.total_count (Lazy_group.base sys).Common.metrics Repl_stats.commits > 20)
+    (Metrics.total (Lazy_group.base sys).Common.stats.Repl_stats.commits > 20)
 
 let test_lazy_group_timestamp_loses_increments () =
   (* The §6 lost-update problem: increments resolved by last-writer-wins

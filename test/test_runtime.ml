@@ -12,6 +12,7 @@ module Params = Dangers_analytic.Params
 module Metrics = Dangers_sim.Metrics
 module Two_tier = Dangers_core.Two_tier
 module Common = Dangers_replication.Common
+module Repl_stats = Dangers_replication.Repl_stats
 module Rng = Dangers_util.Rng
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
@@ -172,15 +173,14 @@ let run_two_tier runtime =
     Clock.run clock ~until:(float_of_int round *. 2.)
   done;
   Two_tier.quiesce_and_sync sys;
-  let metrics = (Two_tier.base sys).Common.metrics in
-  let count name = Metrics.total_count metrics name in
+  let stats = (Two_tier.base sys).Common.stats in
   {
-    commits = (Two_tier.summary sys).Dangers_replication.Repl_stats.commits;
-    tentative_commits = count "tentative_commits";
+    commits = (Two_tier.summary sys).Repl_stats.commits;
+    tentative_commits = Metrics.total stats.Repl_stats.tentative_commits;
     accepted = Two_tier.tentative_accepted sys;
     rejected = Two_tier.tentative_rejected sys;
-    scope_violations = count "scope_violations";
-    syncs = count "syncs";
+    scope_violations = Metrics.total stats.Repl_stats.scope_violations;
+    syncs = Metrics.total stats.Repl_stats.syncs;
   }
 
 let test_two_tier_sim_determinism () =

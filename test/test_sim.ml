@@ -148,24 +148,35 @@ let test_engine_runaway_guard () =
 let test_metrics_counters_and_window () =
   let engine = Engine.create () in
   let metrics = Metrics.of_engine engine in
-  Metrics.incr metrics "x";
-  Metrics.incr_by metrics "x" 4;
-  checki "window count" 5 (Metrics.count metrics "x");
-  ignore (Engine.schedule engine ~delay:10. (fun () -> Metrics.incr metrics "x"));
+  let x = Metrics.counter metrics "x" in
+  for _ = 1 to 5 do
+    Metrics.incr x
+  done;
+  checki "window count" 5 (Metrics.count metrics x);
+  ignore (Engine.schedule engine ~delay:10. (fun () -> Metrics.incr x));
   Engine.run engine;
-  checki "lifetime" 6 (Metrics.total_count metrics "x");
-  checkf "rate over 10s window" 0.6 (Metrics.rate metrics "x");
+  checki "lifetime" 6 (Metrics.total x);
+  checkf "rate over 10s window" 0.6 (Metrics.rate metrics x);
   Metrics.start_window metrics;
-  checki "window reset" 0 (Metrics.count metrics "x");
-  checki "lifetime preserved" 6 (Metrics.total_count metrics "x")
+  checki "window reset" 0 (Metrics.count metrics x);
+  checkf "rate over an empty window" 0. (Metrics.rate metrics x);
+  checki "lifetime preserved" 6 (Metrics.total x);
+  Metrics.incr x;
+  checki "window counts from the baseline" 1 (Metrics.count metrics x);
+  let other = Metrics.of_engine engine in
+  Alcotest.check_raises "foreign handle"
+    (Invalid_argument "Metrics.count: handle belongs to another view") (fun () ->
+      ignore (Metrics.count other x))
 
 let test_metrics_samples () =
   let engine = Engine.create () in
   let metrics = Metrics.of_engine engine in
-  Metrics.sample metrics "d" 1.0;
-  Metrics.sample metrics "d" 3.0;
-  checkf "sample mean" 2.0 (Dangers_util.Stats.mean (Metrics.sample_stats metrics "d"));
-  checki "unknown counter" 0 (Metrics.count metrics "nope")
+  Dangers_util.Stats.add (Metrics.txn_duration metrics) 1.0;
+  Dangers_util.Stats.add (Metrics.txn_duration metrics) 3.0;
+  checkf "sample mean" 2.0 (Dangers_util.Stats.mean (Metrics.txn_duration metrics));
+  let nope = Metrics.counter metrics "nope" in
+  checki "unfired counter" 0 (Metrics.count metrics nope);
+  checki "unfired total" 0 (Metrics.total nope)
 
 let test_engine_queue_high_water () =
   let e = Engine.create () in
