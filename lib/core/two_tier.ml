@@ -36,8 +36,7 @@ type t = {
   mobiles : mobile_state array; (* node id = base_count + index *)
   retry_rng : Rng.t;
   mutable network : slave_update list Network.t option;
-  mutable schedules : Connectivity.t list;
-  mutable pending_installs : Clock.event_id list;
+  mutable fleet : Connectivity.fleet option;
   mutable rejections_rev : (Tentative.t * string) list;
   mutable sync_listeners : (mobile:int -> unit) list;
   replayed : float array;
@@ -385,11 +384,10 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
       mobiles;
       retry_rng = Rng.split common.Common.rng;
       network = None;
-      schedules = [];
+      fleet = None;
       rejections_rev = [];
       sync_listeners = [];
       replayed = Array.make params.Params.db_size initial_value;
-      pending_installs = [];
       unsafe_skip_acceptance;
       reconcile_lag =
         Option.map
@@ -456,28 +454,13 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
         Connectivity.day_cycle ~connected:params.Params.time_between_disconnects
           ~disconnected:params.Params.disconnected_time
   in
-  if mobile_total > 0 && not (Connectivity.always_connected spec) then begin
-    let cycle =
-      spec.Connectivity.time_between_disconnects
-      +. spec.Connectivity.disconnected_time
-    in
-    let stagger_rng = Rng.split common.Common.rng in
-    for i = 0 to mobile_total - 1 do
-      let node = base_nodes + i in
-      let offset = Rng.float stagger_rng cycle in
-      let install =
-        Clock.schedule common.Common.clock ~delay:offset (fun () ->
-            let schedule =
-              Connectivity.install ~clock:common.Common.clock
-                ~rng:(Rng.split stagger_rng) ~spec
-                ~set_connected:(fun connected ->
-                  Network.set_connected net ~node connected)
-            in
-            t.schedules <- schedule :: t.schedules)
-      in
-      t.pending_installs <- install :: t.pending_installs
-    done
-  end;
+  if mobile_total > 0 && not (Connectivity.always_connected spec) then
+    t.fleet <-
+      Some
+        (Connectivity.fleet ~clock:common.Common.clock ~rng:common.Common.rng
+           ~spec
+           ~nodes:(List.init mobile_total (fun i -> base_nodes + i))
+           ~set_connected:(Network.set_connected net));
   t
 
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
@@ -497,12 +480,7 @@ let tentative_rejected t =
 let rejection_log t = List.rev t.rejections_rev
 
 let connect_all t =
-  (* Mobility installs still waiting to fire must not resurrect toggles
-     after the quiesce. *)
-  List.iter (Clock.cancel t.common.Common.clock) t.pending_installs;
-  t.pending_installs <- [];
-  List.iter Connectivity.stop t.schedules;
-  t.schedules <- [];
+  Option.iter Connectivity.stop_fleet t.fleet;
   Array.iteri
     (fun i _ -> Network.set_connected (network t) ~node:(t.base_count + i) true)
     t.mobiles

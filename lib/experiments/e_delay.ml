@@ -42,24 +42,24 @@ let experiment =
               let delay =
                 if Float.equal d 0. then Delay.Zero else Delay.Constant d
               in
-              let mean f run =
-                Experiment.mean_over_seeds ~seeds (fun seed -> f (run ~seed))
-              in
-              let eager ~seed =
-                Scheme.run_named "eager-group"
+              let runs scheme =
+                Experiment.summaries scheme
                   (Scheme.spec ~transport_delay:delay base)
-                  ~seed ~warmup:5. ~span
+                  ~seeds ~warmup:5. ~span
               in
-              let lazy_group ~seed =
-                Scheme.run_named "lazy-group"
-                  (Scheme.spec ~transport_delay:delay base)
-                  ~seed ~warmup:5. ~span
+              let eager = runs "eager-group" in
+              let lazy_group = runs "lazy-group" in
+              let duration =
+                Experiment.mean (fun s -> s.Repl_stats.mean_duration) eager
               in
-              let duration = mean (fun s -> s.Repl_stats.mean_duration) eager in
-              let waits = mean (fun s -> s.Repl_stats.wait_rate) eager in
-              let deadlocks = mean (fun s -> s.Repl_stats.deadlock_rate) eager in
+              let waits = Experiment.mean (fun s -> s.Repl_stats.wait_rate) eager in
+              let deadlocks =
+                Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) eager
+              in
               let dangerous =
-                mean (fun s -> s.Repl_stats.reconciliation_rate) lazy_group
+                Experiment.mean
+                  (fun s -> s.Repl_stats.reconciliation_rate)
+                  lazy_group
               in
               Table.add_row table
                 [

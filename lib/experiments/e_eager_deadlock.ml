@@ -11,15 +11,12 @@ module Experiment_ = Experiment
 let base = { Params.default with db_size = 400; tps = 5.; actions = 4 }
 
 let measure params ~seeds ~span =
-  let summaries =
-    List.map (fun seed -> Scheme.run_named "eager-group" (Scheme.spec params) ~seed ~warmup:5. ~span) seeds
+  let runs =
+    Experiment.summaries "eager-group" (Scheme.spec params) ~seeds ~warmup:5.
+      ~span
   in
-  let mean f =
-    List.fold_left (fun acc s -> acc +. f s) 0. summaries
-    /. float_of_int (List.length summaries)
-  in
-  ( mean (fun s -> s.Repl_stats.wait_rate),
-    mean (fun s -> s.Repl_stats.deadlock_rate) )
+  ( Experiment.mean (fun s -> s.Repl_stats.wait_rate) runs,
+    Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) runs )
 
 let sweep ?(scale_db = false) ~nodes_values ~seeds ~span () =
   let caption =

@@ -45,12 +45,14 @@ let experiment =
                 if Float.equal theta 0. then Profile.Uniform else Profile.Zipf theta
               in
               let profile = Profile.create ~access ~actions:base.Params.actions () in
-              let mean f =
-                Experiment.mean_over_seeds ~seeds (fun seed ->
-                    f (Scheme.run_named "eager-group" (Scheme.spec ~profile base) ~seed ~warmup:5. ~span))
+              let runs =
+                Experiment.summaries "eager-group" (Scheme.spec ~profile base)
+                  ~seeds ~warmup:5. ~span
               in
-              let waits = mean (fun s -> s.Repl_stats.wait_rate) in
-              let deadlocks = mean (fun s -> s.Repl_stats.deadlock_rate) in
+              let waits = Experiment.mean (fun s -> s.Repl_stats.wait_rate) runs in
+              let deadlocks =
+                Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) runs
+              in
               Table.add_row table
                 [
                   Table.cell_float ~digits:1 theta;

@@ -41,18 +41,17 @@ let experiment =
           List.map
             (fun nodes ->
               let params = { base with nodes } in
-              let summaries =
-                List.map
-                  (fun seed -> Scheme.run_named "lazy-group" (Scheme.spec params) ~seed ~warmup:5. ~span)
-                  seeds
+              let runs =
+                Experiment.summaries "lazy-group" (Scheme.spec params) ~seeds
+                  ~warmup:5. ~span
               in
-              let mean f =
-                List.fold_left (fun acc s -> acc +. f s) 0. summaries
-                /. float_of_int (List.length summaries)
+              let waits = Experiment.mean (fun s -> s.Repl_stats.wait_rate) runs in
+              let dangerous =
+                Experiment.mean (fun s -> s.Repl_stats.reconciliation_rate) runs
               in
-              let waits = mean (fun s -> s.Repl_stats.wait_rate) in
-              let dangerous = mean (fun s -> s.Repl_stats.reconciliation_rate) in
-              let deadlocks = mean (fun s -> s.Repl_stats.deadlock_rate) in
+              let deadlocks =
+                Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) runs
+              in
               Table.add_row table
                 [
                   Table.cell_int nodes;

@@ -41,12 +41,14 @@ let experiment =
           List.map
             (fun nodes ->
               let params = { hot with nodes } in
-              let mean f =
-                Experiment.mean_over_seeds ~seeds (fun seed ->
-                    f (Scheme.run_named "lazy-master" (Scheme.spec params) ~seed ~warmup:5. ~span))
+              let runs =
+                Experiment.summaries "lazy-master" (Scheme.spec params) ~seeds
+                  ~warmup:5. ~span
               in
-              let deadlocks = mean (fun s -> s.Repl_stats.deadlock_rate) in
-              let waits = mean (fun s -> s.Repl_stats.wait_rate) in
+              let deadlocks =
+                Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) runs
+              in
+              let waits = Experiment.mean (fun s -> s.Repl_stats.wait_rate) runs in
               (* The master lock space behaves like one node at N x TPS:
                  waits ~ (N TPS)^2 AT A^3 / (2 DB). *)
               let wait_model =
@@ -69,16 +71,14 @@ let experiment =
         (* Ordering vs eager at the milder point, largest N. *)
         let big = Experiment.last_point nodes_values in
         let mild_params = { mild with nodes = big } in
-        let eager_deadlocks =
-          Experiment.mean_over_seeds ~seeds (fun seed ->
-              (Scheme.run_named "eager-group" (Scheme.spec mild_params) ~seed ~warmup:5. ~span)
-                .Repl_stats.deadlock_rate)
+        let mild_deadlocks scheme =
+          Experiment.mean
+            (fun s -> s.Repl_stats.deadlock_rate)
+            (Experiment.summaries scheme (Scheme.spec mild_params) ~seeds
+               ~warmup:5. ~span)
         in
-        let lm_mild_deadlocks =
-          Experiment.mean_over_seeds ~seeds (fun seed ->
-              (Scheme.run_named "lazy-master" (Scheme.spec mild_params) ~seed ~warmup:5. ~span)
-                .Repl_stats.deadlock_rate)
-        in
+        let eager_deadlocks = mild_deadlocks "eager-group" in
+        let lm_mild_deadlocks = mild_deadlocks "lazy-master" in
         let table_order =
           Table.create
             ~caption:

@@ -65,10 +65,12 @@ let experiment =
                 Connectivity.day_cycle ~connected:connected_time ~disconnected:dt
               in
               let rate =
-                Experiment.mean_over_seeds ~seeds (fun seed ->
-                    (Scheme.run_named "lazy-group" (Scheme.spec ~connectivity:mobility ~mobile_nodes:[ 0 ] params) ~seed
-                       ~warmup:cycle ~span)
-                      .Repl_stats.reconciliation_rate)
+                Experiment.mean
+                  (fun s -> s.Repl_stats.reconciliation_rate)
+                  (Experiment.summaries "lazy-group"
+                     (Scheme.spec ~connectivity:mobility ~mobile_nodes:[ 0 ]
+                        params)
+                     ~seeds ~warmup:cycle ~span)
               in
               let per_cycle = rate *. cycle in
               (* eq17 without the all-nodes factor: the one mobile node's

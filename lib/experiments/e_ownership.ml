@@ -40,10 +40,10 @@ let experiment =
             (fun db_size ->
               let params = { base with db_size } in
               let rate scheme =
-                Experiment.mean_over_seeds ~seeds (fun seed ->
-                    (Scheme.run_named scheme (Scheme.spec params) ~seed
-                       ~warmup:5. ~span)
-                      .Repl_stats.deadlock_rate)
+                Experiment.mean
+                  (fun s -> s.Repl_stats.deadlock_rate)
+                  (Experiment.summaries scheme (Scheme.spec params) ~seeds
+                     ~warmup:5. ~span)
               in
               let group = rate "eager-group" in
               let master = rate "eager-master" in

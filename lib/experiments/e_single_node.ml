@@ -10,15 +10,17 @@ module Experiment_ = Experiment
 
 let base = { Params.default with nodes = 1; db_size = 200; tps = 20.; actions = 4 }
 
+(* Deadlocks are read from a second, distinct set of runs at [seed + 7],
+   simulated before the wait runs. *)
 let measure params ~seeds ~span =
-  let wait seed =
-    (Scheme.run_named "eager-group" (Scheme.spec params) ~seed ~warmup:5. ~span).Repl_stats.wait_rate
+  let runs seeds =
+    Experiment.summaries "eager-group" (Scheme.spec params) ~seeds ~warmup:5.
+      ~span
   in
-  let deadlock seed =
-    (Scheme.run_named "eager-group" (Scheme.spec params) ~seed:(seed + 7) ~warmup:5. ~span).Repl_stats.deadlock_rate
-  in
-  ( Experiment.mean_over_seeds ~seeds wait,
-    Experiment.mean_over_seeds ~seeds deadlock )
+  let deadlocks = runs (List.map (fun seed -> seed + 7) seeds) in
+  let waits = runs seeds in
+  ( Experiment.mean (fun s -> s.Repl_stats.wait_rate) waits,
+    Experiment.mean (fun s -> s.Repl_stats.deadlock_rate) deadlocks )
 
 let sweep ~caption ~label ~values ~params_of ~seeds ~span =
   let table =

@@ -79,9 +79,10 @@ let experiment =
                   ~actions:3 ()
               in
               let measured =
-                Experiment.mean_over_seeds ~seeds (fun seed ->
-                    (Scheme.run_named "eager-group" (Scheme.spec ~profile params) ~seed ~warmup:5. ~span)
-                      .Repl_stats.wait_rate)
+                Experiment.mean
+                  (fun s -> s.Repl_stats.wait_rate)
+                  (Experiment.summaries "eager-group"
+                     (Scheme.spec ~profile params) ~seeds ~warmup:5. ~span)
               in
               Table.add_row table
                 [

@@ -27,19 +27,17 @@ let connected_deadlock_rates ~seeds ~span =
   List.map
     (fun nodes ->
       let params = { base with nodes; tps = 10.; db_size = 200 } in
+      let deadlocks scheme spec =
+        Experiment.mean
+          (fun s -> s.Repl_stats.deadlock_rate)
+          (Experiment.summaries scheme spec ~seeds ~warmup:5. ~span)
+      in
       let two_tier =
-        Experiment.mean_over_seeds ~seeds (fun seed ->
-            (Scheme.run_named "two-tier"
-               (Scheme.spec ~connectivity:Connectivity.base_node
-                  ~base_nodes:(nodes / 2) params)
-               ~seed ~warmup:5. ~span)
-              .Repl_stats.deadlock_rate)
+        deadlocks "two-tier"
+          (Scheme.spec ~connectivity:Connectivity.base_node
+             ~base_nodes:(nodes / 2) params)
       in
-      let lazy_master =
-        Experiment.mean_over_seeds ~seeds (fun seed ->
-            (Scheme.run_named "lazy-master" (Scheme.spec params) ~seed ~warmup:5. ~span)
-              .Repl_stats.deadlock_rate)
-      in
+      let lazy_master = deadlocks "lazy-master" (Scheme.spec params) in
       (nodes, Lazy_master_eq.deadlock_rate params, two_tier, lazy_master))
     [ 2; 4 ]
 

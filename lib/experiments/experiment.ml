@@ -36,12 +36,14 @@ let pp_result ppf (r : result) =
     r.findings;
   List.iter (fun note -> Format.fprintf ppf "note: %s@." note) r.notes
 
-let mean_over_seeds ~seeds f =
-  match seeds with
-  | [] -> invalid_arg "Experiment.mean_over_seeds: no seeds"
-  | _ ->
-      let total = List.fold_left (fun acc seed -> acc +. f seed) 0. seeds in
-      total /. float_of_int (List.length seeds)
+let summaries scheme spec ~seeds ~warmup ~span =
+  List.map (fun seed -> Scheme.run_named scheme spec ~seed ~warmup ~span) seeds
+
+let mean f = function
+  | [] -> invalid_arg "Experiment.mean: no runs"
+  | runs ->
+      List.fold_left (fun acc run -> acc +. f run) 0. runs
+      /. float_of_int (List.length runs)
 
 let first_point = function
   | [] -> invalid_arg "Experiment.first_point: empty sweep"

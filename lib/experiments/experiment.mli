@@ -37,8 +37,21 @@ val pp_result : Format.formatter -> result -> unit
 
 (** {1 Measurement helpers} *)
 
-val mean_over_seeds : seeds:int list -> (int -> float) -> float
-(** Average a measured rate over several seeded runs. *)
+val summaries :
+  string ->
+  Scheme.spec ->
+  seeds:int list ->
+  warmup:float ->
+  span:float ->
+  Dangers_replication.Repl_stats.summary list
+(** [summaries scheme spec ~seeds ~warmup ~span] simulates the point once
+    per seed, in seed order. Read every metric of the point from this one
+    list rather than re-running it per metric.
+    @raise Invalid_argument on an unknown scheme or an invalid spec. *)
+
+val mean : ('a -> float) -> 'a list -> float
+(** [mean f runs] averages [f] over [runs] (left-to-right sum, then one
+    division). @raise Invalid_argument on an empty list. *)
 
 val first_point : 'a list -> 'a
 (** Head of a sweep's point list; raises [Invalid_argument] when empty.

@@ -2,17 +2,16 @@
 
     Every simulator the repo knows how to drive — the two eager variants
     (§3), lazy group (§4), lazy master (§5), the undo-oriented lazy-group
-    variant §7 rejects, and the two-tier scheme (§7) — is registered here
-    behind one first-class-module interface. The CLI, the experiments, the
-    scenarios, the sweep runner and the benchmarks all iterate over this
-    registry instead of hard-coding per-scheme entry points, so adding a
-    scheme is one [register]-style list entry, not five call-site edits.
+    variant §7 rejects, the two-tier scheme (§7), and the partitioned eager
+    re-derivation on the parallel engine — is one plain record {!t} in the
+    {!all} list. The CLI, the experiments, the sweep runner and the
+    benchmarks all iterate over this registry instead of hard-coding
+    per-scheme entry points, so adding a scheme is one list entry.
 
     A {!spec} is the union of every knob any scheme accepts; each scheme's
-    [configure] picks out the knobs it understands and ignores the rest
-    (exactly as the old per-scheme optional-argument soup did implicitly).
-    [run] is deterministic: equal [(spec, seed, warmup, span)] give equal
-    summaries, which is what lets the multicore sweep runner promise
+    [run_outcome] picks out the knobs it understands and ignores the rest.
+    Running is deterministic: equal [(spec, seed, warmup, span)] give equal
+    outcomes, which is what lets the multicore sweep runner promise
     byte-identical output at any [--jobs]. *)
 
 module Params = Dangers_analytic.Params
@@ -63,33 +62,24 @@ type outcome = {
 
 val diagnostic : outcome -> string -> float option
 
-(** {1 The scheme interface} *)
+(** {1 Schemes} *)
 
-module type SCHEME = sig
-  type config
-
-  val name : string
-  (** Registry key, also the CLI spelling ("eager-group", "two-tier", ...). *)
-
-  val doc : string
-  (** One-line description for [--help] and listings. *)
-
-  val configure : spec -> config
-  (** Capture the knobs this scheme understands; inapplicable knobs are
-      ignored. @raise Invalid_argument on invalid parameters. *)
-
-  val run_outcome :
-    config -> seed:int -> warmup:float -> span:float -> outcome
-  (** Build a fresh system, drive it under generator load for
-      [warmup + span] simulated seconds and summarise the measured window.
-      Deterministic in [(config, seed)]. *)
-
-  val run :
-    config -> seed:int -> warmup:float -> span:float -> Repl_stats.summary
-  (** [run] is [run_outcome]'s summary. *)
-end
-
-type t = (module SCHEME)
+type t = {
+  name : string;
+      (** Registry key, also the CLI spelling ("eager-group", "two-tier", ...). *)
+  doc : string;  (** One-line description for [--help] and listings. *)
+  parallel_capable : bool;
+      (** Whether the scheme spends the ambient [--sim-domains] budget
+          ({!Dangers_sim.Observe.with_domains}). Every scheme is
+          byte-identical at any budget; only capable ones get faster. *)
+  run_outcome : spec -> seed:int -> warmup:float -> span:float -> outcome;
+      (** Validate the spec, build a fresh system, drive it under generator
+          load for [warmup + span] simulated seconds and summarise the
+          measured window. Knobs the scheme does not understand are
+          ignored. Deterministic in [(spec, seed)].
+          @raise Invalid_argument on an invalid spec, before any system is
+          built. *)
+}
 
 (** {1 Registry} *)
 
@@ -106,19 +96,19 @@ val find : string -> t option
     hyphens ("eager_group" finds "eager-group"). *)
 
 val parallel_capable : string -> bool
-(** Whether the scheme spends the ambient [--sim-domains] budget
-    ({!Dangers_sim.Observe.with_domains}). Every scheme is byte-identical
-    at any budget; only capable ones get faster from it. *)
+(** The named scheme's [parallel_capable]; [false] for an unknown name. *)
 
 val named : string -> t
 (** Like {!find}. @raise Invalid_argument on an unknown name, listing the
     valid ones. *)
 
-val run :
-  t -> spec -> seed:int -> warmup:float -> span:float -> Repl_stats.summary
-
 val run_outcome :
   t -> spec -> seed:int -> warmup:float -> span:float -> outcome
+(** [t.run_outcome]. *)
+
+val run :
+  t -> spec -> seed:int -> warmup:float -> span:float -> Repl_stats.summary
+(** [run_outcome]'s summary. *)
 
 val run_named :
   string -> spec -> seed:int -> warmup:float -> span:float ->

@@ -1,5 +1,4 @@
-(** Entry point shared by [dangers bench] and the standalone
-    [bench/micro] runner. *)
+(** Entry point of [dangers bench]. *)
 
 val run_suite : ?suite:[ `Micro | `Serve ] -> quick:bool -> unit -> Bench_file.t
 (** Run every benchmark of the chosen suite (default [`Micro]; [`Serve]

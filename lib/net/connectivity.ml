@@ -68,11 +68,14 @@ let rec arm t ~connected =
     else t.next_event <- None
   end
 
-let install ~clock ~rng ~spec ~set_connected =
+let validate spec =
   if spec.time_between_disconnects <= 0. then
-    invalid_arg "Connectivity.install: time_between_disconnects must be positive";
+    invalid_arg "Connectivity: time_between_disconnects must be positive";
   if spec.disconnected_time < 0. then
-    invalid_arg "Connectivity.install: disconnected_time must be >= 0";
+    invalid_arg "Connectivity: disconnected_time must be >= 0"
+
+let install ~clock ~rng ~spec ~set_connected =
+  validate spec;
   let t =
     {
       clock;
@@ -97,3 +100,40 @@ let stop t =
   | None -> ()
 
 let toggles t = t.toggle_count
+
+type fleet = {
+  fleet_clock : Clock.t;
+  mutable installs : Clock.event_id list;
+  mutable schedules : t list;
+}
+
+let fleet ~clock ~rng ~spec ~nodes ~set_connected =
+  validate spec;
+  (* Stagger the phases so the fleet does not disconnect in lockstep: every
+     offset is drawn now, in [nodes] order; each schedule splits its own
+     stream from the stagger stream when its offset fires. *)
+  let cycle = spec.time_between_disconnects +. spec.disconnected_time in
+  let stagger = Rng.split rng in
+  let f = { fleet_clock = clock; installs = []; schedules = [] } in
+  List.iter
+    (fun node ->
+      let offset = Rng.float stagger cycle in
+      let pending =
+        Clock.schedule clock ~delay:offset (fun () ->
+            let schedule =
+              install ~clock ~rng:(Rng.split stagger) ~spec
+                ~set_connected:(set_connected ~node)
+            in
+            f.schedules <- schedule :: f.schedules)
+      in
+      f.installs <- pending :: f.installs)
+    nodes;
+  f
+
+let stop_fleet f =
+  (* Installs still waiting on their offset must not resurrect toggles
+     after the stop; cancelling one that already fired is a no-op. *)
+  List.iter (Clock.cancel f.fleet_clock) f.installs;
+  f.installs <- [];
+  List.iter stop f.schedules;
+  f.schedules <- []

@@ -22,8 +22,7 @@ type t = {
   rule : Reconcile.rule;
   retry_rng : Rng.t;
   expected : float array; (* initial_value + committed increment deltas *)
-  mutable schedules : Connectivity.t list;
-  mutable pending_installs : Clock.event_id list;
+  mutable fleet : Connectivity.fleet option;
 }
 
 let base t = t.common
@@ -190,8 +189,7 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
       rule;
       retry_rng = Rng.split common.Common.rng;
       expected = Array.make params.Params.db_size init_value;
-      schedules = [];
-      pending_installs = [];
+      fleet = None;
     }
   in
   let network =
@@ -200,33 +198,17 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
       ~deliver:(fun ~src ~dst updates -> deliver t ~src ~dst updates) ()
   in
   t.network <- Some network;
-  (match mobility with
-  | None -> ()
-  | Some spec ->
-      let targets =
-        match mobile_nodes with
-        | Some nodes -> nodes
-        | None -> List.init params.Params.nodes Fun.id
-      in
-      (* Stagger the phases so the fleet does not disconnect in lockstep. *)
-      let cycle = spec.Connectivity.time_between_disconnects
-                  +. spec.Connectivity.disconnected_time in
-      let stagger_rng = Rng.split common.Common.rng in
-      List.iter
-        (fun node ->
-          let offset = Rng.float stagger_rng cycle in
-          let install =
-            Clock.schedule common.Common.clock ~delay:offset (fun () ->
-                let schedule =
-                  Connectivity.install ~clock:common.Common.clock
-                    ~rng:(Rng.split stagger_rng) ~spec
-                    ~set_connected:(fun connected ->
-                      Network.set_connected network ~node connected)
-                in
-                t.schedules <- schedule :: t.schedules)
-          in
-          t.pending_installs <- install :: t.pending_installs)
-        targets);
+  t.fleet <-
+    Option.map
+      (fun spec ->
+        Connectivity.fleet ~clock:common.Common.clock ~rng:common.Common.rng
+          ~spec
+          ~nodes:
+            (match mobile_nodes with
+            | Some nodes -> nodes
+            | None -> List.init params.Params.nodes Fun.id)
+          ~set_connected:(Network.set_connected network))
+      mobility;
   t
 
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
@@ -253,10 +235,7 @@ let set_node_connected t ~node state = Network.set_connected (network t) ~node s
 let flush_node t ~node = Network.flush_node (network t) ~node
 
 let force_sync t =
-  List.iter (Clock.cancel t.common.Common.clock) t.pending_installs;
-  t.pending_installs <- [];
-  List.iter Connectivity.stop t.schedules;
-  t.schedules <- [];
+  Option.iter Connectivity.stop_fleet t.fleet;
   let n = t.common.Common.params.Params.nodes in
   for node = 0 to n - 1 do
     Network.set_connected (network t) ~node true

@@ -43,7 +43,8 @@ val create :
     assumption), always-connected nodes. When [mobility] is given it
     applies to [mobile_nodes] (default: every node, staggered phases);
     restricting it to a subset models mobile nodes syncing against an
-    otherwise-connected network. *)
+    otherwise-connected network (one {!Connectivity.fleet}).
+    @raise Invalid_argument on an invalid [mobility] spec. *)
 
 val base : t -> Common.base
 val rule : t -> Reconcile.rule

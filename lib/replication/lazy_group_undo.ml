@@ -44,8 +44,7 @@ type t = {
   applied : (int * int, (Oid.t * float * Timestamp.t) list) Hashtbl.t;
   mutable next_txn : int;
   lag : Stats.t;
-  mutable schedules : Connectivity.t list;
-  mutable pending_installs : Clock.event_id list;
+  mutable fleet : Connectivity.fleet option;
 }
 
 let base t = t.common
@@ -190,8 +189,7 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
       applied = Hashtbl.create 256;
       next_txn = 0;
       lag = Stats.create ();
-      schedules = [];
-      pending_installs = [];
+      fleet = None;
     }
   in
   let net =
@@ -201,34 +199,17 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
       ~deliver:(fun ~src ~dst message -> deliver t ~src ~dst message) ()
   in
   t.network <- Some net;
-  (match mobility with
-  | None -> ()
-  | Some spec ->
-      let targets =
-        match mobile_nodes with
-        | Some nodes -> nodes
-        | None -> List.init params.Params.nodes Fun.id
-      in
-      let cycle =
-        spec.Connectivity.time_between_disconnects
-        +. spec.Connectivity.disconnected_time
-      in
-      let stagger_rng = Rng.split common.Common.rng in
-      List.iter
-        (fun node ->
-          let offset = Rng.float stagger_rng cycle in
-          let install =
-            Clock.schedule common.Common.clock ~delay:offset (fun () ->
-                let schedule =
-                  Connectivity.install ~clock:common.Common.clock
-                    ~rng:(Rng.split stagger_rng) ~spec
-                    ~set_connected:(fun connected ->
-                      Network.set_connected net ~node connected)
-                in
-                t.schedules <- schedule :: t.schedules)
-          in
-          t.pending_installs <- install :: t.pending_installs)
-        targets);
+  t.fleet <-
+    Option.map
+      (fun spec ->
+        Connectivity.fleet ~clock:common.Common.clock ~rng:common.Common.rng
+          ~spec
+          ~nodes:
+            (match mobile_nodes with
+            | Some nodes -> nodes
+            | None -> List.init params.Params.nodes Fun.id)
+          ~set_connected:(Network.set_connected net))
+      mobility;
   t
 
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
@@ -240,10 +221,7 @@ let undone t = Metrics.total t.common.Common.stats.Repl_stats.undone
 let durability_lag t = t.lag
 
 let force_sync t =
-  List.iter (Clock.cancel t.common.Common.clock) t.pending_installs;
-  t.pending_installs <- [];
-  List.iter Connectivity.stop t.schedules;
-  t.schedules <- [];
+  Option.iter Connectivity.stop_fleet t.fleet;
   for node = 0 to t.common.Common.params.Params.nodes - 1 do
     Network.set_connected (network t) ~node true
   done;

@@ -1,8 +1,4 @@
-(* The persistent barrier pool the conservative parallel simulation engine
-   schedules its windows on; re-exported here so runner-level code has one
-   place to reach for both pooling styles (spawn-per-task below,
-   persistent-with-barrier for Par_engine). *)
-module Pool = Dangers_util.Domain_pool
+module Domain_pool = Dangers_util.Domain_pool
 
 (* Queried once: [Domain.recommended_domain_count] reads the cgroup/CPU
    topology on every call, and benchmark reports should name one stable
@@ -12,47 +8,34 @@ let[@lint.allow "R1"] cores = lazy (Domain.recommended_domain_count ())
 let host_cores () = Lazy.force cores
 let default_jobs () = host_cores ()
 
-(* The queue is just a cursor into the task array; contention on it is a
-   couple of ns per task, negligible next to a simulation run. *)
-type queue = { mutex : Mutex.t; mutable next : int }
-
-let take queue ~limit =
-  Mutex.lock queue.mutex;
-  let i = queue.next in
-  if i < limit then queue.next <- i + 1;
-  Mutex.unlock queue.mutex;
-  if i < limit then Some i else None
+(* [Domain_pool.create]'s limit. More workers than that would only wait
+   for indices the others already claim. *)
+let max_workers = 128
 
 let map ~jobs ~f tasks =
   let n = Array.length tasks in
   if jobs <= 1 || n <= 1 then Array.map f tasks
   else begin
     let results = Array.make n None in
-    let queue = { mutex = Mutex.create (); next = 0 } in
-    let worker () =
-      let rec loop () =
-        match take queue ~limit:n with
-        | None -> ()
-        | Some i ->
-            (* Suppressed DR1: [take] hands each index to exactly one
-               worker, so the [tasks.(i)] read and [results.(i)] write are
-               per-index exclusive, and the [Domain.join] below publishes
-               every write before [results] is read. *)
+    let pool = Domain_pool.create ~workers:(min max_workers (min jobs n)) in
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.shutdown pool)
+      (fun () ->
+        Domain_pool.parallel_for pool ~n ~f:(fun i ->
+            (* Suppressed DR1: [parallel_for] hands each index to exactly
+               one worker, so the [tasks.(i)] read and [results.(i)] write
+               are per-index exclusive, and its barrier publishes every
+               write before [results] is read. Failures are caught here so
+               that every task runs, as in the serial path. *)
             let r =
               try Ok ((f tasks.(i)) [@lint.allow "dr1"])
               with e -> Error (e, Printexc.get_raw_backtrace ())
             in
-            (results.(i) <- Some r) [@lint.allow "dr1"];
-            loop ()
-      in
-      loop ()
-    in
-    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains;
+            (results.(i) <- Some r) [@lint.allow "dr1"]));
     Array.map
       (function
         | Some (Ok v) -> v
         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None -> assert false (* every index was handed out and joined *))
+        | None -> assert false (* every index ran before the barrier *))
       results
   end

@@ -1,12 +1,12 @@
 (** A persistent pool of worker domains for barrier-style parallel loops.
 
-    {!Task_pool}'s spawn-per-call model is right for coarse sweep tasks
-    (seconds each), but the conservative parallel simulation engine runs
-    one parallel loop per synchronization window — thousands per run — and
-    [Domain.spawn] costs far too much to pay per window. This pool spawns
-    its workers once and reuses them: each {!parallel_for} call is a
-    generation; workers claim indices off a shared cursor, run the body,
-    and meet at a barrier before the call returns.
+    The conservative parallel simulation engine runs one parallel loop per
+    synchronization window — thousands per run — and [Domain.spawn] costs
+    far too much to pay per window. This pool spawns its workers once and
+    reuses them: each {!parallel_for} call is a generation; workers claim
+    indices off a shared cursor, run the body, and meet at a barrier
+    before the call returns. The sweep runner's [Task_pool.map] uses it
+    one-shot: create, one {!parallel_for} over the tasks, shutdown.
 
     Memory model: all pool state is accessed under one mutex, and the
     barrier in {!parallel_for} orders every write made by the body before

@@ -5,6 +5,10 @@
 module Experiment = Dangers_experiments.Experiment
 module Registry = Dangers_experiments.Registry
 module Table = Dangers_util.Table
+module Scheme = Dangers_experiments.Scheme
+module Params = Dangers_analytic.Params
+module Connectivity = Dangers_net.Connectivity
+module Lazy_group = Dangers_replication.Lazy_group
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -68,12 +72,40 @@ let test_helpers () =
   in
   checkb "within tolerance" true (Experiment.finding_ok (finding 3. 3.4 0.5));
   checkb "outside tolerance" false (Experiment.finding_ok (finding 3. 3.6 0.5));
-  Alcotest.check (Alcotest.float 1e-9) "mean over seeds" 2.
-    (Experiment.mean_over_seeds ~seeds:[ 1; 2; 3 ] float_of_int);
+  Alcotest.check (Alcotest.float 1e-9) "mean over runs" 2.
+    (Experiment.mean float_of_int [ 1; 2; 3 ]);
+  checkb "mean of no runs raises" true
+    (match Experiment.mean float_of_int [] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   checkb "fitted exponent skips non-positive" true
     (Float.is_nan (Experiment.fitted_exponent [ (1., 0.); (2., 0.) ]));
   Alcotest.check (Alcotest.float 1e-6) "fitted exponent" 2.
     (Experiment.fitted_exponent [ (1., 1.); (2., 4.); (4., 16.) ])
+
+(* An invalid connectivity spec must fail before any system is built,
+   not from inside the event loop once a stagger offset fires (or, on a
+   short run, not at all). *)
+let test_invalid_connectivity_rejected () =
+  (* A cycle far longer than the run: no stagger offset fires in it. *)
+  let mobility =
+    { (Connectivity.day_cycle ~connected:10. ~disconnected:1000.) with
+      Connectivity.time_between_disconnects = 0. }
+  in
+  let params = { Params.default with nodes = 3; db_size = 100 } in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun scheme ->
+      checkb (scheme ^ " rejects the spec") true
+        (raises (fun () ->
+             Scheme.run_outcome_named scheme
+               (Scheme.spec ~connectivity:mobility params)
+               ~seed:1 ~warmup:0. ~span:5.)))
+    [ "lazy-group"; "lazy-undo"; "two-tier" ];
+  checkb "Lazy_group.create rejects the spec" true
+    (raises (fun () -> Lazy_group.create ~mobility params ~seed:1))
 
 let suite =
   [
@@ -81,4 +113,6 @@ let suite =
     Alcotest.test_case "quick runs all" `Slow test_quick_runs_all;
     Alcotest.test_case "experiment determinism" `Quick test_experiment_determinism;
     Alcotest.test_case "helpers" `Quick test_helpers;
+    Alcotest.test_case "invalid connectivity rejected" `Quick
+      test_invalid_connectivity_rejected;
   ]

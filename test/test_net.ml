@@ -159,6 +159,63 @@ let test_stop_cancels_inflight_toggle () =
   Engine.run engine ~until:100.;
   checki "still frozen" 1 (Connectivity.toggles schedule)
 
+let test_fleet_stop_before_offsets () =
+  let engine = Engine.create () in
+  let calls = ref 0 in
+  let fleet =
+    Connectivity.fleet ~clock:engine ~rng:(Rng.create ~seed:5)
+      ~spec:(Connectivity.day_cycle ~connected:10. ~disconnected:5.)
+      ~nodes:[ 0; 1; 2 ]
+      ~set_connected:(fun ~node:_ _ -> incr calls)
+  in
+  checki "one install per node queued" 3 (Engine.pending engine);
+  Connectivity.stop_fleet fleet;
+  checki "no live event after stop" 0 (Engine.pending engine);
+  Engine.run engine;
+  checki "no set_connected call" 0 !calls;
+  Connectivity.stop_fleet fleet;
+  checki "stop is idempotent" 0 (Engine.pending engine)
+
+let test_fleet_staggers_and_stops () =
+  let engine = Engine.create () in
+  let first = Hashtbl.create 4 in
+  let fleet =
+    Connectivity.fleet ~clock:engine ~rng:(Rng.create ~seed:6)
+      ~spec:(Connectivity.day_cycle ~connected:10. ~disconnected:5.)
+      ~nodes:[ 3; 1 ]
+      ~set_connected:(fun ~node state ->
+        if not (Hashtbl.mem first node) then
+          Hashtbl.replace first node (Engine.now engine, state))
+  in
+  Engine.run engine ~until:15.;
+  List.iter
+    (fun node ->
+      match Hashtbl.find_opt first node with
+      | Some (at, state) ->
+          checkb "starts connected" true state;
+          checkb "offset within one cycle" true (at >= 0. && at < 15.)
+      | None -> Alcotest.failf "node %d never installed" node)
+    [ 3; 1 ];
+  checki "only the fleet's nodes" 2 (Hashtbl.length first);
+  Connectivity.stop_fleet fleet;
+  checki "no live event after stop" 0 (Engine.pending engine)
+
+let test_fleet_validates_at_create () =
+  let engine = Engine.create () in
+  let spec =
+    { (Connectivity.day_cycle ~connected:1. ~disconnected:1.) with
+      Connectivity.time_between_disconnects = 0. }
+  in
+  checkb "invalid spec rejected" true
+    (match
+       Connectivity.fleet ~clock:engine ~rng:(Rng.create ~seed:7) ~spec
+         ~nodes:[ 0 ]
+         ~set_connected:(fun ~node:_ _ -> ())
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  checki "nothing scheduled" 0 (Engine.pending engine)
+
 let faulty_network ~faults ~nodes () =
   let engine = Engine.create () in
   let received = ref [] in
@@ -236,6 +293,12 @@ let suite =
     Alcotest.test_case "base node never disconnects" `Quick test_base_node_never_disconnects;
     Alcotest.test_case "stop cancels in-flight toggle" `Quick
       test_stop_cancels_inflight_toggle;
+    Alcotest.test_case "fleet stopped before offsets" `Quick
+      test_fleet_stop_before_offsets;
+    Alcotest.test_case "fleet staggers and stops" `Quick
+      test_fleet_staggers_and_stops;
+    Alcotest.test_case "fleet validates at create" `Quick
+      test_fleet_validates_at_create;
     Alcotest.test_case "fault hook drop and duplicate" `Quick
       test_fault_hook_drop_and_duplicate;
     Alcotest.test_case "fault hook extra delay" `Quick

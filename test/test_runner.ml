@@ -32,6 +32,28 @@ let test_pool_propagates_error () =
   Alcotest.check_raises "first failure re-raised" (Failure "boom") (fun () ->
       ignore (Task_pool.map ~jobs:4 ~f:boom (Array.init 8 Fun.id)))
 
+let test_pool_lowest_failure_and_every_task_runs () =
+  let ran = Atomic.make 0 in
+  let boom i =
+    Atomic.incr ran;
+    if i = 2 || i = 6 then failwith (string_of_int i) else i
+  in
+  Alcotest.check_raises "lowest-indexed failure" (Failure "2") (fun () ->
+      ignore (Task_pool.map ~jobs:3 ~f:boom (Array.init 9 Fun.id)));
+  checki "every task ran" 9 (Atomic.get ran)
+
+let test_pool_inline_at_one_job () =
+  let self = Domain.self () in
+  let domains = Task_pool.map ~jobs:1 ~f:(fun _ -> Domain.self ()) [| 1; 2; 3 |] in
+  checkb "jobs=1 runs on the calling domain" true
+    (Array.for_all (fun d -> d = self) domains)
+
+(* The domain pool refuses more than 128 workers; [map] caps its request. *)
+let test_pool_jobs_above_domain_limit () =
+  let tasks = Array.init 200 Fun.id in
+  checkb "jobs=500 over 200 tasks" true
+    (Task_pool.map ~jobs:500 ~f:succ tasks = Array.map succ tasks)
+
 (* --- Determinism: parallel sweep equals serial, byte for byte --- *)
 
 let jsonl_of_items items =
@@ -122,6 +144,11 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_order_preserved;
     Alcotest.test_case "pool edge sizes" `Quick test_pool_empty_and_singleton;
     Alcotest.test_case "pool propagates error" `Quick test_pool_propagates_error;
+    Alcotest.test_case "pool re-raises lowest failure" `Quick
+      test_pool_lowest_failure_and_every_task_runs;
+    Alcotest.test_case "pool inline at one job" `Quick test_pool_inline_at_one_job;
+    Alcotest.test_case "pool jobs above domain limit" `Quick
+      test_pool_jobs_above_domain_limit;
     Alcotest.test_case "experiment sweep deterministic across jobs" `Slow
       test_sweep_experiments_deterministic;
     Alcotest.test_case "scheme sweep deterministic across jobs" `Slow
