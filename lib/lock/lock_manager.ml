@@ -2,14 +2,8 @@ type t = {
   locks : Lock_table.t;
   mutable wait_count : int;
   mutable deadlock_count : int;
-  mutable dfs_visit_count : int;
+  mutable visits_at_reset : int; (* [Lock_table.search_visits] at the last reset *)
   debug_check : bool;
-  (* DFS scratch state, reused across detections: [stamp.(owner) = gen]
-     marks [owner] visited in the current traversal. Owner ids are small
-     dense ints (transaction ids), so an array beats a fresh hash table per
-     blocked request. *)
-  mutable stamp : int array;
-  mutable gen : int;
 }
 
 type outcome = Granted | Waiting | Deadlock of int list
@@ -21,16 +15,16 @@ let env_debug =
   | Some ("" | "0") | None -> false
   | Some _ -> true
 
+let dfs_visits t = Lock_table.search_visits t.locks - t.visits_at_reset
+
 let create ?obs ?(debug_check = env_debug) () =
   let t =
     {
       locks = Lock_table.create ();
       wait_count = 0;
       deadlock_count = 0;
-      dfs_visit_count = 0;
+      visits_at_reset = 0;
       debug_check;
-      stamp = Array.make 64 0;
-      gen = 0;
     }
   in
   (match obs with
@@ -41,43 +35,9 @@ let create ?obs ?(debug_check = env_debug) () =
             Dangers_obs.Metrics.Count ("lock.waits_total", t.wait_count);
             Dangers_obs.Metrics.Count ("lock.deadlocks_total", t.deadlock_count);
             Dangers_obs.Metrics.Count
-              ("lock.deadlock_dfs_visits_total", t.dfs_visit_count);
+              ("lock.deadlock_dfs_visits_total", dfs_visits t);
           ]));
   t
-
-let visited t owner =
-  if owner >= Array.length t.stamp then begin
-    let size = max (owner + 1) (2 * Array.length t.stamp) in
-    let stamp = Array.make size 0 in
-    Array.blit t.stamp 0 stamp 0 (Array.length t.stamp);
-    t.stamp <- stamp;
-    false
-  end
-  else t.stamp.(owner) = t.gen
-
-(* Same traversal as [Waits_for.find_cycle] — successors explored in order,
-   visited nodes pruned, the start node itself never marked — but over the
-   lock table's memoized blocker lists and with the reusable stamp array, so
-   a blocked request costs no per-probe allocation beyond the path list. *)
-let find_cycle_incremental t ~start =
-  t.gen <- t.gen + 1;
-  let rec dfs node path =
-    t.dfs_visit_count <- t.dfs_visit_count + 1;
-    let rec explore = function
-      | [] -> None
-      | successor :: rest ->
-          if successor = start then Some (List.rev path)
-          else if visited t successor then explore rest
-          else begin
-            t.stamp.(successor) <- t.gen;
-            match dfs successor (successor :: path) with
-            | Some _ as found -> found
-            | None -> explore rest
-          end
-    in
-    explore (Lock_table.blockers t.locks ~owner:node)
-  in
-  dfs start [ start ]
 
 let cross_check t ~start result =
   let successors owner = Lock_table.blockers_fresh t.locks ~owner in
@@ -100,7 +60,7 @@ let request t ~owner ~resource ~mode ~on_grant =
   | Lock_table.Granted -> Granted
   | Lock_table.Queued -> (
       t.wait_count <- t.wait_count + 1;
-      let result = find_cycle_incremental t ~start:owner in
+      let result = Lock_table.find_cycle t.locks ~start:owner in
       if t.debug_check then cross_check t ~start:owner result;
       match result with
       | None -> Waiting
@@ -113,9 +73,8 @@ let release_all t ~owner = Lock_table.release_all t.locks ~owner
 let table t = t.locks
 let waits t = t.wait_count
 let deadlocks t = t.deadlock_count
-let dfs_visits t = t.dfs_visit_count
 
 let reset_counters t =
   t.wait_count <- 0;
   t.deadlock_count <- 0;
-  t.dfs_visit_count <- 0
+  t.visits_at_reset <- Lock_table.search_visits t.locks

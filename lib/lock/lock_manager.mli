@@ -10,13 +10,13 @@
 type t
 
 val create : ?obs:Dangers_obs.Metrics.t -> ?debug_check:bool -> unit -> t
-(** Deadlock detection walks the lock table's incrementally-maintained
-    blocker lists with a reusable visited-stamp array. With
+(** Deadlock detection is {!Lock_table.find_cycle}: it walks the table's
+    incrementally-maintained blocker lists and marks visits in the owner
+    records, so its state is bounded by the live owners. With
     [~debug_check:true] (or the [DANGERS_LOCK_DEBUG] environment variable
     set) every blocked request is additionally cross-checked against the
     original from-scratch DFS ({!Waits_for.find_cycle} over freshly
-    recomputed blockers); divergence raises [Failure]. Owner ids must be
-    non-negative.
+    recomputed blockers); divergence raises [Failure].
 
     When [obs] is given, the manager registers a pull source exposing
     [lock.waits_total], [lock.deadlocks_total] and

@@ -8,7 +8,13 @@
     Grant discipline is strict FIFO: a release grants waiters from the front
     of the queue until the first one that conflicts, which prevents
     starvation and makes wait order deterministic. Lock upgrades (held S,
-    requested X) jump to the front of the queue. *)
+    requested X) jump to the front of the queue.
+
+    Each owner that holds or waits has one record: its granted locks, its
+    wait with a memoized blocker list, and a deadlock-search mark. The
+    record leaves the table when the owner neither holds nor waits, so the
+    table's size is bounded by the owners live at once and the resources
+    ever locked, never by the largest owner id. *)
 
 type t
 
@@ -32,17 +38,28 @@ val acquire :
 val blockers : t -> owner:int -> int list
 (** Owners that must release before this owner's queued request can be
     granted: conflicting holders plus conflicting waiters queued ahead.
-    Empty when the owner is not waiting. Deduplicated, unspecified order.
+    Empty when the owner is not waiting. Deduplicated, ascending.
 
-    The result is memoized per waiting owner and invalidated by the
+    The set is memoized per waiting owner and invalidated by the
     mutations that can change it (grants, releases, cancellations,
     front-of-queue upgrades), so repeated waits-for probes between state
-    changes are O(1). *)
+    changes do not recompute it. *)
 
 val blockers_fresh : t -> owner:int -> int list
 (** [blockers] recomputed from the lock state, bypassing (and not touching)
     the memoized copy. For debug cross-checks and tests: the two must always
     agree. *)
+
+val find_cycle : t -> start:int -> int list option
+(** Deadlock detection: a waits-for cycle through [start], as the owners in
+    waits-for order starting with [start], or [None]. The same depth-first
+    traversal as {!Waits_for.find_cycle} over {!blockers} (successors in
+    ascending id order, visited owners pruned), run over the memoized
+    blocker lists with the visit marks kept in the owner records: a visit
+    does no table lookup. *)
+
+val search_visits : t -> int
+(** Owners expanded by {!find_cycle} since creation. *)
 
 val is_waiting : t -> owner:int -> bool
 val waiting_resource : t -> owner:int -> int option

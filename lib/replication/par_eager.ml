@@ -14,12 +14,14 @@ module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
 module Domain_pool = Dangers_util.Domain_pool
+module Int_table = Dangers_util.Int_table
 module Repl_stats = Repl_stats
 
 (* Transaction identity: home node plus a home-local serial. Retries are
    new transactions (fresh tid), so a stale message can never be confused
-   with the current attempt. *)
-type owner = { home : int; tid : int }
+   with the current attempt. [key] packs both into one int,
+   [tid * nodes + home], for the int-keyed tables. *)
+type owner = { home : int; tid : int; key : int }
 
 type msg =
   | Lock_req of { owner : owner; oid : int }
@@ -57,9 +59,9 @@ type node = {
   stats : Repl_stats.t;
   store : Fstore.t;
   lamport : Timestamp.Clock.t;
-  locks : (int, entry) Hashtbl.t;
-  held : (owner, int list ref) Hashtbl.t;  (* every oid held or queued here *)
-  active : (int, txn) Hashtbl.t;  (* home transactions by tid *)
+  locks : entry Int_table.t;  (* by oid *)
+  held : int list ref Int_table.t;  (* owner key -> every oid held or queued here *)
+  active : txn Int_table.t;  (* home transactions by tid *)
   mutable next_tid : int;
   gen_rng : Rng.t;
   delay_rng : Rng.t;
@@ -94,19 +96,19 @@ let send_delay t node = Float.max t.lookahead (Delay.sample t.delay node.delay_r
 (* --- lock table ------------------------------------------------------ *)
 
 let entry_for node oid =
-  match Hashtbl.find_opt node.locks oid with
+  match Int_table.find_opt node.locks oid with
   | Some e -> e
   | None ->
       let e = { holders = []; hmode = X; queue = [] } in
-      Hashtbl.add node.locks oid e;
+      Int_table.add node.locks oid e;
       e
 
 let note_interest node owner oid =
-  match Hashtbl.find_opt node.held owner with
+  match Int_table.find_opt node.held owner.key with
   | Some oids -> if not (List.mem oid !oids) then oids := oid :: !oids
-  | None -> Hashtbl.add node.held owner (ref [ oid ])
+  | None -> Int_table.add node.held owner.key (ref [ oid ])
 
-let owner_equal a b = a.home = b.home && a.tid = b.tid
+let owner_equal a b = a.key = b.key
 
 (* Request a lock at this node. Queued requests wait behind earlier queued
    ones even when instantaneously compatible — FIFO fairness, and writers
@@ -148,13 +150,13 @@ let promote node oid ~grant =
         List.iter grant readers
 
 let release_owner node owner ~grant =
-  match Hashtbl.find_opt node.held owner with
+  match Int_table.find_opt node.held owner.key with
   | None -> ()
   | Some oids ->
-      Hashtbl.remove node.held owner;
+      Int_table.remove node.held owner.key;
       List.iter
         (fun oid ->
-          match Hashtbl.find_opt node.locks oid with
+          match Int_table.find_opt node.locks oid with
           | None -> ()
           | Some e ->
               e.holders <-
@@ -222,7 +224,7 @@ and handle t ~src ~dst msg =
       release_owner node owner ~grant:(fun ~oid o -> granted t node ~oid o)
   | Probe { initiator; subject; ttl } -> (
       if ttl > 0 && subject.home = dst then
-        match Hashtbl.find_opt node.active subject.tid with
+        match Int_table.find_opt node.active subject.tid with
         | None -> ()
         | Some txn ->
             if (not txn.t_done) && owner_equal txn.t_owner subject then
@@ -233,7 +235,7 @@ and handle t ~src ~dst msg =
                 txn.t_awaiting)
   | Probe_at { initiator; waiter; oid; ttl } -> (
       if ttl > 0 then
-        match Hashtbl.find_opt node.locks oid with
+        match Int_table.find_opt node.locks oid with
         | None -> ()
         | Some e ->
             let still_queued =
@@ -252,7 +254,7 @@ and handle t ~src ~dst msg =
                 e.holders)
   | Victim { owner } -> (
       if owner.home = dst then
-        match Hashtbl.find_opt node.active owner.tid with
+        match Int_table.find_opt node.active owner.tid with
         | None -> ()
         | Some txn ->
             (* Still blocked: a genuine cycle. Already granted everything:
@@ -264,7 +266,7 @@ and handle t ~src ~dst msg =
 
 and on_granted t ~site ~oid owner =
   let node = t.nodes.(owner.home) in
-  match Hashtbl.find_opt node.active owner.tid with
+  match Int_table.find_opt node.active owner.tid with
   | None -> ()
   | Some txn ->
       if not txn.t_done then begin
@@ -380,7 +382,7 @@ and finish_txn _t node txn =
       Engine.cancel node.engine ev;
       txn.t_deadline <- None
   | None -> ());
-  Hashtbl.remove node.active txn.t_owner.tid
+  Int_table.remove node.active txn.t_owner.tid
 
 and abort_and_retry t node txn =
   finish_txn t node txn;
@@ -402,7 +404,7 @@ and abort_and_retry t node txn =
 and start_txn t node ops =
   let tid = node.next_tid in
   node.next_tid <- tid + 1;
-  let owner = { home = node.id; tid } in
+  let owner = { home = node.id; tid; key = (tid * node_count t) + node.id } in
   let txn =
     {
       t_owner = owner;
@@ -414,7 +416,7 @@ and start_txn t node ops =
       t_done = false;
     }
   in
-  Hashtbl.add node.active tid txn;
+  Int_table.add node.active tid txn;
   txn.t_deadline <-
     Some
       (Engine.schedule node.engine ~delay:(lock_timeout t) (fun () ->
@@ -467,9 +469,9 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
               Fstore.create ~db_size:params.Params.db_size ~init:(fun _ ->
                   initial_value);
             lamport = Timestamp.Clock.create ~node:id;
-            locks = Hashtbl.create 64;
-            held = Hashtbl.create 64;
-            active = Hashtbl.create 16;
+            locks = Int_table.create 64;
+            held = Int_table.create 64;
+            active = Int_table.create 16;
             next_tid = 0;
             gen_rng = Rng.split rng;
             delay_rng = Rng.split rng;

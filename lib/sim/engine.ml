@@ -40,6 +40,7 @@ type t = {
   mutable evs : event array;
   mutable size : int;
   mutable high_water : int;
+  filler : event; (* occupies [evs] slots past [size] *)
   mutable trace : Trace.t option;
   mutable idle_waiter : (timeout:float -> unit) option;
   (* Cross-domain entry points. The flags let the single-domain hot loop
@@ -50,12 +51,11 @@ type t = {
   stop_flag : bool Atomic.t;
 }
 
-(* Allocated per call: heap slots briefly alias the filler event, and
-   engines may live on different domains — a single shared record
-   would be cross-domain mutable state. *)
-let dummy_event () = { action = ignore; cancelled = true }
-
+(* One filler per engine, not one per module: engines may live on
+   different domains, and a single shared record would be cross-domain
+   mutable state. *)
 let with_time time =
+  let filler = { action = ignore; cancelled = true } in
   {
     time;
     clock = 0.;
@@ -64,9 +64,10 @@ let with_time time =
     live = 0;
     times = Array.make 16 0.;
     seqs = Array.make 16 0;
-    evs = Array.make 16 (dummy_event ());
+    evs = Array.make 16 filler;
     size = 0;
     high_water = 0;
+    filler;
     trace = None;
     idle_waiter = None;
     mail_mutex = Mutex.create ();
@@ -91,7 +92,7 @@ let grow t =
   let cap' = 2 * cap in
   let times = Array.make cap' 0. in
   let seqs = Array.make cap' 0 in
-  let evs = Array.make cap' (dummy_event ()) in
+  let evs = Array.make cap' t.filler in
   Array.blit t.times 0 times 0 t.size;
   Array.blit t.seqs 0 seqs 0 t.size;
   Array.blit t.evs 0 evs 0 t.size;
@@ -130,10 +131,10 @@ let push t time seq ev =
 let remove_min t =
   let n = t.size - 1 in
   t.size <- n;
-  if n = 0 then t.evs.(0) <- dummy_event ()
+  if n = 0 then t.evs.(0) <- t.filler
   else begin
     let time = t.times.(n) and seq = t.seqs.(n) and ev = t.evs.(n) in
-    t.evs.(n) <- dummy_event ();
+    t.evs.(n) <- t.filler;
     let i = ref 0 in
     let placed = ref false in
     while not !placed do

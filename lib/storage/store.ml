@@ -7,26 +7,32 @@ end
 
 module Make (Value : VALUE) = struct
   type value = Value.t
-  type entry = { mutable value : value; mutable stamp : Timestamp.t }
 
+  (* One column per field: with [Value.t = float] every column is a flat
+     array, so a store is three blocks whatever its size. *)
   type t = {
-    entries : entry array;
+    values : value array;
+    counters : int array;
+    nodes : int array;
     mutable observers : (Oid.t -> value -> Timestamp.t -> unit) list;
   }
 
   let create ~db_size ~init =
     if db_size <= 0 then invalid_arg "Store.create: db_size must be positive";
     {
-      entries =
-        Array.init db_size (fun i ->
-            { value = init (Oid.of_int i); stamp = Timestamp.zero });
+      values = Array.init db_size (fun i -> init (Oid.of_int i));
+      counters = Array.make db_size Timestamp.zero.counter;
+      nodes = Array.make db_size Timestamp.zero.node;
       observers = [];
     }
 
-  let db_size t = Array.length t.entries
-  let entry t oid = t.entries.(Oid.to_int oid)
-  let read t oid = (entry t oid).value
-  let stamp t oid = (entry t oid).stamp
+  let db_size t = Array.length t.values
+  let read t oid = t.values.(Oid.to_int oid)
+
+  let stamp_at t i =
+    { Timestamp.counter = t.counters.(i); node = t.nodes.(i) }
+
+  let stamp t oid = stamp_at t (Oid.to_int oid)
   let on_write t f = t.observers <- f :: t.observers
 
   let notify t oid value ts =
@@ -34,34 +40,40 @@ module Make (Value : VALUE) = struct
     | [] -> ()
     | observers -> List.iter (fun f -> f oid value ts) observers
 
+  let set t i value (ts : Timestamp.t) =
+    t.values.(i) <- value;
+    t.counters.(i) <- ts.counter;
+    t.nodes.(i) <- ts.node
+
   let write t oid value ts =
-    let e = entry t oid in
-    e.value <- value;
-    e.stamp <- ts;
+    set t (Oid.to_int oid) value ts;
     notify t oid value ts
 
-  let apply_if_current t oid ~old_stamp value ts =
-    let e = entry t oid in
-    if Timestamp.equal e.stamp old_stamp then begin
-      e.value <- value;
-      e.stamp <- ts;
+  let apply_if_current t oid ~(old_stamp : Timestamp.t) value ts =
+    let i = Oid.to_int oid in
+    if t.counters.(i) = old_stamp.counter && t.nodes.(i) = old_stamp.node
+    then begin
+      set t i value ts;
       notify t oid value ts;
       `Applied
     end
     else `Dangerous
 
-  let apply_if_newer t oid value ts =
-    let e = entry t oid in
-    if Timestamp.newer ts ~than:e.stamp then begin
-      e.value <- value;
-      e.stamp <- ts;
+  let apply_if_newer t oid value (ts : Timestamp.t) =
+    let i = Oid.to_int oid in
+    let counter = t.counters.(i) in
+    if ts.counter > counter || (ts.counter = counter && ts.node > t.nodes.(i))
+    then begin
+      set t i value ts;
       notify t oid value ts;
       `Applied
     end
     else `Stale
 
   let iter t f =
-    Array.iteri (fun i e -> f (Oid.of_int i) e.value e.stamp) t.entries
+    for i = 0 to db_size t - 1 do
+      f (Oid.of_int i) t.values.(i) (stamp_at t i)
+    done
 
   let fold t ~init ~f =
     let acc = ref init in
@@ -76,8 +88,11 @@ module Make (Value : VALUE) = struct
     check_same_size a b "Store.divergent_oids";
     let diffs = ref [] in
     for i = db_size a - 1 downto 0 do
-      let ea = a.entries.(i) and eb = b.entries.(i) in
-      if not (Value.equal ea.value eb.value && Timestamp.equal ea.stamp eb.stamp)
+      if
+        not
+          (Value.equal a.values.(i) b.values.(i)
+          && a.counters.(i) = b.counters.(i)
+          && a.nodes.(i) = b.nodes.(i))
       then diffs := Oid.of_int i :: !diffs
     done;
     !diffs
@@ -87,20 +102,24 @@ module Make (Value : VALUE) = struct
 
   let copy t =
     {
-      entries =
-        Array.map (fun e -> { value = e.value; stamp = e.stamp }) t.entries;
+      values = Array.copy t.values;
+      counters = Array.copy t.counters;
+      nodes = Array.copy t.nodes;
       observers = [];
     }
 
   let overwrite_from t ~src =
     check_same_size t src "Store.overwrite_from";
-    Array.iteri
-      (fun i e ->
-        let s = src.entries.(i) in
-        e.value <- s.value;
-        e.stamp <- s.stamp;
-        notify t (Oid.of_int i) s.value s.stamp)
-      t.entries
+    let n = db_size t in
+    Array.blit src.values 0 t.values 0 n;
+    Array.blit src.counters 0 t.counters 0 n;
+    Array.blit src.nodes 0 t.nodes 0 n;
+    match t.observers with
+    | [] -> ()
+    | _ ->
+        for i = 0 to n - 1 do
+          notify t (Oid.of_int i) t.values.(i) (stamp_at t i)
+        done
 end
 
 module Float_value = struct

@@ -5,7 +5,14 @@
     schemes need to detect dangerous updates (§4) and discard stale ones
     (§5). The store is functorized over the value type: the simulator uses
     the [float] instance below; richer example applications can instantiate
-    their own. *)
+    their own.
+
+    The layout is columnar: one array of values, and the timestamps split
+    into an [int] array of counters and one of node ids. With the [float]
+    instance all three are flat, so a replica of [DB_Size] objects is three
+    heap blocks with no per-object pointer for the major GC to mark or
+    sweep, and a write allocates nothing. [stamp] builds its
+    {!Timestamp.t} on read. *)
 
 module type VALUE = sig
   type t

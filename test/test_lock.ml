@@ -204,6 +204,82 @@ let test_manager_reset_counters () =
   Lock_manager.reset_counters m;
   checki "reset" 0 (Lock_manager.waits m)
 
+(* A fixed scenario with branching waits, shared locks and three
+   deadlocks. The visit count after each blocked request pins what the
+   search expands: a change in the traversal shows up here. *)
+let test_manager_dfs_visits_pinned () =
+  let m = Lock_manager.create () in
+  let trace = ref [] in
+  let req owner resource mode =
+    let outcome =
+      match Lock_manager.request m ~owner ~resource ~mode ~on_grant:noop with
+      | Lock_manager.Granted -> "granted"
+      | Lock_manager.Waiting -> "waiting"
+      | Lock_manager.Deadlock cycle ->
+          Lock_manager.release_all m ~owner;
+          "deadlock " ^ String.concat "-" (List.map string_of_int cycle)
+    in
+    trace :=
+      Printf.sprintf "%d@%d %s %d" owner resource outcome
+        (Lock_manager.dfs_visits m)
+      :: !trace
+  in
+  List.iter (fun o -> req o o Mode.X) [ 1; 2; 3; 4 ];
+  req 5 5 Mode.S;
+  req 6 5 Mode.S;
+  req 1 2 Mode.X;
+  req 2 5 Mode.X;
+  req 5 3 Mode.X;
+  req 6 3 Mode.X;
+  req 4 1 Mode.S;
+  req 3 1 Mode.X;
+  List.iter (fun o -> req o o Mode.X) [ 7; 8 ];
+  req 7 8 Mode.X;
+  req 8 4 Mode.X;
+  req 5 7 Mode.X;
+  req 6 2 Mode.X;
+  Alcotest.check (Alcotest.list Alcotest.string) "outcomes and running visit counts"
+    [ "1@1 granted 0"; "2@2 granted 0"; "3@3 granted 0"; "4@4 granted 0";
+      "5@5 granted 0"; "6@5 granted 0"; "1@2 waiting 2"; "2@5 waiting 5";
+      "5@3 waiting 7"; "6@3 waiting 10"; "4@1 waiting 16";
+      "3@1 deadlock 3-1-2-5 20"; "7@7 granted 20"; "8@8 granted 20";
+      "7@8 waiting 22"; "8@4 waiting 28"; "5@7 deadlock 5-7-8-4-1-2 34";
+      "6@2 deadlock 6-1-2 37" ]
+    (List.rev !trace);
+  checki "total visits" 37 (Lock_manager.dfs_visits m)
+
+(* The manager's state is bounded by the owners live at once: 200 000
+   owners, in pairs that wait, deadlock and release, leave it no larger
+   than a handful do. *)
+let test_manager_bounded_by_live_owners () =
+  let m = Lock_manager.create () in
+  let deadlocks = ref 0 in
+  let pair a b =
+    ignore (Lock_manager.request m ~owner:a ~resource:1 ~mode:Mode.X ~on_grant:noop);
+    ignore (Lock_manager.request m ~owner:b ~resource:2 ~mode:Mode.X ~on_grant:noop);
+    ignore (Lock_manager.request m ~owner:a ~resource:2 ~mode:Mode.X ~on_grant:noop);
+    (match Lock_manager.request m ~owner:b ~resource:1 ~mode:Mode.X ~on_grant:noop with
+    | Lock_manager.Deadlock _ -> incr deadlocks
+    | Lock_manager.Granted | Lock_manager.Waiting -> ());
+    Lock_manager.release_all m ~owner:b;
+    Lock_manager.release_all m ~owner:a
+  in
+  let words () = Obj.reachable_words (Obj.repr m) in
+  for i = 0 to 99 do
+    pair (2 * i) ((2 * i) + 1)
+  done;
+  let early = words () in
+  for i = 100 to 99_999 do
+    pair (2 * i) ((2 * i) + 1)
+  done;
+  checki "every pair deadlocked" 100_000 !deadlocks;
+  checki "no grants left" 0
+    (Lock_table.grants_outstanding (Lock_manager.table m));
+  let late = words () in
+  checkb (Printf.sprintf "%d words after 200k owners, bound 4096" late) true
+    (late <= 4096);
+  checki "same size as after 200 owners" early late
+
 (* Property: random grant/release traffic never leaves conflicting grants. *)
 let lock_table_safety_prop =
   QCheck.Test.make ~name:"lock table: never grants X/X on one resource" ~count:100
@@ -550,6 +626,8 @@ let suite =
     Alcotest.test_case "manager two-way deadlock" `Quick test_manager_deadlock;
     Alcotest.test_case "manager three-way cycle" `Quick test_manager_three_way_cycle;
     Alcotest.test_case "manager reset counters" `Quick test_manager_reset_counters;
+    Alcotest.test_case "manager dfs visits pinned" `Quick test_manager_dfs_visits_pinned;
+    Alcotest.test_case "manager bounded by live owners" `Quick test_manager_bounded_by_live_owners;
     QCheck_alcotest.to_alcotest lock_table_safety_prop;
     QCheck_alcotest.to_alcotest lock_table_model_prop;
     QCheck_alcotest.to_alcotest lock_manager_incremental_prop;

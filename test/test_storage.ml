@@ -114,6 +114,60 @@ let test_store_convergence_helpers () =
   Fstore.write a (Oid.of_int 0) 1. (stamp 2 0);
   checkb "copy is independent" false (Fstore.content_equal a c)
 
+(* The columnar layout: a float store is its three flat columns plus a
+   record, whatever it holds, and a write allocates nothing in it. *)
+let test_store_footprint () =
+  let n = 10_000 in
+  let s = Fstore.create ~db_size:n ~init:(fun _ -> 0.) in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let created = words () in
+  let bound = (3 * n) + 64 in
+  checkb
+    (Printf.sprintf "%d words at creation, bound %d" created bound)
+    true (created <= bound);
+  let clock = Timestamp.Clock.create ~node:1 in
+  for i = 0 to n - 1 do
+    Fstore.write s (Oid.of_int i) (float_of_int i +. 0.5)
+      (Timestamp.Clock.tick clock)
+  done;
+  checki "unchanged by fresh writes" created (words ());
+  checkb "stamp rebuilt on read" true
+    (Timestamp.equal (stamp n 1) (Fstore.stamp s (Oid.of_int (n - 1))))
+
+(* The same functor over a boxed value type. *)
+module Sstore = Dangers_storage.Store.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let pp = Format.pp_print_string
+end)
+
+let test_boxed_store_roundtrip () =
+  let a =
+    Sstore.create ~db_size:4 ~init:(fun oid -> "v" ^ string_of_int (Oid.to_int oid))
+  in
+  let seen = ref [] in
+  Sstore.on_write a (fun oid value ts ->
+      seen := (Oid.to_int oid, value, ts.Timestamp.counter) :: !seen);
+  Sstore.write a (Oid.of_int 1) "x" (stamp 1 0);
+  let b = Sstore.copy a in
+  checkb "copy equal" true (Sstore.content_equal a b);
+  Sstore.write b (Oid.of_int 2) "y" (stamp 2 1);
+  checkb "copy is independent" true (String.equal "v2" (Sstore.read a (Oid.of_int 2)));
+  Alcotest.check (Alcotest.list Alcotest.int) "divergent oids" [ 2 ]
+    (List.map Oid.to_int (Sstore.divergent_oids a b));
+  (match Sstore.apply_if_newer b (Oid.of_int 3) "z" (stamp 3 1) with
+  | `Applied -> ()
+  | `Stale -> Alcotest.fail "newer must apply");
+  Sstore.overwrite_from a ~src:b;
+  checkb "overwrite converges" true (Sstore.content_equal a b);
+  checkb "stamp copied" true
+    (Timestamp.equal (stamp 2 1) (Sstore.stamp a (Oid.of_int 2)));
+  let observed = Alcotest.(list (triple int string int)) in
+  Alcotest.check observed "observers see the write and the overwrite, not the copy"
+    [ (1, "x", 1); (0, "v0", 0); (1, "x", 1); (2, "y", 2); (3, "z", 3) ]
+    (List.rev !seen)
+
 (* --- Version vector --- *)
 
 let test_vv_basics () =
@@ -218,6 +272,8 @@ let suite =
     Alcotest.test_case "store apply_if_current" `Quick test_store_apply_if_current;
     Alcotest.test_case "store apply_if_newer" `Quick test_store_apply_if_newer;
     Alcotest.test_case "store convergence helpers" `Quick test_store_convergence_helpers;
+    Alcotest.test_case "store footprint" `Quick test_store_footprint;
+    Alcotest.test_case "boxed store round-trip" `Quick test_boxed_store_roundtrip;
     Alcotest.test_case "version vector basics" `Quick test_vv_basics;
     Alcotest.test_case "version vector causality" `Quick test_vv_causality;
     Alcotest.test_case "version vector validation" `Quick test_vv_of_list_validation;
