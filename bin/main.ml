@@ -1098,19 +1098,10 @@ let bench_cmd =
          & info [ "quick" ]
              ~doc:"Shrink sample counts (not workloads) for a fast smoke run.")
   in
-  let suite =
-    Arg.(value
-         & opt (enum [ ("micro", `Micro); ("serve", `Serve) ]) `Micro
-         & info [ "suite" ]
-             ~doc:"Which suite to run: $(b,micro) (hot-path \
-                   micro-benchmarks, BENCH_micro.json) or $(b,serve) (the \
-                   end-to-end live serving path, BENCH_serve.json).")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
-             ~doc:"Where to write the results (default: the suite's \
-                   BENCH_*.json).")
+             ~doc:"Where to write the results (default: BENCH_micro.json).")
   in
   let input =
     Arg.(value & opt (some string) None
@@ -1130,7 +1121,7 @@ let bench_cmd =
          & info [ "threshold" ] ~docv:"PCT"
              ~doc:"Regression threshold in percent.")
   in
-  let run suite quick out input baseline threshold =
+  let run quick out input baseline threshold =
     if threshold <= 0. then begin
       prerr_endline "bench: --threshold must be positive";
       1
@@ -1140,25 +1131,20 @@ let bench_cmd =
         match (input, out) with
         | Some _, _ -> None
         | None, Some file -> Some file
-        | None, None ->
-            Some
-              (match suite with
-              | `Micro -> "BENCH_micro.json"
-              | `Serve -> "BENCH_serve.json")
+        | None, None -> Some "BENCH_micro.json"
       in
-      Dangers_microbench.Driver.main ~suite ~quick ~out ~input ~baseline
+      Dangers_microbench.Driver.main ~quick ~out ~input ~baseline
         ~threshold:(threshold /. 100.) ()
     end
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run a benchmark suite — $(b,micro): the hot-path \
-          micro-benchmarks (lock table, deadlock detection, event engine, \
-          end-to-end eager-group); $(b,serve): the live serving path \
-          (server + 1k-transaction load over the Unix socket) — and write \
-          its BENCH_*.json; optionally diff against a baseline.")
-    Term.(const run $ suite $ quick $ out $ input $ baseline $ threshold)
+         "Run the component micro-benchmarks (lock table, deadlock \
+          detection, event engine, parallel-engine windows) and write \
+          BENCH_micro.json; optionally diff against a baseline. \
+          End-to-end numbers come from bench/e2e.")
+    Term.(const run $ quick $ out $ input $ baseline $ threshold)
 
 (* --- serve: the wall-clock two-tier service --- *)
 

@@ -1,4 +1,4 @@
-module Export = Dangers_runner.Export
+module Json = Dangers_obs.Json
 
 let schema_id = "dangers/bench-micro/v1"
 
@@ -10,90 +10,61 @@ type t = {
 
 let to_json t =
   let stat (s : Harness.stats) =
-    Export.Obj
+    Json.Obj
       [
-        ("name", Export.Str s.Harness.s_name);
-        ("warmup", Export.Num (float_of_int s.Harness.s_warmup));
-        ("samples", Export.Num (float_of_int s.Harness.s_samples));
-        ("runs", Export.Num (float_of_int s.Harness.s_runs));
-        ("mean_ns", Export.json_of_float s.Harness.mean);
-        ("stddev_ns", Export.json_of_float s.Harness.stddev);
-        ("p50_ns", Export.json_of_float s.Harness.p50);
-        ("p99_ns", Export.json_of_float s.Harness.p99);
-        ("min_ns", Export.json_of_float s.Harness.min);
-        ("max_ns", Export.json_of_float s.Harness.max);
+        ("name", Json.Str s.Harness.s_name);
+        ("warmup", Json.int_ s.Harness.s_warmup);
+        ("samples", Json.int_ s.Harness.s_samples);
+        ("runs", Json.int_ s.Harness.s_runs);
+        ("mean_ns", Json.of_float s.Harness.mean);
+        ("stddev_ns", Json.of_float s.Harness.stddev);
+        ("p50_ns", Json.of_float s.Harness.p50);
+        ("p99_ns", Json.of_float s.Harness.p99);
+        ("min_ns", Json.of_float s.Harness.min);
+        ("max_ns", Json.of_float s.Harness.max);
       ]
   in
-  Export.Obj
+  Json.Obj
     [
-      ("schema", Export.Str schema_id);
-      ("host_cores", Export.Num (float_of_int t.host_cores));
-      ("quick", Export.Bool t.quick);
-      ("benchmarks", Export.Arr (List.map stat t.benchmarks));
+      ("schema", Json.Str schema_id);
+      ("host_cores", Json.int_ t.host_cores);
+      ("quick", Json.Bool t.quick);
+      ("benchmarks", Json.Arr (List.map stat t.benchmarks));
     ]
 
-let fail msg = raise (Export.Parse_error ("bench-micro: " ^ msg))
-
-let field fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> fail ("missing field " ^ name)
-
-let num fields name =
-  match field fields name with
-  | Export.Num n -> n
-  | _ -> fail (name ^ " is not a number")
-
 let of_json json =
-  match json with
-  | Export.Obj fields ->
-      (match field fields "schema" with
-      | Export.Str s when String.equal s schema_id -> ()
-      | Export.Str s -> fail ("unsupported schema " ^ s)
-      | _ -> fail "schema is not a string");
-      let quick =
-        match field fields "quick" with
-        | Export.Bool b -> b
-        | _ -> fail "quick is not a bool"
-      in
-      let stat = function
-        | Export.Obj fs ->
-            let name =
-              match field fs "name" with
-              | Export.Str s -> s
-              | _ -> fail "benchmark name is not a string"
-            in
-            {
-              Harness.s_name = name;
-              s_warmup = int_of_float (num fs "warmup");
-              s_samples = int_of_float (num fs "samples");
-              s_runs = int_of_float (num fs "runs");
-              mean = Export.float_of_json (field fs "mean_ns");
-              stddev = Export.float_of_json (field fs "stddev_ns");
-              p50 = Export.float_of_json (field fs "p50_ns");
-              p99 = Export.float_of_json (field fs "p99_ns");
-              min = Export.float_of_json (field fs "min_ns");
-              max = Export.float_of_json (field fs "max_ns");
-            }
-        | _ -> fail "benchmark entry is not an object"
-      in
-      let benchmarks =
-        match field fields "benchmarks" with
-        | Export.Arr entries -> List.map stat entries
-        | _ -> fail "benchmarks is not an array"
-      in
-      { host_cores = int_of_float (num fields "host_cores"); quick; benchmarks }
-  | _ -> fail "top level is not an object"
+  let schema = Json.string_of (Json.member "schema" json) in
+  if not (String.equal schema schema_id) then
+    Json.parse_error "bench-micro: unsupported schema %s" schema;
+  let float name j = Json.to_float (Json.member name j) in
+  let stat j =
+    {
+      Harness.s_name = Json.string_of (Json.member "name" j);
+      s_warmup = Json.int_of (Json.member "warmup" j);
+      s_samples = Json.int_of (Json.member "samples" j);
+      s_runs = Json.int_of (Json.member "runs" j);
+      mean = float "mean_ns" j;
+      stddev = float "stddev_ns" j;
+      p50 = float "p50_ns" j;
+      p99 = float "p99_ns" j;
+      min = float "min_ns" j;
+      max = float "max_ns" j;
+    }
+  in
+  {
+    host_cores = Json.int_of (Json.member "host_cores" json);
+    quick =
+      (match Json.member "quick" json with
+      | Json.Bool b -> b
+      | _ -> Json.parse_error "bench-micro: quick is not a bool");
+    benchmarks = List.map stat (Json.list_of (Json.member "benchmarks" json));
+  }
 
 let save path t =
-  let oc = open_out path in
-  output_string oc (Export.json_to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string (to_json t));
+      output_char oc '\n')
 
 let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  of_json (Export.json_of_string (String.trim contents))
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.trim |> Json.of_string |> of_json

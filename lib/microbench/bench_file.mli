@@ -8,8 +8,8 @@
                      "mean_ns": ..., "stddev_ns": ..., "p50_ns": ...,
                      "p99_ns": ..., "min_ns": ..., "max_ns": ...}, ...]}
     v}
-    All times are nanoseconds per run. Encoded with the runner's tiny JSON
-    printer, so floats round-trip exactly. *)
+    All times are nanoseconds per run. Encoded with {!Dangers_obs.Json},
+    so floats round-trip exactly. *)
 
 val schema_id : string
 
@@ -19,13 +19,13 @@ type t = {
   benchmarks : Harness.stats list;
 }
 
-val to_json : t -> Dangers_runner.Export.json
+val to_json : t -> Dangers_obs.Json.t
 
-val of_json : Dangers_runner.Export.json -> t
-(** @raise Dangers_runner.Export.Parse_error on a malformed or
-    wrong-schema value. *)
+val of_json : Dangers_obs.Json.t -> t
+(** @raise Dangers_obs.Json.Parse_error on a malformed or wrong-schema
+    value. *)
 
 val save : string -> t -> unit
 
 val load : string -> t
-(** @raise Dangers_runner.Export.Parse_error or [Sys_error]. *)
+(** @raise Dangers_obs.Json.Parse_error or [Sys_error]. *)

@@ -1,27 +1,22 @@
 module Task_pool = Dangers_runner.Task_pool
 
-let run_suite ?(suite = `Micro) ~quick () =
-  let benches =
-    match suite with
-    | `Micro -> Suite.benches ~quick
-    | `Serve -> Serve_suite.benches ~quick
-  in
+let run_suite ~quick () =
   let benchmarks =
     List.map
-      (fun b ->
-        let stats = Harness.run b in
+      (fun (c : Suite.case) ->
+        let stats = Harness.run c.bench in
         Format.printf "%a@." Harness.pp_stats stats;
         stats)
-      benches
+      (Suite.cases ~quick)
   in
   { Bench_file.host_cores = Task_pool.host_cores (); quick; benchmarks }
 
-let main ?suite ~quick ~out ~input ~baseline ~threshold () =
+let main ~quick ~out ~input ~baseline ~threshold () =
   let results =
     match input with
     | Some path -> Bench_file.load path
     | None ->
-        let results = run_suite ?suite ~quick () in
+        let results = run_suite ~quick () in
         (match out with
         | Some path ->
             Bench_file.save path results;

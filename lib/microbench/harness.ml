@@ -18,7 +18,7 @@ let bench ?(warmup = 3) ?(samples = 10) ?(runs = 1) name f =
   if runs < 1 then invalid_arg "Harness.bench: need at least one run";
   { name; warmup; samples; runs; f }
 
-let with_samples samples b = { b with samples = max 1 samples }
+let name b = b.name
 
 type stats = {
   s_name : string;

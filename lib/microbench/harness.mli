@@ -14,10 +14,8 @@ val bench :
 (** Defaults: [warmup = 3], [samples = 10], [runs = 1].
     @raise Invalid_argument on a non-positive sample or run count. *)
 
-val with_samples : int -> bench -> bench
-(** Override the sample count (clamped to >= 1); quick mode shrinks sample
-    counts but never the workload, so results stay comparable across
-    modes. *)
+val name : bench -> string
+(** The name its {!stats} are reported under. *)
 
 type stats = {
   s_name : string;

@@ -1,15 +1,13 @@
-(* The benchmark suite: one entry per hot path the paper's cubic laws
-   lean on, plus one end-to-end run. Workloads are fixed — quick mode only
-   trims sample counts (see [Harness.with_samples]) so numbers from quick
-   and full runs stay comparable. *)
+(* The component benchmark suite: one entry per hot path the paper's
+   cubic laws lean on, each naming the bench/e2e per-layer metric it
+   explains. End-to-end numbers come from bench/e2e alone. Workloads are
+   fixed — quick mode only trims sample counts, so numbers from quick and
+   full runs stay comparable. *)
 
 module Mode = Dangers_lock.Mode
 module Lock_manager = Dangers_lock.Lock_manager
 module Engine = Dangers_sim.Engine
-module Observe = Dangers_sim.Observe
 module Par_engine = Dangers_sim.Par_engine
-module Params = Dangers_analytic.Params
-module Scheme = Dangers_experiments.Scheme
 
 (* Uncontended acquire/release: 100 owners each take 4 private X locks and
    drop them — the fast path of every action that meets no conflict. *)
@@ -95,15 +93,6 @@ let engine_cancel_churn () =
   done;
   Engine.run engine
 
-(* The acceptance-bar benchmark: a full eager-group run in the unstable
-   regime the paper warns about (nodes=10, small hot database), dominated
-   by lock waits, deadlock detection and restarts. *)
-let e2e_eager_group () =
-  let params = { Params.default with Params.nodes = 10; db_size = 500 } in
-  ignore
-    (Scheme.run_named "eager-group" (Scheme.spec params) ~seed:7 ~warmup:0.
-       ~span:30.)
-
 (* Pure window-synchronization machinery: 8 partitions pass a token around
    a ring with every hop at exactly the lookahead bound, so each window
    fires one event and drains one message — all barrier and merge
@@ -123,37 +112,20 @@ let parsim_window_ring () =
   if Par_engine.events_fired t < 10_000 then
     failwith "Suite.parsim_window_ring: short run"
 
-(* The partitioned update-anywhere scheme at the paper's headline scale
-   (100 nodes): every update X-locks all 100 replicas and broadcasts its
-   apply, so the run is dominated by cross-partition message routing and
-   per-partition event heaps — exactly what --sim-domains spreads across
-   cores. Benchmarked at one domain and at four so BENCH_micro records the
-   measured speedup next to [host_cores]; on a single-core host the two
-   entries are expected to tie (see docs/PARALLEL_SIM.md). *)
-let par_eager_n100_params =
-  { Params.default with Params.nodes = 100; db_size = 10_000; tps = 1. }
+type case = { bench : Harness.bench; explains : string }
 
-let e2e_par_eager ~domains () =
-  Observe.with_domains domains (fun () ->
-      ignore
-        (Scheme.run_named "par-eager-group"
-           (Scheme.spec par_eager_n100_params)
-           ~seed:7 ~warmup:0. ~span:4.))
-
-let benches ~quick =
-  let scale full b =
-    Harness.with_samples (if quick then max 2 (full / 5) else full) b
+let cases ~quick =
+  let case ?runs full name explains f =
+    let samples = if quick then max 2 (full / 5) else full in
+    { bench = Harness.bench ?runs ~samples name f; explains }
   in
   [
-    scale 20 (Harness.bench ~runs:10 "lock/acquire-release" lock_acquire_release);
-    scale 20 (Harness.bench ~runs:10 "lock/contended-fifo" lock_contended_fifo);
-    scale 20 (Harness.bench ~runs:10 "lock/deadlock-chain" lock_deadlock_chain);
-    scale 10 (Harness.bench "engine/event-throughput" engine_event_throughput);
-    scale 20 (Harness.bench ~runs:10 "engine/cancel-churn" engine_cancel_churn);
-    scale 10 (Harness.bench "parsim/window-ring" parsim_window_ring);
-    scale 5 (Harness.bench ~warmup:1 "e2e/eager-group-n10" e2e_eager_group);
-    scale 4
-      (Harness.bench ~warmup:1 "e2e/par-eager-n100-d1" (e2e_par_eager ~domains:1));
-    scale 4
-      (Harness.bench ~warmup:1 "e2e/par-eager-n100-d4" (e2e_par_eager ~domains:4));
+    case ~runs:10 20 "lock/acquire-release" "sim.step_ns.p50"
+      lock_acquire_release;
+    case ~runs:10 20 "lock/contended-fifo" "lock.waits" lock_contended_fifo;
+    case ~runs:10 20 "lock/deadlock-chain" "lock.dfs_visits" lock_deadlock_chain;
+    case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
+    case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"
+      engine_cancel_churn;
+    case 10 "parsim/window-ring" "parsim.windows" parsim_window_ring;
   ]

@@ -5,10 +5,7 @@
     doubles. Floats print with the shortest representation that parses back
     exactly, so a JSONL file round-trips. Non-finite floats (fitted
     exponents can be [nan]) are encoded as the strings ["nan"], ["inf"],
-    ["-inf"] by {!of_float}.
-
-    [Dangers_runner.Export] re-exports this module's type and functions
-    under its historical names; new code should use this module directly. *)
+    ["-inf"] by {!of_float}. *)
 
 type t =
   | Null

@@ -1,31 +1,7 @@
 module Experiment = Dangers_experiments.Experiment
 module Repl_stats = Dangers_replication.Repl_stats
 
-(* --- JSON ---
-
-   The codec itself now lives in [Dangers_obs.Json] so layers below the
-   runner (trace export, metrics snapshots) can share it; the historical
-   names are kept as aliases because tests and external scripts grew up
-   against them. *)
-
 module Json = Dangers_obs.Json
-
-type json = Json.t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error = Json.Parse_error
-
-let parse_error = Json.parse_error
-let float_repr = Json.float_repr
-let json_to_string = Json.to_string
-let json_of_string = Json.of_string
-let json_of_float = Json.of_float
-let float_of_json = Json.to_float
 
 (* --- export records --- *)
 
@@ -63,119 +39,115 @@ let record_of_item = function
           diagnostics = outcome.Dangers_experiments.Scheme.diagnostics;
         }
 
-let int_ = Json.int_
-
 let finding_to_json (f : Experiment.finding) =
-  Obj
+  Json.Obj
     [
-      ("label", Str f.Experiment.label);
-      ("expected", json_of_float f.Experiment.expected);
-      ("actual", json_of_float f.Experiment.actual);
-      ("tolerance", json_of_float f.Experiment.tolerance);
-      ("ok", Bool (Experiment.finding_ok f));
+      ("label", Json.Str f.Experiment.label);
+      ("expected", Json.of_float f.Experiment.expected);
+      ("actual", Json.of_float f.Experiment.actual);
+      ("tolerance", Json.of_float f.Experiment.tolerance);
+      ("ok", Json.Bool (Experiment.finding_ok f));
     ]
 
 let summary_to_json (s : Repl_stats.summary) =
-  Obj
+  Json.Obj
     [
-      ("scheme", Str s.Repl_stats.scheme);
-      ("window", json_of_float s.Repl_stats.window);
-      ("commits", int_ s.Repl_stats.commits);
-      ("waits", int_ s.Repl_stats.waits);
-      ("deadlocks", int_ s.Repl_stats.deadlocks);
-      ("restarts", int_ s.Repl_stats.restarts);
-      ("reconciliations", int_ s.Repl_stats.reconciliations);
-      ("commit_rate", json_of_float s.Repl_stats.commit_rate);
-      ("wait_rate", json_of_float s.Repl_stats.wait_rate);
-      ("deadlock_rate", json_of_float s.Repl_stats.deadlock_rate);
-      ("reconciliation_rate", json_of_float s.Repl_stats.reconciliation_rate);
-      ("mean_duration", json_of_float s.Repl_stats.mean_duration);
+      ("scheme", Json.Str s.Repl_stats.scheme);
+      ("window", Json.of_float s.Repl_stats.window);
+      ("commits", Json.int_ s.Repl_stats.commits);
+      ("waits", Json.int_ s.Repl_stats.waits);
+      ("deadlocks", Json.int_ s.Repl_stats.deadlocks);
+      ("restarts", Json.int_ s.Repl_stats.restarts);
+      ("reconciliations", Json.int_ s.Repl_stats.reconciliations);
+      ("commit_rate", Json.of_float s.Repl_stats.commit_rate);
+      ("wait_rate", Json.of_float s.Repl_stats.wait_rate);
+      ("deadlock_rate", Json.of_float s.Repl_stats.deadlock_rate);
+      ("reconciliation_rate", Json.of_float s.Repl_stats.reconciliation_rate);
+      ("mean_duration", Json.of_float s.Repl_stats.mean_duration);
     ]
 
 let to_json = function
   | Experiment_record { id; title; seed; findings; notes } ->
-      Obj
+      Json.Obj
         [
-          ("kind", Str "experiment");
-          ("id", Str id);
-          ("title", Str title);
-          ("seed", int_ seed);
-          ("findings", Arr (List.map finding_to_json findings));
-          ("notes", Arr (List.map (fun n -> Str n) notes));
+          ("kind", Json.Str "experiment");
+          ("id", Json.Str id);
+          ("title", Json.Str title);
+          ("seed", Json.int_ seed);
+          ("findings", Json.Arr (List.map finding_to_json findings));
+          ("notes", Json.Arr (List.map (fun n -> Json.Str n) notes));
         ]
   | Scheme_record { scheme; seed; summary; diagnostics } ->
-      Obj
+      Json.Obj
         [
-          ("kind", Str "scheme-run");
-          ("scheme", Str scheme);
-          ("seed", int_ seed);
+          ("kind", Json.Str "scheme-run");
+          ("scheme", Json.Str scheme);
+          ("seed", Json.int_ seed);
           ("summary", summary_to_json summary);
           ( "diagnostics",
-            Obj (List.map (fun (k, v) -> (k, json_of_float v)) diagnostics) );
+            Json.Obj
+              (List.map (fun (k, v) -> (k, Json.of_float v)) diagnostics) );
         ]
-
-let member = Json.member
-let string_of = Json.string_of
-let int_of = Json.int_of
-let list_of = Json.list_of
 
 let finding_of_json j =
   {
-    Experiment.label = string_of (member "label" j);
-    expected = float_of_json (member "expected" j);
-    actual = float_of_json (member "actual" j);
-    tolerance = float_of_json (member "tolerance" j);
+    Experiment.label = Json.string_of (Json.member "label" j);
+    expected = Json.to_float (Json.member "expected" j);
+    actual = Json.to_float (Json.member "actual" j);
+    tolerance = Json.to_float (Json.member "tolerance" j);
   }
 
 let summary_of_json j =
   {
-    Repl_stats.scheme = string_of (member "scheme" j);
-    window = float_of_json (member "window" j);
-    commits = int_of (member "commits" j);
-    waits = int_of (member "waits" j);
-    deadlocks = int_of (member "deadlocks" j);
-    restarts = int_of (member "restarts" j);
-    reconciliations = int_of (member "reconciliations" j);
-    commit_rate = float_of_json (member "commit_rate" j);
-    wait_rate = float_of_json (member "wait_rate" j);
-    deadlock_rate = float_of_json (member "deadlock_rate" j);
-    reconciliation_rate = float_of_json (member "reconciliation_rate" j);
-    mean_duration = float_of_json (member "mean_duration" j);
+    Repl_stats.scheme = Json.string_of (Json.member "scheme" j);
+    window = Json.to_float (Json.member "window" j);
+    commits = Json.int_of (Json.member "commits" j);
+    waits = Json.int_of (Json.member "waits" j);
+    deadlocks = Json.int_of (Json.member "deadlocks" j);
+    restarts = Json.int_of (Json.member "restarts" j);
+    reconciliations = Json.int_of (Json.member "reconciliations" j);
+    commit_rate = Json.to_float (Json.member "commit_rate" j);
+    wait_rate = Json.to_float (Json.member "wait_rate" j);
+    deadlock_rate = Json.to_float (Json.member "deadlock_rate" j);
+    reconciliation_rate = Json.to_float (Json.member "reconciliation_rate" j);
+    mean_duration = Json.to_float (Json.member "mean_duration" j);
   }
 
 let of_json j =
-  match string_of (member "kind" j) with
+  match Json.string_of (Json.member "kind" j) with
   | "experiment" ->
       Experiment_record
         {
-          id = string_of (member "id" j);
-          title = string_of (member "title" j);
-          seed = int_of (member "seed" j);
-          findings = List.map finding_of_json (list_of (member "findings" j));
-          notes = List.map string_of (list_of (member "notes" j));
+          id = Json.string_of (Json.member "id" j);
+          title = Json.string_of (Json.member "title" j);
+          seed = Json.int_of (Json.member "seed" j);
+          findings =
+            List.map finding_of_json (Json.list_of (Json.member "findings" j));
+          notes = List.map Json.string_of (Json.list_of (Json.member "notes" j));
         }
   | "scheme-run" ->
       Scheme_record
         {
-          scheme = string_of (member "scheme" j);
-          seed = int_of (member "seed" j);
-          summary = summary_of_json (member "summary" j);
+          scheme = Json.string_of (Json.member "scheme" j);
+          seed = Json.int_of (Json.member "seed" j);
+          summary = summary_of_json (Json.member "summary" j);
           diagnostics =
-            (match member "diagnostics" j with
-            | Obj fields ->
-                List.map (fun (k, v) -> (k, float_of_json v)) fields
-            | j -> parse_error "expected an object, got %s" (json_to_string j));
+            (match Json.member "diagnostics" j with
+            | Json.Obj fields ->
+                List.map (fun (k, v) -> (k, Json.to_float v)) fields
+            | j ->
+                Json.parse_error "expected an object, got %s" (Json.to_string j));
         }
-  | kind -> parse_error "unknown record kind %S" kind
+  | kind -> Json.parse_error "unknown record kind %S" kind
 
 let to_jsonl records =
   String.concat ""
-    (List.map (fun r -> json_to_string (to_json r) ^ "\n") records)
+    (List.map (fun r -> Json.to_string (to_json r) ^ "\n") records)
 
 let of_jsonl input =
   String.split_on_char '\n' input
   |> List.filter (fun line -> String.trim line <> "")
-  |> List.map (fun line -> of_json (json_of_string line))
+  |> List.map (fun line -> of_json (Json.of_string line))
 
 (* --- CSV --- *)
 
@@ -208,9 +180,9 @@ let to_csv records =
               row
                 ([
                    "finding"; id; string_of_int seed; f.Experiment.label;
-                   float_repr f.Experiment.expected;
-                   float_repr f.Experiment.actual;
-                   float_repr f.Experiment.tolerance;
+                   Json.float_repr f.Experiment.expected;
+                   Json.float_repr f.Experiment.actual;
+                   Json.float_repr f.Experiment.tolerance;
                    (if Experiment.finding_ok f then "true" else "false");
                  ]
                 @ blank 13))
@@ -221,20 +193,20 @@ let to_csv records =
             @ blank 5
             @ [
                 scheme;
-                float_repr s.Repl_stats.window;
+                Json.float_repr s.Repl_stats.window;
                 string_of_int s.Repl_stats.commits;
-                float_repr s.Repl_stats.commit_rate;
+                Json.float_repr s.Repl_stats.commit_rate;
                 string_of_int s.Repl_stats.waits;
-                float_repr s.Repl_stats.wait_rate;
+                Json.float_repr s.Repl_stats.wait_rate;
                 string_of_int s.Repl_stats.deadlocks;
-                float_repr s.Repl_stats.deadlock_rate;
+                Json.float_repr s.Repl_stats.deadlock_rate;
                 string_of_int s.Repl_stats.restarts;
                 string_of_int s.Repl_stats.reconciliations;
-                float_repr s.Repl_stats.reconciliation_rate;
-                float_repr s.Repl_stats.mean_duration;
+                Json.float_repr s.Repl_stats.reconciliation_rate;
+                Json.float_repr s.Repl_stats.mean_duration;
                 String.concat ";"
                   (List.map
-                     (fun (k, v) -> k ^ "=" ^ float_repr v)
+                     (fun (k, v) -> k ^ "=" ^ Json.float_repr v)
                      diagnostics);
               ]))
     records;

@@ -1,40 +1,14 @@
 (** Structured result export: sweep items as JSONL or CSV.
 
-    The JSON codec lives in {!Dangers_obs.Json} (shared with the trace
-    and metrics exporters); this module re-exports it under its
-    historical names so existing callers and scripts keep working. Floats
-    print with the shortest representation that parses back exactly, so a
-    JSONL file round-trips: [to_jsonl (of_jsonl s) = s]. Non-finite
-    floats (fitted exponents can be [nan]) are encoded as the strings
-    ["nan"], ["inf"], ["-inf"]. *)
+    Records encode with {!Dangers_obs.Json}, the codec shared with the
+    trace and metrics exporters. Floats print with the shortest
+    representation that parses back exactly, so a JSONL file
+    round-trips: [to_jsonl (of_jsonl s) = s]. Non-finite floats (fitted
+    exponents can be [nan]) are encoded as the strings ["nan"], ["inf"],
+    ["-inf"]. *)
 
 module Experiment = Dangers_experiments.Experiment
 module Repl_stats = Dangers_replication.Repl_stats
-
-(** {1 JSON} *)
-
-type json = Dangers_obs.Json.t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-(** Alias of {!Dangers_obs.Json.Parse_error}. *)
-
-val json_to_string : json -> string
-(** Single-line (JSONL-safe) rendering. *)
-
-val json_of_string : string -> json
-(** @raise Parse_error on malformed input or trailing garbage. *)
-
-val json_of_float : float -> json
-(** [Num] for finite floats, [Str "nan"]/[Str "inf"]/[Str "-inf"] else. *)
-
-val float_of_json : json -> float
-(** Inverse of {!json_of_float}. @raise Parse_error otherwise. *)
 
 (** {1 Export records}
 
@@ -58,9 +32,10 @@ type record =
 
 val record_of_item : Sweep.item -> record
 
-val to_json : record -> json
-val of_json : json -> record
-(** @raise Parse_error on a JSON value that is not a record. *)
+val to_json : record -> Dangers_obs.Json.t
+val of_json : Dangers_obs.Json.t -> record
+(** @raise Dangers_obs.Json.Parse_error on a JSON value that is not a
+    record. *)
 
 (** {1 Files} *)
 
@@ -68,7 +43,8 @@ val to_jsonl : record list -> string
 (** One record per line, trailing newline. *)
 
 val of_jsonl : string -> record list
-(** Blank lines are skipped. @raise Parse_error on a bad line. *)
+(** Blank lines are skipped. @raise Dangers_obs.Json.Parse_error on a
+    bad line. *)
 
 val to_csv : record list -> string
 (** One row per experiment finding ([kind=finding]) and per scheme-run

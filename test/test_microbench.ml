@@ -1,10 +1,12 @@
 (* Micro-benchmark harness tests: statistics, the BENCH_micro.json schema
-   round-trip, and the regression comparator's verdicts. *)
+   round-trip, the regression comparator's verdicts, and the suite's tie
+   to the bench/e2e per-layer metrics. *)
 
 module Harness = Dangers_microbench.Harness
 module Bench_file = Dangers_microbench.Bench_file
 module Compare = Dangers_microbench.Compare
-module Export = Dangers_runner.Export
+module Suite = Dangers_microbench.Suite
+module Json = Dangers_obs.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -66,14 +68,12 @@ let test_schema_round_trip () =
       benchmarks = [ sample_stats "a/b" 123.456; sample_stats "c" 1e9 ];
     }
   in
-  let json = Export.json_to_string (Bench_file.to_json file) in
-  let back = Bench_file.of_json (Export.json_of_string json) in
+  let json = Json.to_string (Bench_file.to_json file) in
+  let back = Bench_file.of_json (Json.of_string json) in
   checkb "round-trips exactly" true (back = file);
   Alcotest.check_raises "wrong schema rejected"
-    (Export.Parse_error "bench-micro: unsupported schema nope") (fun () ->
-      ignore
-        (Bench_file.of_json
-           (Export.Obj [ ("schema", Export.Str "nope") ])))
+    (Json.Parse_error "bench-micro: unsupported schema nope") (fun () ->
+      ignore (Bench_file.of_json (Json.Obj [ ("schema", Json.Str "nope") ])))
 
 let compare_files old_means new_means =
   let file benchmarks =
@@ -123,6 +123,25 @@ let test_compare_missing_bench_tolerated () =
   in
   checkb "regressions still fail" false (Compare.ok report3)
 
+(* Every component case explains one bench/e2e per-layer metric, and
+   end-to-end numbers come from bench/e2e alone. *)
+let test_cases_explain_per_layer_metrics () =
+  let per_layer =
+    In_channel.with_open_bin "../BENCHMARK.json" In_channel.input_all
+    |> Json.of_string |> Json.member "per_layer" |> Json.list_of
+    |> List.map (fun m -> Json.string_of (Json.member "name" m))
+  in
+  List.iter
+    (fun (c : Suite.case) ->
+      let name = Harness.name c.Suite.bench in
+      checkb (name ^ " is a component case") false
+        (String.starts_with ~prefix:"e2e/" name);
+      checkb
+        (Printf.sprintf "%s explains per-layer metric %s" name c.Suite.explains)
+        true
+        (List.mem c.Suite.explains per_layer))
+    (Suite.cases ~quick:true)
+
 let suite =
   [
     Alcotest.test_case "stats of samples" `Quick test_stats_of_samples;
@@ -137,4 +156,6 @@ let suite =
       test_compare_ok_within_threshold;
     Alcotest.test_case "compare tolerates lost bench" `Quick
       test_compare_missing_bench_tolerated;
+    Alcotest.test_case "cases explain per-layer metrics" `Quick
+      test_cases_explain_per_layer_metrics;
   ]

@@ -108,7 +108,7 @@ let test_json_value_round_trip () =
   List.iter
     (fun s ->
       checks "canonical json round-trips" s
-        Export.(json_to_string (json_of_string s)))
+        Dangers_obs.Json.(to_string (of_string s)))
     [
       {|{"a":[1,2.5,-3e-05],"b":"x\"y\\z","c":[true,false,null],"d":{}}|};
       {|"é\t\n"|};
@@ -118,7 +118,7 @@ let test_json_value_round_trip () =
 let test_float_round_trip () =
   List.iter
     (fun f ->
-      let back = Export.(float_of_json (json_of_float f)) in
+      let back = Dangers_obs.Json.(to_float (of_float f)) in
       checkb (Printf.sprintf "%h survives" f) true
         (Float.equal back f || (Float.is_nan f && Float.is_nan back)))
     [ 0.; -0.; 1.5; 0.1; 1e300; 4e-12; Float.nan; Float.infinity;
