@@ -5,9 +5,13 @@
    eager run performs millions of acquire / blockers / release operations.
    The representation is chosen for that load:
 
-   - Granted entries live in a pair of parallel compact arrays (owners and
-     modes), unordered; removal swaps the last entry in. All the consumers
-     ([blockers], [grantable], upgrades) are order-insensitive.
+   - Granted owners live in a compact array, unordered; removal swaps the
+     last entry in. All the consumers ([blockers], [admits], upgrades)
+     are order-insensitive. A lock keeps one grant mode, not one per
+     grant: a granted set is always all-S or a single X, because X is
+     granted only into an empty set and an upgrade only to a sole holder.
+     The array starts at capacity 1, since nearly every granted set is
+     one X.
    - The FIFO wait queue is a power-of-two ring buffer: O(1) append at the
      tail, O(1) upgrade push at the front, O(1) pop, cache-friendly scans.
    - Each live owner has one record: the locks it holds, the lock it waits
@@ -33,9 +37,9 @@ module Int_table = Dangers_util.Int_table
 
 type lock = {
   resource : int;
-  (* granted set: parallel arrays, [g_n] live entries, unordered *)
+  (* granted set: [g_n] live entries, unordered, all granted [g_mode] *)
   mutable g_owner : owner array;
-  mutable g_mode : Mode.t array;
+  mutable g_mode : Mode.t;
   mutable g_n : int;
   (* wait queue: ring buffer, capacity a power of two, [q_head] is front *)
   mutable q_buf : waiter array;
@@ -76,7 +80,7 @@ type t = {
 type outcome = Granted | Queued
 
 let new_lock resource =
-  { resource; g_owner = [||]; g_mode = [||]; g_n = 0;
+  { resource; g_owner = [||]; g_mode = Mode.X; g_n = 0;
     q_buf = [||]; q_head = 0; q_n = 0; version = 0 }
 
 let create () =
@@ -124,24 +128,30 @@ let g_find lock o =
   let rec scan i = if i >= lock.g_n then -1 else if lock.g_owner.(i) == o then i else scan (i + 1) in
   scan 0
 
+(* Callers add only a mode compatible with the granted set, so [mode] is
+   the set's mode from here on. *)
 let g_add t lock o mode =
   let cap = Array.length lock.g_owner in
   if lock.g_n = cap then begin
-    let cap' = if cap = 0 then 4 else 2 * cap in
-    let owners = Array.make cap' t.vacant.w_owner and modes = Array.make cap' Mode.X in
+    let owners = Array.make (max 1 (2 * cap)) t.vacant.w_owner in
     Array.blit lock.g_owner 0 owners 0 lock.g_n;
-    Array.blit lock.g_mode 0 modes 0 lock.g_n;
-    lock.g_owner <- owners;
-    lock.g_mode <- modes
+    lock.g_owner <- owners
   end;
   lock.g_owner.(lock.g_n) <- o;
-  lock.g_mode.(lock.g_n) <- mode;
+  lock.g_mode <- mode;
   lock.g_n <- lock.g_n + 1
+
+(* Compatible with every grant held by an owner other than [o]. An owner
+   holds a lock at most once, so the only such set that conflicts and
+   still admits [o] is [o]'s own sole grant: the upgrade case. *)
+let admits lock o mode =
+  lock.g_n = 0
+  || Mode.compatible lock.g_mode mode
+  || (lock.g_n = 1 && lock.g_owner.(0) == o)
 
 let g_remove t lock i =
   let last = lock.g_n - 1 in
   lock.g_owner.(i) <- lock.g_owner.(last);
-  lock.g_mode.(i) <- lock.g_mode.(last);
   lock.g_owner.(last) <- t.vacant.w_owner;
   lock.g_n <- last
 
@@ -202,17 +212,6 @@ let stop_wait t o =
   o.w_lock <- t.idle;
   o.w_blockers <- []
 
-(* A waiter is grantable when its mode is compatible with every grant held by
-   a different owner (its own grant is ignored: that is the upgrade case). *)
-let grantable lock waiter =
-  let rec check i =
-    i >= lock.g_n
-    || ((lock.g_owner.(i) == waiter.w_owner
-         || Mode.compatible lock.g_mode.(i) waiter.w_mode)
-        && check (i + 1))
-  in
-  check 0
-
 let grant_waiter t lock waiter =
   let o = waiter.w_owner in
   (match g_find lock o with
@@ -220,20 +219,23 @@ let grant_waiter t lock waiter =
       g_add t lock o waiter.w_mode;
       o.held <- lock :: o.held;
       t.grants <- t.grants + 1
-  | i -> lock.g_mode.(i) <- waiter.w_mode);
+  | _ -> lock.g_mode <- waiter.w_mode);
   stop_wait t o
 
 (* Strict FIFO pump: grant from the front until the first waiter that still
    conflicts. Returns the grant callbacks to run once state is settled. *)
 let pump t lock =
   let rec loop acc =
-    if lock.q_n > 0 && grantable lock (q_get lock 0) then begin
-      let waiter = q_pop_front t lock in
-      grant_waiter t lock waiter;
-      bump lock;
-      loop (waiter.on_grant :: acc)
-    end
-    else List.rev acc
+    if lock.q_n = 0 then List.rev acc
+    else
+      let waiter = q_get lock 0 in
+      if admits lock waiter.w_owner waiter.w_mode then begin
+        ignore (q_pop_front t lock);
+        grant_waiter t lock waiter;
+        bump lock;
+        loop (waiter.on_grant :: acc)
+      end
+      else List.rev acc
   in
   loop []
 
@@ -244,16 +246,13 @@ let acquire t ~owner ~resource ~mode ~on_grant =
   let lock = lock_for t resource in
   let gi = g_find lock o in
   if gi >= 0 then begin
-    if Mode.covers ~held:lock.g_mode.(gi) ~requested:mode then Granted
+    if Mode.covers ~held:lock.g_mode ~requested:mode then Granted
     else begin
       (* Upgrade S -> X. Sole holder upgrades in place; otherwise the upgrade
          waits at the front of the queue so it cannot deadlock behind new
          arrivals. *)
-      let rec sole i = i >= lock.g_n || (lock.g_owner.(i) == o && sole (i + 1)) in
-      if sole 0 then begin
-        for i = 0 to lock.g_n - 1 do
-          lock.g_mode.(i) <- Mode.X
-        done;
+      if lock.g_n = 1 then begin
+        lock.g_mode <- Mode.X;
         bump lock;
         Granted
       end
@@ -266,11 +265,7 @@ let acquire t ~owner ~resource ~mode ~on_grant =
     end
   end
   else begin
-    let rec compatible_with_granted i =
-      i >= lock.g_n
-      || (Mode.compatible lock.g_mode.(i) mode && compatible_with_granted (i + 1))
-    in
-    if lock.q_n = 0 && compatible_with_granted 0 then begin
+    if lock.q_n = 0 && admits lock o mode then begin
       g_add t lock o mode;
       o.held <- lock :: o.held;
       t.grants <- t.grants + 1;
@@ -314,11 +309,11 @@ let recompute_blockers o =
   in
   let ahead, my_mode = find 0 in
   let acc = ref [] in
-  for i = 0 to lock.g_n - 1 do
-    let holder = lock.g_owner.(i) in
-    if holder != o && not (Mode.compatible lock.g_mode.(i) my_mode) then
-      acc := holder :: !acc
-  done;
+  if not (Mode.compatible lock.g_mode my_mode) then
+    for i = 0 to lock.g_n - 1 do
+      let holder = lock.g_owner.(i) in
+      if holder != o then acc := holder :: !acc
+    done;
   for i = 0 to ahead - 1 do
     let w = q_get lock i in
     if not (Mode.compatible w.w_mode my_mode) then acc := w.w_owner :: !acc
@@ -433,7 +428,7 @@ let holds t ~owner ~resource =
       match List.find_opt (fun lock -> lock.resource = resource) o.held with
       | None -> None
       | Some lock -> (
-          match g_find lock o with -1 -> None | i -> Some lock.g_mode.(i)))
+          match g_find lock o with -1 -> None | _ -> Some lock.g_mode))
 
 let held_resources t ~owner =
   match Int_table.find_opt t.owners owner with

@@ -15,12 +15,15 @@ module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
 module Domain_pool = Dangers_util.Domain_pool
 module Int_table = Dangers_util.Int_table
+module Lock_table = Dangers_lock.Lock_table
+module Mode = Dangers_lock.Mode
 module Repl_stats = Repl_stats
 
 (* Transaction identity: home node plus a home-local serial. Retries are
    new transactions (fresh tid), so a stale message can never be confused
    with the current attempt. [key] packs both into one int,
-   [tid * nodes + home], for the int-keyed tables. *)
+   [tid * nodes + home]: the owner id in the lock tables and the key of
+   the int-keyed tables. *)
 type owner = { home : int; tid : int; key : int }
 
 type msg =
@@ -31,16 +34,6 @@ type msg =
   | Probe of { initiator : owner; subject : owner; ttl : int }
   | Probe_at of { initiator : owner; waiter : owner; oid : int; ttl : int }
   | Victim of { owner : owner }
-
-type lmode = S | X
-
-type waiter = { w_owner : owner; w_mode : lmode }
-
-type entry = {
-  mutable holders : owner list;  (* S: many; X: exactly one *)
-  mutable hmode : lmode;
-  mutable queue : waiter list;  (* FIFO; appends are O(n) but queues are short *)
-}
 
 type txn = {
   t_owner : owner;
@@ -59,8 +52,7 @@ type node = {
   stats : Repl_stats.t;
   store : Fstore.t;
   lamport : Timestamp.Clock.t;
-  locks : entry Int_table.t;  (* by oid *)
-  held : int list ref Int_table.t;  (* owner key -> every oid held or queued here *)
+  locks : Lock_table.t;  (* resources are oids, owners are [owner.key] *)
   active : txn Int_table.t;  (* home transactions by tid *)
   mutable next_tid : int;
   gen_rng : Rng.t;
@@ -93,78 +85,9 @@ let lock_timeout t =
 
 let send_delay t node = Float.max t.lookahead (Delay.sample t.delay node.delay_rng)
 
-(* --- lock table ------------------------------------------------------ *)
-
-let entry_for node oid =
-  match Int_table.find_opt node.locks oid with
-  | Some e -> e
-  | None ->
-      let e = { holders = []; hmode = X; queue = [] } in
-      Int_table.add node.locks oid e;
-      e
-
-let note_interest node owner oid =
-  match Int_table.find_opt node.held owner.key with
-  | Some oids -> if not (List.mem oid !oids) then oids := oid :: !oids
-  | None -> Int_table.add node.held owner.key (ref [ oid ])
-
-let owner_equal a b = a.key = b.key
-
-(* Request a lock at this node. Queued requests wait behind earlier queued
-   ones even when instantaneously compatible — FIFO fairness, and writers
-   cannot starve. *)
-let request node ~owner ~mode oid =
-  let e = entry_for node oid in
-  note_interest node owner oid;
-  match (e.holders, mode) with
-  | [], _ ->
-      e.holders <- [ owner ];
-      e.hmode <- mode;
-      `Granted
-  | _, S when e.hmode = S && e.queue = [] ->
-      e.holders <- owner :: e.holders;
-      `Granted
-  | _ ->
-      e.queue <- e.queue @ [ { w_owner = owner; w_mode = mode } ];
-      `Queued e.holders
-
-let promote node oid ~grant =
-  let e = entry_for node oid in
-  if e.holders = [] then
-    match e.queue with
-    | [] -> ()
-    | { w_mode = X; w_owner } :: rest ->
-        e.holders <- [ w_owner ];
-        e.hmode <- X;
-        e.queue <- rest;
-        grant w_owner
-    | { w_mode = S; _ } :: _ ->
-        let rec split acc = function
-          | { w_mode = S; w_owner } :: rest -> split (w_owner :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let readers, rest = split [] e.queue in
-        e.holders <- readers;
-        e.hmode <- S;
-        e.queue <- rest;
-        List.iter grant readers
-
-let release_owner node owner ~grant =
-  match Int_table.find_opt node.held owner.key with
-  | None -> ()
-  | Some oids ->
-      Int_table.remove node.held owner.key;
-      List.iter
-        (fun oid ->
-          match Int_table.find_opt node.locks oid with
-          | None -> ()
-          | Some e ->
-              e.holders <-
-                List.filter (fun o -> not (owner_equal o owner)) e.holders;
-              e.queue <-
-                List.filter (fun w -> not (owner_equal w.w_owner owner)) e.queue;
-              promote node oid ~grant:(grant ~oid))
-        !oids
+let owner_of_key t key =
+  let n = node_count t in
+  { home = key mod n; tid = key / n; key }
 
 (* --- protocol -------------------------------------------------------- *)
 
@@ -183,33 +106,42 @@ and granted t site ~oid owner =
   if owner.home = site.id then on_granted t ~site:site.id ~oid owner
   else send t ~src:site.id ~dst:owner.home (Lock_grant { owner; oid })
 
-(* Probes: initiated where a request blocks, chased from the subject's
-   home to wherever it is waiting, and back through that lock's holders.
-   A cycle returns to the initiator, which becomes the victim. *)
-and probe_blockers t site ~waiter ~holders =
-  List.iter
-    (fun blocker ->
-      if not (owner_equal blocker waiter) then begin
-        Metrics.incr site.stats.Repl_stats.deadlock_probes;
-        send t ~src:site.id ~dst:blocker.home
-          (Probe { initiator = waiter; subject = blocker; ttl = 2 * node_count t })
-      end)
-    holders
+(* Request [oid] at [site]; true when granted at once. A queued request
+   counts a wait and starts a probe, and its grant reaches [granted]. *)
+and request t site ~owner ~mode oid =
+  match
+    Lock_table.acquire site.locks ~owner:owner.key ~resource:oid ~mode
+      ~on_grant:(fun () -> granted t site ~oid owner)
+  with
+  | Lock_table.Granted -> true
+  | Lock_table.Queued ->
+      Metrics.incr site.stats.Repl_stats.waits;
+      chase t site ~initiator:owner ~waiter:owner ~ttl:(2 * node_count t);
+      false
 
-and blocked t site ~owner ~holders =
-  Metrics.incr site.stats.Repl_stats.waits;
-  probe_blockers t site ~waiter:owner ~holders
+(* Probes: initiated where a request blocks, chased from the subject's
+   home to wherever it is waiting, and on through that wait's blockers —
+   the lock's conflicting holders and the conflicting waiters queued ahead
+   of it. A cycle returns to the initiator, which becomes the victim. *)
+and chase t site ~initiator ~waiter ~ttl =
+  List.iter
+    (fun key ->
+      if key = initiator.key then
+        send t ~src:site.id ~dst:initiator.home (Victim { owner = initiator })
+      else begin
+        Metrics.incr site.stats.Repl_stats.deadlock_probes;
+        let subject = owner_of_key t key in
+        send t ~src:site.id ~dst:subject.home (Probe { initiator; subject; ttl })
+      end)
+    (Lock_table.blockers site.locks ~owner:waiter.key)
 
 and handle t ~src ~dst msg =
   let node = t.nodes.(dst) in
   match msg with
-  | Lock_req { owner; oid } -> (
-      match request node ~owner ~mode:X oid with
-      | `Granted -> granted t node ~oid owner
-      | `Queued holders -> blocked t node ~owner ~holders)
+  | Lock_req { owner; oid } ->
+      if request t node ~owner ~mode:Mode.X oid then granted t node ~oid owner
   | Lock_grant { owner; oid } ->
-      (* [src] is the granting site. A grant for a dead transaction needs
-         no reply: the abort already sent that site a Release. *)
+      (* [src] is the granting site. *)
       if owner.home = dst then on_granted t ~site:src ~oid owner
   | Commit_apply { owner; writes } ->
       List.iter
@@ -219,39 +151,24 @@ and handle t ~src ~dst msg =
           | `Applied -> Metrics.incr node.stats.Repl_stats.replica_applied
           | `Stale -> Metrics.incr node.stats.Repl_stats.stale_discards)
         writes;
-      release_owner node owner ~grant:(fun ~oid o -> granted t node ~oid o)
-  | Release { owner } ->
-      release_owner node owner ~grant:(fun ~oid o -> granted t node ~oid o)
+      Lock_table.release_all node.locks ~owner:owner.key
+  | Release { owner } -> Lock_table.release_all node.locks ~owner:owner.key
   | Probe { initiator; subject; ttl } -> (
       if ttl > 0 && subject.home = dst then
         match Int_table.find_opt node.active subject.tid with
         | None -> ()
         | Some txn ->
-            if (not txn.t_done) && owner_equal txn.t_owner subject then
+            if not txn.t_done then
               List.iter
                 (fun (site, oid) ->
                   send t ~src:dst ~dst:site
                     (Probe_at { initiator; waiter = subject; oid; ttl = ttl - 1 }))
                 txn.t_awaiting)
-  | Probe_at { initiator; waiter; oid; ttl } -> (
-      if ttl > 0 then
-        match Int_table.find_opt node.locks oid with
-        | None -> ()
-        | Some e ->
-            let still_queued =
-              List.exists (fun w -> owner_equal w.w_owner waiter) e.queue
-            in
-            if still_queued then
-              List.iter
-                (fun holder ->
-                  if owner_equal holder initiator then
-                    send t ~src:dst ~dst:initiator.home (Victim { owner = initiator })
-                  else begin
-                    Metrics.incr node.stats.Repl_stats.deadlock_probes;
-                    send t ~src:dst ~dst:holder.home
-                      (Probe { initiator; subject = holder; ttl = ttl - 1 })
-                  end)
-                e.holders)
+  | Probe_at { initiator; waiter; oid; ttl } ->
+      if
+        ttl > 0
+        && Lock_table.waiting_resource node.locks ~owner:waiter.key = Some oid
+      then chase t node ~initiator ~waiter ~ttl:(ttl - 1)
   | Victim { owner } -> (
       if owner.home = dst then
         match Int_table.find_opt node.active owner.tid with
@@ -267,15 +184,17 @@ and handle t ~src ~dst msg =
 and on_granted t ~site ~oid owner =
   let node = t.nodes.(owner.home) in
   match Int_table.find_opt node.active owner.tid with
-  | None -> ()
-  | Some txn ->
-      if not txn.t_done then begin
-        txn.t_awaiting <-
-          List.filter
-            (fun (s, o) -> not (s = site && o = oid))
-            txn.t_awaiting;
-        if txn.t_awaiting = [] then work t node txn
-      end
+  | Some txn when not txn.t_done ->
+      txn.t_awaiting <-
+        List.filter (fun (s, o) -> not (s = site && o = oid)) txn.t_awaiting;
+      if txn.t_awaiting = [] then work t node txn
+  | Some _ | None ->
+      (* A grant for a dead transaction. Its abort sent [site] a Release,
+         but a non-FIFO delay model can deliver that Release before the
+         Lock_req it should undo, and the lock would then stay held for
+         good. Release again: a duplicate is a no-op. *)
+      if site <> node.id then
+        send t ~src:node.id ~dst:site (Release { owner })
 
 (* The op's locks are all held: charge Action_Time, then move on. *)
 and work t node txn =
@@ -298,11 +217,8 @@ and next_op t node txn =
         if dst <> node.id then awaiting := (dst, oid) :: !awaiting
       done;
       let local =
-        match request node ~owner:txn.t_owner ~mode:X oid with
-        | `Granted -> []
-        | `Queued holders ->
-            blocked t node ~owner:txn.t_owner ~holders;
-            [ (node.id, oid) ]
+        if request t node ~owner:txn.t_owner ~mode:Mode.X oid then []
+        else [ (node.id, oid) ]
       in
       txn.t_awaiting <- local @ !awaiting;
       for dst = 0 to node_count t - 1 do
@@ -313,11 +229,8 @@ and next_op t node txn =
     end
     else begin
       (* Reads touch only the local replica (the model ignores reads). *)
-      match request node ~owner:txn.t_owner ~mode:S oid with
-      | `Granted -> work t node txn
-      | `Queued holders ->
-          txn.t_awaiting <- [ (node.id, oid) ];
-          blocked t node ~owner:txn.t_owner ~holders
+      if request t node ~owner:txn.t_owner ~mode:Mode.S oid then work t node txn
+      else txn.t_awaiting <- [ (node.id, oid) ]
     end
   end
 
@@ -336,7 +249,7 @@ and commit t node txn =
            Fstore.write node.store oid value stamp;
            (Oid.to_int oid, value, stamp))
   in
-  release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
+  Lock_table.release_all node.locks ~owner:txn.t_owner.key;
   broadcast_apply t node ~owner:txn.t_owner ~writes;
   Metrics.incr node.stats.Repl_stats.commits;
   Dangers_util.Stats.add (Metrics.txn_duration node.metrics)
@@ -387,7 +300,7 @@ and finish_txn _t node txn =
 and abort_and_retry t node txn =
   finish_txn t node txn;
   Metrics.incr node.stats.Repl_stats.restarts;
-  release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
+  Lock_table.release_all node.locks ~owner:txn.t_owner.key;
   for dst = 0 to node_count t - 1 do
     if dst <> node.id then send t ~src:node.id ~dst (Release { owner = txn.t_owner })
   done;
@@ -469,8 +382,7 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
               Fstore.create ~db_size:params.Params.db_size ~init:(fun _ ->
                   initial_value);
             lamport = Timestamp.Clock.create ~node:id;
-            locks = Int_table.create 64;
-            held = Int_table.create 64;
+            locks = Lock_table.create ();
             active = Int_table.create 16;
             next_tid = 0;
             gen_rng = Rng.split rng;
@@ -524,7 +436,15 @@ let measure ?(domains = 1) t ~warmup ~span =
 
 let quiesce ?(domains = 1) ?(max_events = 200_000_000) t =
   stop_load t;
-  with_pool ~domains (fun pool -> Par_engine.run ?pool ~max_events t.par)
+  with_pool ~domains (fun pool -> Par_engine.run ?pool ~max_events t.par);
+  Array.iter
+    (fun node ->
+      let held = Lock_table.grants_outstanding node.locks in
+      if held > 0 then
+        failwith
+          (Printf.sprintf "Par_eager.quiesce: node %d holds %d locks after draining"
+             node.id held))
+    t.nodes
 
 let summary t =
   let sum counter =

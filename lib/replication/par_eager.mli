@@ -8,7 +8,9 @@
     one {!Dangers_sim.Par_engine} partition per node:
 
     - every per-node structure (store, Lamport clock, lock table, metrics,
-      RNG streams, transaction table) is confined to its partition;
+      RNG streams, transaction table) is confined to its partition; the
+      lock table is a {!Dangers_lock.Lock_table} over object ids, owned
+      by transactions packed as [tid * nodes + home];
     - a transaction X-locks the object at {e every} replica — lock
       requests, grants, commit-applies and aborts are timestamped messages
       whose transmission delay is at least the network's minimum delay,
@@ -18,10 +20,17 @@
       that has not yet seen the earlier commit — update-everywhere
       serialization without any shared lock manager;
     - distributed deadlocks are found by Chandy–Misra–Haas-style
-      edge-chasing probes (hop-bounded, stale-probe-tolerant), victims
-      restart with backoff exactly like the legacy scheme, and a
-      deterministic lock-wait deadline backstops any cycle a probe in
-      flight misses.
+      edge-chasing probes (hop-bounded, stale-probe-tolerant). A probe
+      follows a waiter's {!Dangers_lock.Lock_table.blockers} — the
+      lock's conflicting holders and the conflicting waiters queued
+      ahead of it — so a cycle that closes through FIFO queue order is
+      probed too. Victims restart with backoff exactly like the legacy
+      scheme, and a deterministic lock-wait deadline backstops any cycle
+      a probe in flight misses;
+    - a grant that reaches the home of an already-aborted transaction is
+      answered with a [Release]: the abort's own [Release] may have
+      overtaken the lock request under a non-FIFO delay model, and
+      releasing twice is a no-op.
 
     Fixed-seed runs are byte-identical at any domain count: partitions are
     per-node regardless of how many domains execute them, so the event
@@ -73,7 +82,8 @@ val measure : ?domains:int -> t -> warmup:float -> span:float -> unit
 val quiesce : ?domains:int -> ?max_events:int -> t -> unit
 (** Stop the load and drain every in-flight transaction, message and
     probe. @raise Dangers_sim.Engine.Runaway after [max_events] (default
-    200M) events, like {!Common.drain}. *)
+    200M) events, like {!Common.drain}.
+    @raise Failure if any node still holds a lock once the drain ends. *)
 
 val summary : t -> Repl_stats.summary
 (** Per-node counters folded in node order over the measured window;

@@ -576,6 +576,24 @@ let lock_table_model_prop =
         script;
       true)
 
+(* Lock records stay for the life of the table, so their size is the
+   table's footprint: one grant mode per lock and a granted-owner array
+   sized for the usual single X holder keep a resource that was locked
+   once within 16 words. *)
+let test_footprint_per_resource () =
+  let t = Lock_table.create () in
+  let resources = 10_000 in
+  for resource = 0 to resources - 1 do
+    ignore (Lock_table.acquire t ~owner:resource ~resource ~mode:Mode.X ~on_grant:noop);
+    Lock_table.release_all t ~owner:resource
+  done;
+  checki "all released" 0 (Lock_table.grants_outstanding t);
+  let per_resource =
+    float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int resources
+  in
+  checkb (Printf.sprintf "%.1f words per resource <= 16" per_resource) true
+    (per_resource <= 16.)
+
 let lock_manager_incremental_prop =
   QCheck.Test.make
     ~name:"lock manager: incremental cycles match the reference DFS"
@@ -628,6 +646,7 @@ let suite =
     Alcotest.test_case "manager reset counters" `Quick test_manager_reset_counters;
     Alcotest.test_case "manager dfs visits pinned" `Quick test_manager_dfs_visits_pinned;
     Alcotest.test_case "manager bounded by live owners" `Quick test_manager_bounded_by_live_owners;
+    Alcotest.test_case "footprint per resource" `Quick test_footprint_per_resource;
     QCheck_alcotest.to_alcotest lock_table_safety_prop;
     QCheck_alcotest.to_alcotest lock_table_model_prop;
     QCheck_alcotest.to_alcotest lock_manager_incremental_prop;

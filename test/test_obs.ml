@@ -249,12 +249,11 @@ let expected_scheme_counters =
     ( "par-eager-group",
       [
         ("scheme.commits_total", 288);
-        ("scheme.deadlock_probes_total", 32600);
-        ("scheme.deadlocks_total", 23);
+        ("scheme.deadlock_probes_total", 584);
+        ("scheme.deadlocks_total", 31);
         ("scheme.replica_applied_total", 3444);
-        ("scheme.restarts_total", 28);
-        ("scheme.timeout_aborts_total", 5);
-        ("scheme.waits_total", 722);
+        ("scheme.restarts_total", 31);
+        ("scheme.waits_total", 382);
       ] );
   ]
 

@@ -16,6 +16,7 @@ module Scheme = Dangers_experiments.Scheme
 module Sweep = Dangers_runner.Sweep
 module Export = Dangers_runner.Export
 module Par_eager = Dangers_replication.Par_eager
+module Delay = Dangers_runtime.Delay
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -352,6 +353,48 @@ let test_par_eager_state_equivalent () =
         (par_eager_full_state ~domains = serial))
     [ 2; 4 ]
 
+(* --- Par_eager probes and lock release --- *)
+
+(* Probes follow a waiter's conflicting holders and the conflicting
+   waiters queued ahead of it, so every cycle at small N is found by a
+   probe: none waits out the lock-timeout backstop, and every restart is
+   a detected deadlock. *)
+let test_par_eager_probes_find_every_deadlock () =
+  let params = { Params.default with db_size = 200; nodes = 4; tps = 3. } in
+  List.iter
+    (fun seed ->
+      let t = Par_eager.create params ~seed in
+      Par_eager.start t;
+      Par_eager.measure t ~warmup:5. ~span:20.;
+      let summary = Par_eager.summary t in
+      checkb (Printf.sprintf "seed %d: deadlocks occur" seed) true
+        (summary.deadlocks > 0);
+      checkf (Printf.sprintf "seed %d: no timeout aborts" seed) 0.
+        (List.assoc "timeout_aborts" (Par_eager.diagnostics t));
+      checki (Printf.sprintf "seed %d: restarts = deadlocks" seed)
+        summary.deadlocks summary.restarts)
+    [ 1; 2; 3; 4; 5 ]
+
+(* Under a non-FIFO delay model an abort's Release can overtake the
+   Lock_req it undoes; the grant that follows reaches a dead transaction's
+   home, which must release it again. A lock left held blocks every later
+   transaction on that object, so the drain would never end — and
+   [quiesce] fails if any lock is still held once it does. *)
+let test_par_eager_stale_grant_released () =
+  let params = { Params.default with db_size = 600; nodes = 4; tps = 2. } in
+  List.iter
+    (fun seed ->
+      let t =
+        Par_eager.create ~delay:(Delay.Uniform { lo = 0.05; hi = 0.5 }) params
+          ~seed
+      in
+      Par_eager.start t;
+      Par_eager.measure t ~warmup:0. ~span:20.;
+      Par_eager.quiesce ~max_events:5_000_000 t;
+      checkb (Printf.sprintf "seed %d: replicas converged" seed) true
+        (Par_eager.converged t))
+    [ 1; 2; 3; 4; 5; 6 ]
+
 let suite =
   [
     Alcotest.test_case "next_time skips cancelled roots" `Quick
@@ -372,4 +415,8 @@ let suite =
       test_queue_high_water_pinned_across_domains;
     Alcotest.test_case "par-eager state equivalent across domains" `Slow
       test_par_eager_state_equivalent;
+    Alcotest.test_case "par-eager probes find every deadlock" `Slow
+      test_par_eager_probes_find_every_deadlock;
+    Alcotest.test_case "par-eager stale grant released" `Slow
+      test_par_eager_stale_grant_released;
   ]
