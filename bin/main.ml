@@ -896,7 +896,6 @@ let lint_cmd =
   let module Lint_rules = Dangers_lint.Rules in
   let module Lint_rule = Dangers_lint.Rule in
   let module Lint_engine = Dangers_lint.Engine in
-  let module Lint_baseline = Dangers_lint.Baseline in
   let module Lint_report = Dangers_lint.Report in
   let prefixes =
     Arg.(value & pos_all string [ "lib/"; "bin/"; "bench/" ]
@@ -916,22 +915,11 @@ let lint_cmd =
              ~doc:"Comma-separated rule ids to run (default: all). See \
                    $(b,--list).")
   in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"dangers/lint-baseline/v1 file of grandfathered findings; \
-                   only findings beyond it fail the run.")
-  in
-  let update_baseline =
-    Arg.(value & flag
-         & info [ "update-baseline" ]
-             ~doc:"Rewrite $(b,--baseline) so the current tree is clean \
-                   (grandfather today's findings, expire stale entries).")
-  in
   let format =
     Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~doc:"Output format: text or json \
-                                   (dangers/lint/v1).")
+         & info [ "format" ]
+             ~doc:(Printf.sprintf "Output format: text or json (%s)."
+                     Lint_report.schema_id))
   in
   let out =
     Arg.(value & opt (some string) None
@@ -955,26 +943,7 @@ let lint_cmd =
                    default) fails on any finding, $(b,error) lets \
                    warnings through.")
   in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ]
-             ~doc:"Recompute every module summary instead of consulting \
-                   the on-disk cache.")
-  in
-  let cache_file =
-    Arg.(value & opt string Dangers_lint.Cache.default_path
-         & info [ "cache-file" ] ~docv:"FILE"
-             ~doc:"Summary cache keyed by per-file .cmt digest (default: \
-                   _build/.dangers-lint-cache.json).")
-  in
-  let graph_out =
-    Arg.(value & opt (some string) None
-         & info [ "graph-out" ] ~docv:"FILE"
-             ~doc:"Also write the resolved whole-program def/use graph \
-                   (dangers/lint-graph/v1 JSON) to FILE.")
-  in
-  let run prefixes build_dir rules baseline update_baseline format out
-      list_rules all_files fail_on no_cache cache_file graph_out =
+  let run prefixes build_dir rules format out list_rules all_files fail_on =
     if list_rules then begin
       List.iter
         (fun (r : Lint_rule.t) ->
@@ -1010,69 +979,34 @@ let lint_cmd =
       | Ok [] ->
           prerr_endline "lint: no rules selected";
           2
-      | Ok rules -> (
+      | Ok rules ->
           let build_dir =
             match build_dir with
             | Some dir -> dir
             | None -> Lint_engine.default_build_dir ()
           in
-          match
-            if update_baseline then begin
-              match baseline with
-              | None ->
-                  prerr_endline "lint: --update-baseline requires --baseline";
-                  Error 2
-              | Some path ->
-                  let b =
-                    Lint_engine.grandfather ~all_files ~rules ~build_dir
-                      ~prefixes ()
-                  in
-                  Lint_baseline.save path b;
-                  Printf.printf "wrote %s (%d entr%s)\n" path
-                    (List.length b.Lint_baseline.entries)
-                    (if List.length b.Lint_baseline.entries = 1 then "y"
-                     else "ies");
-                  Error 0
-            end
-            else
-              match baseline with
-              | None -> Ok Lint_baseline.empty
-              | Some path -> (
-                  match Lint_baseline.load path with
-                  | b -> Ok b
-                  | exception Sys_error message ->
-                      prerr_endline ("lint: " ^ message);
-                      Error 2
-                  | exception Json.Parse_error message ->
-                      Printf.eprintf "lint: %s: %s\n" path message;
-                      Error 2)
-          with
-          | Error code -> code
-          | Ok baseline ->
-              let report =
-                Lint_engine.run ~all_files ~baseline ~cache_file
-                  ~use_cache:(not no_cache) ?graph_out ~rules ~build_dir
-                  ~prefixes ()
-              in
-              let text =
-                match format with
-                | `Text -> Format.asprintf "%a" Lint_report.pp report
-                | `Json ->
-                    Json.to_string (Lint_report.to_json report) ^ "\n"
-              in
-              (match out with
-              | None -> print_string text
-              | Some file ->
-                  let oc = open_out file in
-                  output_string oc text;
-                  close_out oc;
-                  Printf.printf "wrote %s\n" file);
-              let fail_on =
-                match fail_on with
-                | `Error -> Dangers_lint.Finding.Error
-                | `Warning -> Dangers_lint.Finding.Warning
-              in
-              Lint_report.exit_code ~fail_on report)
+          let report =
+            Lint_engine.run ~all_files ~rules ~build_dir ~prefixes ()
+          in
+          let text =
+            match format with
+            | `Text -> Format.asprintf "%a" Lint_report.pp report
+            | `Json ->
+                Json.to_string (Lint_report.to_json report) ^ "\n"
+          in
+          (match out with
+          | None -> print_string text
+          | Some file ->
+              let oc = open_out file in
+              output_string oc text;
+              close_out oc;
+              Printf.printf "wrote %s\n" file);
+          let fail_on =
+            match fail_on with
+            | `Error -> Dangers_lint.Finding.Error
+            | `Warning -> Dangers_lint.Finding.Warning
+          in
+          Lint_report.exit_code ~fail_on report
     end
   in
   Cmd.v
@@ -1083,14 +1017,13 @@ let lint_cmd =
              in export paths (D2), polymorphic float comparison (D3), \
              unguarded module-level mutable state (R1), partial \
              functions (P1). \
-             Whole-program rules (two-phase, call-graph-aware, \
-             summary-cached): mutable state crossing a domain boundary \
-             (DR1), atomic read-modify-write windows (DR2), mutex \
-             discipline (DR3), module state shared between crossing \
-             closures and top-level code (DR4).")
-    Term.(const run $ prefixes $ build_dir $ rules $ baseline
-          $ update_baseline $ format $ out $ list_rules $ all_files
-          $ fail_on $ no_cache $ cache_file $ graph_out)
+             Whole-program rules (two-phase, call-graph-aware): \
+             mutable state crossing a domain boundary (DR1), atomic \
+             read-modify-write windows (DR2), mutex discipline (DR3), \
+             module state shared between crossing closures and \
+             top-level code (DR4).")
+    Term.(const run $ prefixes $ build_dir $ rules $ format $ out
+          $ list_rules $ all_files $ fail_on)
 
 let bench_cmd =
   let quick =

@@ -12,8 +12,6 @@
    closure and from ordinary code: the classic "works until the pool is
    turned on" latent race. *)
 
-module Json = Dangers_obs.Json
-
 type resolved =
   | R_cell of Summary.t * Summary.cell
   | R_binding of Summary.t * Summary.binding
@@ -28,8 +26,6 @@ type t = {
   reach : (string, (string, unit) Hashtbl.t) Hashtbl.t;
   cells : (string, Summary.t * Summary.cell) Hashtbl.t;  (* by cell key *)
 }
-
-let summaries_of t = t.summaries
 
 let binding_key (s : Summary.t) (b : Summary.binding) =
   s.Summary.s_lib ^ "/" ^ s.Summary.s_module ^ "." ^ b.Summary.b_name
@@ -387,84 +383,3 @@ let local_findings t ~rule =
         (fun (f : Finding.t) -> f.Finding.rule = rule)
         s.Summary.s_findings)
     t.summaries
-
-(* --- graph dump (--graph-out) --- *)
-
-let to_json t =
-  let edges =
-    List.concat_map
-      (fun (s : Summary.t) ->
-        List.concat_map
-          (fun (b : Summary.binding) ->
-            let from = binding_key s b in
-            let edge_of (u : Summary.use) ~crossing =
-              match resolve t u with
-              | Some (R_binding (bs, b')) ->
-                  Some
-                    (Json.Obj
-                       [
-                         ("from", Json.Str from);
-                         ("to", Json.Str (binding_key bs b'));
-                         ("kind", Json.Str "call");
-                         ("crossing", Json.Bool crossing);
-                         ("line", Json.int_ u.Summary.u_line);
-                       ])
-              | Some (R_cell (cs, c)) ->
-                  Some
-                    (Json.Obj
-                       [
-                         ("from", Json.Str from);
-                         ("to", Json.Str (cell_key cs c));
-                         ("kind", Json.Str (Summary.kind_to_string u.Summary.u_kind));
-                         ("guarded", Json.Bool u.Summary.u_guarded);
-                         ("crossing", Json.Bool crossing);
-                         ("line", Json.int_ u.Summary.u_line);
-                       ])
-              | None -> None
-            in
-            List.filter_map (edge_of ~crossing:false) b.Summary.b_uses
-            @ List.concat_map
-                (fun (site : Summary.site) ->
-                  List.filter_map (edge_of ~crossing:true)
-                    site.Summary.t_uses)
-                b.Summary.b_sites)
-          s.Summary.s_bindings)
-      t.summaries
-  in
-  let cells =
-    Hashtbl.fold (fun key (s, c) acc -> (key, s, c) :: acc) t.cells []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-    |> List.map (fun (key, (s : Summary.t), (c : Summary.cell)) ->
-           Json.Obj
-             [
-               ("key", Json.Str key);
-               ("maker", Json.Str c.Summary.c_kind);
-               ( "guard",
-                 Json.Str (Summary.guard_to_string c.Summary.c_guard) );
-               ("file", Json.Str s.Summary.s_path);
-               ("line", Json.int_ c.Summary.c_line);
-             ])
-  in
-  let nodes =
-    List.concat_map
-      (fun (s : Summary.t) ->
-        List.map
-          (fun (b : Summary.binding) ->
-            Json.Obj
-              [
-                ("key", Json.Str (binding_key s b));
-                ("file", Json.Str s.Summary.s_path);
-                ("line", Json.int_ b.Summary.b_line);
-                ( "sites",
-                  Json.int_ (List.length b.Summary.b_sites) );
-              ])
-          s.Summary.s_bindings)
-      t.summaries
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "dangers/lint-graph/v1");
-      ("nodes", Json.Arr nodes);
-      ("cells", Json.Arr cells);
-      ("edges", Json.Arr edges);
-    ]

@@ -11,20 +11,10 @@ let split_rules rules =
       | Rule.Program_check _ -> false)
     rules
 
-type analysis = {
-  findings : Finding.t list;
-  suppressed : int;
-  cache_hits : int;
-  cache_misses : int;
-  graph : Callgraph.t option;
-}
-
-(* Run both phases over already-loaded sources. Phase 1 (per-unit rules,
-   and summarization when any program rule is selected) is skipped
-   per-part when the corresponding rule set is empty; suppressions are
-   always applied from the typedtrees, so cached summaries never bypass
-   a [@lint.allow]. *)
-let analyze ?(all_files = false) ?(cache = Cache.empty ()) ~rules sources =
+(* Run both phases over already-loaded sources. Summarization and the
+   call graph are skipped when no program rule is selected; suppressions
+   are always applied from the typedtrees. *)
+let check_sources ?(all_files = false) ~rules sources =
   let unit_rules, program_rules = split_rules rules in
   let tables =
     List.map
@@ -57,77 +47,35 @@ let analyze ?(all_files = false) ?(cache = Cache.empty ()) ~rules sources =
           acc unit_rules)
       ([], 0) sources
   in
-  let acc, cache_hits, cache_misses, graph =
-    if program_rules = [] then (acc, 0, 0, None)
+  let findings, suppressed =
+    if program_rules = [] then acc
     else begin
-      let summaries, hits, misses = Cache.summarize ~cache sources in
-      let graph = Callgraph.make summaries in
-      let acc =
-        List.fold_left
-          (fun acc (rule : Rule.t) ->
-            match rule.Rule.check with
-            | Rule.Unit_check _ -> acc
-            | Rule.Program_check check ->
-                List.fold_left
-                  (fun acc (f : Finding.t) ->
-                    if all_files || rule.Rule.in_scope f.Finding.file then
-                      keep acc f
-                    else acc)
-                  acc (check graph))
-          acc program_rules
-      in
-      (acc, hits, misses, Some graph)
+      let graph = Callgraph.make (List.map Summary.of_source sources) in
+      List.fold_left
+        (fun acc (rule : Rule.t) ->
+          match rule.Rule.check with
+          | Rule.Unit_check _ -> acc
+          | Rule.Program_check check ->
+              List.fold_left
+                (fun acc (f : Finding.t) ->
+                  if all_files || rule.Rule.in_scope f.Finding.file then
+                    keep acc f
+                  else acc)
+                acc (check graph))
+        acc program_rules
     end
   in
-  let findings, suppressed = acc in
-  {
-    findings = List.sort Finding.compare findings;
-    suppressed;
-    cache_hits;
-    cache_misses;
-    graph;
-  }
+  (List.sort Finding.compare findings, suppressed)
 
-let check_sources ?(all_files = false) ~rules sources =
-  let a = analyze ~all_files ~rules sources in
-  (a.findings, a.suppressed)
-
-let run ?(all_files = false) ?(baseline = Baseline.empty) ?cache_file
-    ?(use_cache = true) ?graph_out ~rules ~build_dir ~prefixes () =
+let run ?(all_files = false) ~rules ~build_dir ~prefixes () =
   let loaded = Loader.load ~build_dir ~prefixes in
-  let cache =
-    match (use_cache, cache_file) with
-    | true, Some path -> Cache.load path
-    | _ -> Cache.empty ()
+  let findings, suppressed =
+    check_sources ~all_files ~rules loaded.Loader.sources
   in
-  let a = analyze ~all_files ~cache ~rules loaded.Loader.sources in
-  (match (a.graph, use_cache, cache_file) with
-  | Some g, true, Some path ->
-      Cache.save path (Callgraph.summaries_of g)
-  | _ -> ());
-  (match (a.graph, graph_out) with
-  | Some g, Some path ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Dangers_obs.Json.to_string (Callgraph.to_json g));
-          output_char oc '\n')
-  | _ -> ());
-  let applied = Baseline.apply baseline a.findings in
   {
     Report.rules = List.map (fun r -> r.Rule.id) rules;
     sources = List.length loaded.Loader.sources;
-    findings = applied.Baseline.fresh;
-    suppressed = a.suppressed;
-    baselined = applied.Baseline.baselined;
-    stale = applied.Baseline.stale;
+    findings;
+    suppressed;
     unreadable = loaded.Loader.unreadable;
-    cache_hits = a.cache_hits;
-    cache_misses = a.cache_misses;
   }
-
-let grandfather ?(all_files = false) ~rules ~build_dir ~prefixes () =
-  let loaded = Loader.load ~build_dir ~prefixes in
-  let findings, _ = check_sources ~all_files ~rules loaded.Loader.sources in
-  Baseline.of_findings findings

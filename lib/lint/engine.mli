@@ -1,10 +1,8 @@
 (** Orchestrates a lint run in two phases: load cmts, run the per-unit
     rules over each typedtree, then — when any whole-program rule is
-    selected — summarize every unit (through the on-disk cache), build
-    the call graph, and run the program rules over it. [@lint.allow]
-    suppression comes from the typedtrees in both phases, so a cached
-    summary never bypasses an annotation; the baseline is subtracted
-    last. *)
+    selected — summarize every unit, build the call graph, and run the
+    program rules over it. [@lint.allow] suppression comes from the
+    typedtrees in both phases. *)
 
 val default_build_dir : unit -> string
 (** ["_build/default"] when it exists under the cwd, ["."] otherwise —
@@ -16,33 +14,16 @@ val check_sources :
   rules:Rule.t list ->
   Loader.source list ->
   Finding.t list * int
-(** Run [rules] (both phases, no cache) over already-loaded sources;
-    returns (sorted unsuppressed findings, suppressed count).
-    [all_files] ignores each rule's [in_scope] filter — used by tests
-    and fixture runs. *)
+(** Run [rules] (both phases) over already-loaded sources; returns
+    (sorted unsuppressed findings, suppressed count). [all_files]
+    ignores each rule's [in_scope] filter — used by tests and fixture
+    runs. *)
 
 val run :
   ?all_files:bool ->
-  ?baseline:Baseline.t ->
-  ?cache_file:string ->
-  ?use_cache:bool ->
-  ?graph_out:string ->
   rules:Rule.t list ->
   build_dir:string ->
   prefixes:string list ->
   unit ->
   Report.t
-(** [cache_file] names the summary cache to read and rewrite
-    ([use_cache:false] ignores it entirely); [graph_out] dumps the
-    resolved def/use graph as JSON after phase 2. Both only apply when a
-    program rule is selected. *)
-
-val grandfather :
-  ?all_files:bool ->
-  rules:Rule.t list ->
-  build_dir:string ->
-  prefixes:string list ->
-  unit ->
-  Baseline.t
-(** The baseline that would make the current tree lint clean
-    ([--update-baseline]). *)
+(** Load the cmts under [build_dir] and {!check_sources} them. *)

@@ -13,11 +13,6 @@ type t = {
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
-let severity_of_string = function
-  | "error" -> Error
-  | "warning" -> Warning
-  | s -> Json.parse_error "unknown finding severity %S" s
-
 let make ?(severity = Error) ~rule ~file ~loc ~message () =
   let p = loc.Location.loc_start in
   {
@@ -31,8 +26,6 @@ let make ?(severity = Error) ~rule ~file ~loc ~message () =
 
 let at ?(severity = Error) ~rule ~file ~line ~col ~message () =
   { rule; severity; file; line; col; message }
-
-let key f = f.rule ^ "|" ^ f.file ^ "|" ^ f.message
 
 let compare a b =
   let c = String.compare a.file b.file in
@@ -62,16 +55,3 @@ let to_json f =
       ("col", Json.int_ f.col);
       ("message", Json.Str f.message);
     ]
-
-let of_json j =
-  {
-    rule = Json.string_of (Json.member "rule" j);
-    severity =
-      (match Json.member_opt "severity" j with
-      | Some s -> severity_of_string (Json.string_of s)
-      | None -> Error);
-    file = Json.string_of (Json.member "file" j);
-    line = Json.int_of (Json.member "line" j);
-    col = Json.int_of (Json.member "col" j);
-    message = Json.string_of (Json.member "message" j);
-  }

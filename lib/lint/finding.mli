@@ -1,7 +1,4 @@
-(** One diagnostic produced by a lint rule.
-
-    Findings are keyed for baselining by [(rule, file, message)] — line
-    numbers shift every edit, so the baseline must not depend on them. *)
+(** One diagnostic produced by a lint rule. *)
 
 type severity =
   | Error  (** fails the run under [--fail-on error] (the CI default) *)
@@ -17,7 +14,6 @@ type t = {
 }
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity
 
 val make :
   ?severity:severity ->
@@ -39,11 +35,8 @@ val at :
   unit ->
   t
 (** Build a finding from an explicit position — used by the summary-based
-    rules, whose locations survive the cache as plain line/column pairs
-    rather than [Location.t]s. *)
-
-val key : t -> string
-(** Baseline identity: [rule ^ "|" ^ file ^ "|" ^ message]. *)
+    rules, whose summaries carry plain line/column pairs rather than
+    [Location.t]s. *)
 
 val compare : t -> t -> int
 (** Stable report order: by file, line, column, rule, message. *)
@@ -53,4 +46,3 @@ val pp : Format.formatter -> t -> unit
     style. *)
 
 val to_json : t -> Dangers_obs.Json.t
-val of_json : Dangers_obs.Json.t -> t

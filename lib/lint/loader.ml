@@ -1,7 +1,5 @@
 type source = {
   path : string;
-  cmt_path : string;
-  digest : string;
   structure : Typedtree.structure;
 }
 
@@ -32,12 +30,7 @@ let load_cmt path =
       match (infos.cmt_annots, infos.cmt_sourcefile) with
       | Cmt_format.Implementation structure, Some source
         when not (generated source) ->
-          let digest =
-            match Digest.file path with
-            | d -> Digest.to_hex d
-            | exception Sys_error _ -> ""
-          in
-          Ok (Some { path = source; cmt_path = path; digest; structure })
+          Ok (Some { path = source; structure })
       | _ -> Ok None)
 
 (* Local copy of Rule.path_has_prefix: the loader sits below Rule in the

@@ -9,10 +9,6 @@
 
 type source = {
   path : string;  (** source path as recorded in the cmt *)
-  cmt_path : string;  (** the [.cmt] file the structure was read from *)
-  digest : string;
-      (** hex digest of the cmt file, the summary-cache key; [""] if the
-          file vanished between scan and hash *)
   structure : Typedtree.structure;
 }
 

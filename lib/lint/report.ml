@@ -5,14 +5,10 @@ type t = {
   sources : int;
   findings : Finding.t list;
   suppressed : int;
-  baselined : int;
-  stale : Baseline.entry list;
   unreadable : string list;
-  cache_hits : int;  (** summaries served from the on-disk cache *)
-  cache_misses : int;  (** summaries recomputed this run *)
 }
 
-let schema_id = "dangers/lint/v2"
+let schema_id = "dangers/lint/v3"
 
 let errors t =
   List.length
@@ -46,45 +42,17 @@ let to_json t =
       ("errors", Json.int_ (errors t));
       ("warnings", Json.int_ (warnings t));
       ("suppressed", Json.int_ t.suppressed);
-      ("baselined", Json.int_ t.baselined);
-      ( "stale_baseline",
-        Json.Arr
-          (List.map
-             (fun (e : Baseline.entry) ->
-               Json.Obj
-                 [
-                   ("rule", Json.Str e.Baseline.rule);
-                   ("file", Json.Str e.Baseline.file);
-                   ("message", Json.Str e.Baseline.message);
-                 ])
-             t.stale) );
       ("unreadable", Json.Arr (List.map (fun p -> Json.Str p) t.unreadable));
-      ( "cache",
-        Json.Obj
-          [
-            ("hits", Json.int_ t.cache_hits);
-            ("misses", Json.int_ t.cache_misses);
-          ] );
       ("clean", Json.Bool (clean t));
     ]
 
 let pp ppf t =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) t.findings;
   List.iter
-    (fun (e : Baseline.entry) ->
-      Format.fprintf ppf
-        "stale baseline entry: [%s] %s: %s (fixed? run --update-baseline)@."
-        e.Baseline.rule e.Baseline.file e.Baseline.message)
-    t.stale;
-  List.iter
     (fun path -> Format.fprintf ppf "unreadable cmt: %s@." path)
     t.unreadable;
   Format.fprintf ppf
-    "lint: %d finding(s) (%d error(s), %d warning(s)), %d suppressed, %d \
-     baselined, %d stale baseline entr%s over %d source(s), summary cache \
-     %d hit(s) %d miss(es) [%s]@."
-    (List.length t.findings) (errors t) (warnings t) t.suppressed t.baselined
-    (List.length t.stale)
-    (if List.length t.stale = 1 then "y" else "ies")
-    t.sources t.cache_hits t.cache_misses
+    "lint: %d finding(s) (%d error(s), %d warning(s)), %d suppressed over %d \
+     source(s) [%s]@."
+    (List.length t.findings) (errors t) (warnings t) t.suppressed t.sources
     (String.concat " " t.rules)

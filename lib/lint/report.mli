@@ -1,26 +1,21 @@
-(** Result of one lint run, renderable as text or dangers/lint/v2 JSON. *)
+(** Result of one lint run, renderable as text or dangers/lint/v3 JSON. *)
 
 type t = {
   rules : string list;  (** rule ids that ran *)
   sources : int;  (** compilation units analyzed *)
-  findings : Finding.t list;  (** fresh findings, sorted *)
+  findings : Finding.t list;  (** unsuppressed findings, sorted *)
   suppressed : int;  (** findings silenced by [@lint.allow] *)
-  baselined : int;  (** findings absorbed by the baseline *)
-  stale : Baseline.entry list;  (** baseline entries matching nothing *)
   unreadable : string list;  (** cmt files that failed to load *)
-  cache_hits : int;  (** summaries served from the on-disk cache *)
-  cache_misses : int;  (** summaries recomputed this run *)
 }
 
 val schema_id : string
-(** ["dangers/lint/v2"] *)
+(** ["dangers/lint/v3"] *)
 
 val errors : t -> int
 val warnings : t -> int
 
 val clean : t -> bool
-(** No fresh findings and no unreadable cmts (stale baseline entries only
-    warn — they mean the code got better). *)
+(** No findings and no unreadable cmts. *)
 
 val exit_code : ?fail_on:Finding.severity -> t -> int
 (** 0 when nothing at or above [fail_on] remains and every cmt was

@@ -3,9 +3,9 @@
     whole-program call graph assembled from every unit's summary
     (phase 2).
 
-    Checks are pure — suppression ([@lint.allow]) and baselining are
-    applied by {!Engine} on top of whatever a check reports. Program
-    findings are filtered by [in_scope] on each finding's file. *)
+    Checks are pure — suppression ([@lint.allow]) is applied by
+    {!Engine} on top of whatever a check reports. Program findings are
+    filtered by [in_scope] on each finding's file. *)
 
 type check =
   | Unit_check of (file:string -> Typedtree.structure -> Finding.t list)

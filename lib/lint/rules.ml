@@ -9,8 +9,7 @@ let finding ~rule ~file ~loc fmt =
 
 (* --- D1: banned nondeterministic calls --- *)
 
-(* ident -> what to use instead (the message is part of the baseline key,
-   so keep these stable). *)
+(* ident -> what to use instead. *)
 let d1_banned =
   [
     ("Random.self_init", "seed explicitly (Dangers_util.Rng.create ~seed)");

@@ -4,29 +4,12 @@
    uses, the domain-crossing closures it creates, and what those
    closures capture. DR2 (atomic read-modify-write) and DR3 (mutex
    discipline) are purely intraprocedural, so they are decided here too
-   and carried as pre-computed findings.
-
-   Summaries are plain data (JSON-serializable) so they can be cached on
-   disk keyed by the cmt digest: an unchanged module is never
-   re-summarized. *)
-
-module Json = Dangers_obs.Json
+   and carried as pre-computed findings. *)
 
 type access_kind = Mention | Read | Write
 
 let kind_rank = function Mention -> 0 | Read -> 1 | Write -> 2
 let strongest a b = if kind_rank a >= kind_rank b then a else b
-
-let kind_to_string = function
-  | Mention -> "mention"
-  | Read -> "read"
-  | Write -> "write"
-
-let kind_of_string = function
-  | "mention" -> Mention
-  | "read" -> Read
-  | "write" -> Write
-  | s -> Json.parse_error "unknown access kind %S" s
 
 type cell = {
   c_name : string;  (** qualified within the module, e.g. ["per_key"] *)
@@ -78,7 +61,6 @@ type t = {
   s_path : string;
   s_lib : string;
   s_module : string;
-  s_digest : string;
   s_cells : cell list;
   s_bindings : binding list;
   s_findings : Finding.t list;  (** DR2/DR3, decided intraprocedurally *)
@@ -746,151 +728,7 @@ let of_source (src : Loader.source) =
     s_path = file;
     s_lib = Mutability.lib_of_source_path file;
     s_module = Mutability.module_of_source_path file;
-    s_digest = src.Loader.digest;
     s_cells = List.rev !cells;
     s_bindings = List.rev !bindings;
     s_findings = List.rev !findings;
-  }
-
-(* --- JSON (the on-disk cache format) --- *)
-
-let guard_to_string = function
-  | Mutability.Unguarded -> "unguarded"
-  | Mutability.Atomic_guard -> "atomic"
-  | Mutability.Mutex_guard -> "mutex"
-  | Mutability.Dls_guard -> "dls"
-
-let guard_of_string = function
-  | "unguarded" -> Mutability.Unguarded
-  | "atomic" -> Mutability.Atomic_guard
-  | "mutex" -> Mutability.Mutex_guard
-  | "dls" -> Mutability.Dls_guard
-  | s -> Json.parse_error "unknown guard %S" s
-
-let use_to_json u =
-  Json.Obj
-    (List.concat
-       [
-         (match u.u_hint with Some h -> [ ("lib", Json.Str h) ] | None -> []);
-         [
-           ("name", Json.Str u.u_name);
-           ("kind", Json.Str (kind_to_string u.u_kind));
-           ("guarded", Json.Bool u.u_guarded);
-           ("line", Json.int_ u.u_line);
-           ("col", Json.int_ u.u_col);
-         ];
-       ])
-
-let use_of_json j =
-  {
-    u_hint = Option.map Json.string_of (Json.member_opt "lib" j);
-    u_name = Json.string_of (Json.member "name" j);
-    u_kind = kind_of_string (Json.string_of (Json.member "kind" j));
-    u_guarded = Json.member "guarded" j = Json.Bool true;
-    u_line = Json.int_of (Json.member "line" j);
-    u_col = Json.int_of (Json.member "col" j);
-  }
-
-let capture_to_json p =
-  Json.Obj
-    [
-      ("name", Json.Str p.p_name);
-      ("maker", Json.Str p.p_kind);
-      ("sort", Json.Str (match p.p_sort with `Local -> "local" | `Param -> "param"));
-      ("access", Json.Str (kind_to_string p.p_access));
-      ("line", Json.int_ p.p_line);
-      ("col", Json.int_ p.p_col);
-    ]
-
-let capture_of_json j =
-  {
-    p_name = Json.string_of (Json.member "name" j);
-    p_kind = Json.string_of (Json.member "maker" j);
-    p_sort =
-      (match Json.string_of (Json.member "sort" j) with
-      | "local" -> `Local
-      | "param" -> `Param
-      | s -> Json.parse_error "unknown capture sort %S" s);
-    p_access = kind_of_string (Json.string_of (Json.member "access" j));
-    p_line = Json.int_of (Json.member "line" j);
-    p_col = Json.int_of (Json.member "col" j);
-  }
-
-let site_to_json s =
-  Json.Obj
-    [
-      ("target", Json.Str s.t_target);
-      ("line", Json.int_ s.t_line);
-      ("col", Json.int_ s.t_col);
-      ("captures", Json.Arr (List.map capture_to_json (List.rev s.t_captures)));
-      ("uses", Json.Arr (List.map use_to_json (List.rev s.t_uses)));
-    ]
-
-let site_of_json j =
-  {
-    t_target = Json.string_of (Json.member "target" j);
-    t_line = Json.int_of (Json.member "line" j);
-    t_col = Json.int_of (Json.member "col" j);
-    t_captures =
-      List.rev (List.map capture_of_json (Json.list_of (Json.member "captures" j)));
-    t_uses = List.rev (List.map use_of_json (Json.list_of (Json.member "uses" j)));
-  }
-
-let binding_to_json b =
-  Json.Obj
-    [
-      ("name", Json.Str b.b_name);
-      ("line", Json.int_ b.b_line);
-      ("uses", Json.Arr (List.map use_to_json (List.rev b.b_uses)));
-      ("sites", Json.Arr (List.map site_to_json (List.rev b.b_sites)));
-    ]
-
-let binding_of_json j =
-  {
-    b_name = Json.string_of (Json.member "name" j);
-    b_line = Json.int_of (Json.member "line" j);
-    b_uses = List.rev (List.map use_of_json (Json.list_of (Json.member "uses" j)));
-    b_sites = List.rev (List.map site_of_json (Json.list_of (Json.member "sites" j)));
-  }
-
-let cell_to_json c =
-  Json.Obj
-    [
-      ("name", Json.Str c.c_name);
-      ("maker", Json.Str c.c_kind);
-      ("guard", Json.Str (guard_to_string c.c_guard));
-      ("line", Json.int_ c.c_line);
-      ("col", Json.int_ c.c_col);
-    ]
-
-let cell_of_json j =
-  {
-    c_name = Json.string_of (Json.member "name" j);
-    c_kind = Json.string_of (Json.member "maker" j);
-    c_guard = guard_of_string (Json.string_of (Json.member "guard" j));
-    c_line = Json.int_of (Json.member "line" j);
-    c_col = Json.int_of (Json.member "col" j);
-  }
-
-let to_json t =
-  Json.Obj
-    [
-      ("path", Json.Str t.s_path);
-      ("lib", Json.Str t.s_lib);
-      ("module", Json.Str t.s_module);
-      ("digest", Json.Str t.s_digest);
-      ("cells", Json.Arr (List.map cell_to_json t.s_cells));
-      ("bindings", Json.Arr (List.map binding_to_json t.s_bindings));
-      ("findings", Json.Arr (List.map Finding.to_json t.s_findings));
-    ]
-
-let of_json j =
-  {
-    s_path = Json.string_of (Json.member "path" j);
-    s_lib = Json.string_of (Json.member "lib" j);
-    s_module = Json.string_of (Json.member "module" j);
-    s_digest = Json.string_of (Json.member "digest" j);
-    s_cells = List.map cell_of_json (Json.list_of (Json.member "cells" j));
-    s_bindings = List.map binding_of_json (Json.list_of (Json.member "bindings" j));
-    s_findings = List.map Finding.of_json (Json.list_of (Json.member "findings" j));
   }

@@ -1,7 +1,7 @@
 (* Lint engine tests: each rule against its seeded fixture in
    test/lintfx/, the interprocedural DR rules against their seeded
-   data-race fixtures, suppression accounting, baseline round-trips,
-   the summary cache, and the dangers/lint/v2 report shape.
+   data-race fixtures, suppression accounting, the exit-code gate
+   (including unreadable cmts), and the dangers/lint/v3 report shape.
 
    The fixtures are a separate library so dune has already produced
    their .cmt files by the time this binary links; the loader scans the
@@ -12,7 +12,6 @@ module Engine = Dangers_lint.Engine
 module Rules = Dangers_lint.Rules
 module Rule = Dangers_lint.Rule
 module Finding = Dangers_lint.Finding
-module Baseline = Dangers_lint.Baseline
 module Report = Dangers_lint.Report
 module Json = Dangers_obs.Json
 
@@ -197,11 +196,7 @@ let test_fail_on_threshold () =
             ~col:0 ~message:"blocking call under lock" ();
         ];
       suppressed = 0;
-      baselined = 0;
-      stale = [];
       unreadable = [];
-      cache_hits = 0;
-      cache_misses = 0;
     }
   in
   checki "default gate fails on a warning" 1 (Report.exit_code warning_only);
@@ -216,48 +211,6 @@ let test_fail_on_threshold () =
   checki "--fail-on error still fails on errors" 1
     (Report.exit_code ~fail_on:Finding.Error with_errors)
 
-let test_summary_cache_round_trip () =
-  let cache_file = Filename.temp_file "dangers-lint-cache" ".json" in
-  let run () =
-    Engine.run ~all_files:true ~rules:Rules.all ~build_dir:"." ~cache_file
-      ~prefixes:[ fixture_prefix ] ()
-  in
-  let cold = run () in
-  checki "cold run misses every unit" 12 cold.Report.cache_misses;
-  checki "cold run hits nothing" 0 cold.Report.cache_hits;
-  let warm = run () in
-  checki "warm run hits every unit" 12 warm.Report.cache_hits;
-  checki "warm run recomputes nothing" 0 warm.Report.cache_misses;
-  checkb "cached findings are identical" true
-    (warm.Report.findings = cold.Report.findings);
-  checki "suppressions still applied from typedtrees" cold.Report.suppressed
-    warm.Report.suppressed;
-  Sys.remove cache_file
-
-let test_graph_out () =
-  let graph_file = Filename.temp_file "dangers-lint-graph" ".json" in
-  let _ =
-    Engine.run ~all_files:true ~rules:Rules.all ~build_dir:"." ~use_cache:false
-      ~graph_out:graph_file ~prefixes:[ fixture_prefix ] ()
-  in
-  let ic = open_in_bin graph_file in
-  let raw = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove graph_file;
-  let json = Json.of_string raw in
-  checks "graph schema id" "dangers/lint-graph/v1"
-    (Json.string_of (Json.member "schema" json));
-  let cells = Json.list_of (Json.member "cells" json) in
-  let cell_names =
-    List.map (fun c -> Json.string_of (Json.member "key" c)) cells
-  in
-  checkb "journal and stats are graph cells" true
-    (List.exists (fun n -> n = "test/Fx_dr1.journal") cell_names
-    && List.exists (fun n -> n = "test/Fx_dr4.stats") cell_names);
-  checkb "nodes and edges present" true
-    (Json.list_of (Json.member "nodes" json) <> []
-    && Json.list_of (Json.member "edges" json) <> [])
-
 let test_suppression_accounting () =
   checki "one allow per rule fixture plus two file-wide" 8 (suppressed ());
   checki "file-wide allow silences the whole unit" 0
@@ -271,44 +224,6 @@ let test_scope_filter () =
   checki "nothing in scope" 0 (List.length fs);
   checki "no suppressions counted" 0 supp
 
-let test_baseline_round_trip () =
-  let fs = findings () in
-  let b = Baseline.of_findings fs in
-  let applied = Baseline.apply b fs in
-  checki "everything absorbed" (List.length fs) applied.Baseline.baselined;
-  checkb "nothing fresh" true (applied.Baseline.fresh = []);
-  checkb "nothing stale" true (applied.Baseline.stale = []);
-  checkb "json round-trips" true (Baseline.of_json (Baseline.to_json b) = b);
-  checkb "duplicate keys collapse to a counted entry" true
-    (List.exists
-       (fun (e : Baseline.entry) -> e.Baseline.count = 2)
-       b.Baseline.entries)
-
-let test_baseline_stale_and_fresh () =
-  let d1 = by "D1" "fx_d1.ml" and p1 = by "P1" "fx_p1.ml" in
-  let b = Baseline.of_findings d1 in
-  let applied = Baseline.apply b p1 in
-  checki "unbaselined findings stay fresh" (List.length p1)
-    (List.length applied.Baseline.fresh);
-  checki "nothing absorbed" 0 applied.Baseline.baselined;
-  checki "every entry is stale" (List.length b.Baseline.entries)
-    (List.length applied.Baseline.stale)
-
-let test_baseline_count_is_a_budget () =
-  (* fx_d3 carries two identical '=' findings; a baseline allowing one
-     must absorb exactly one and fail the other. *)
-  let dups =
-    List.filter (mentions "polymorphic =") (by "D3" "fx_d3.ml")
-  in
-  checki "two duplicate findings" 2 (List.length dups);
-  match Baseline.of_findings dups with
-  | { Baseline.entries = [ entry ] } ->
-      let b = { Baseline.entries = [ { entry with Baseline.count = 1 } ] } in
-      let applied = Baseline.apply b dups in
-      checki "one absorbed" 1 applied.Baseline.baselined;
-      checki "one fresh" 1 (List.length applied.Baseline.fresh)
-  | _ -> Alcotest.fail "expected a single merged baseline entry"
-
 let test_report_json_schema () =
   let report =
     Engine.run ~all_files:true ~rules:Rules.all ~build_dir:"."
@@ -317,7 +232,7 @@ let test_report_json_schema () =
   checkb "fixtures are not clean" false (Report.clean report);
   checki "exit code 1" 1 (Report.exit_code report);
   let json = Report.to_json report in
-  checks "schema id" "dangers/lint/v2" (Json.string_of (Json.member "schema" json));
+  checks "schema id" "dangers/lint/v3" (Json.string_of (Json.member "schema" json));
   checki "findings serialized" (List.length report.Report.findings)
     (List.length (Json.list_of (Json.member "findings" json)));
   checki "suppressed count serialized" (suppressed ())
@@ -326,21 +241,38 @@ let test_report_json_schema () =
     (Json.int_of (Json.member "errors" json));
   checki "warnings serialized" (Report.warnings report)
     (Json.int_of (Json.member "warnings" json));
-  checkb "cache counters serialized" true
-    (Json.member_opt "hits" (Json.member "cache" json) <> None);
   checkb "clean flag serialized" true
     (Json.member "clean" json = Json.Bool false)
 
 let test_report_clean_exit () =
-  let fs = findings () in
   let report =
-    Engine.run ~all_files:true ~rules:Rules.all
-      ~baseline:(Baseline.of_findings fs) ~build_dir:"."
-      ~prefixes:[ fixture_prefix ] ()
+    Engine.run ~all_files:true ~rules:Rules.all ~build_dir:"."
+      ~prefixes:[ fixture_prefix ^ "fx_dr_clean" ] ()
   in
-  checkb "baselined run is clean" true (Report.clean report);
-  checki "exit code 0" 0 (Report.exit_code report);
-  checki "everything baselined" (List.length fs) report.Report.baselined
+  checki "one source" 1 report.Report.sources;
+  checkb "clean fixture run is clean" true (Report.clean report);
+  checki "exit code 0" 0 (Report.exit_code report)
+
+(* A cmt the linter cannot read is not a clean file: it fails the gate
+   even when no rule fired. *)
+let test_unreadable_cmt_fails () =
+  let dir = Filename.temp_file "dangers-lint" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let cmt = Filename.concat dir "x.cmt" in
+  let oc = open_out_bin cmt in
+  output_string oc "not a cmt file";
+  close_out oc;
+  let report =
+    Engine.run ~rules:Rules.all ~build_dir:dir ~prefixes:[] ()
+  in
+  Sys.remove cmt;
+  Sys.rmdir dir;
+  Alcotest.check (Alcotest.list Alcotest.string) "reported unreadable"
+    [ cmt ] report.Report.unreadable;
+  checkb "not clean" false (Report.clean report);
+  checki "fails --fail-on error" 1
+    (Report.exit_code ~fail_on:Finding.Error report)
 
 let test_rules_registry () =
   Alcotest.check (Alcotest.list Alcotest.string) "id order"
@@ -369,12 +301,7 @@ let test_finding_format () =
       in
       checkb "pp is compiler-style" true
         (String.length line >= String.length expected_prefix
-        && String.sub line 0 (String.length expected_prefix) = expected_prefix);
-      checks "baseline key is rule|file|message"
-        (f.Finding.rule ^ "|" ^ f.Finding.file ^ "|" ^ f.Finding.message)
-        (Finding.key f);
-      checkb "finding json round-trips" true
-        (Finding.of_json (Finding.to_json f) = f)
+        && String.sub line 0 (String.length expected_prefix) = expected_prefix)
 
 let suite =
   [
@@ -397,21 +324,15 @@ let suite =
       test_severity_split;
     Alcotest.test_case "fail-on threshold gates the exit code" `Quick
       test_fail_on_threshold;
-    Alcotest.test_case "summary cache round-trips" `Quick
-      test_summary_cache_round_trip;
-    Alcotest.test_case "graph export names the cells" `Quick test_graph_out;
     Alcotest.test_case "suppressions are honored" `Quick
       test_suppression_accounting;
     Alcotest.test_case "rule scopes filter files" `Quick test_scope_filter;
-    Alcotest.test_case "baseline round-trips" `Quick test_baseline_round_trip;
-    Alcotest.test_case "baseline reports stale entries" `Quick
-      test_baseline_stale_and_fresh;
-    Alcotest.test_case "baseline counts are budgets" `Quick
-      test_baseline_count_is_a_budget;
-    Alcotest.test_case "report json matches dangers/lint/v2" `Quick
+    Alcotest.test_case "report json matches dangers/lint/v3" `Quick
       test_report_json_schema;
     Alcotest.test_case "baselined report exits clean" `Quick
       test_report_clean_exit;
+    Alcotest.test_case "unreadable cmt fails the gate" `Quick
+      test_unreadable_cmt_fails;
     Alcotest.test_case "rule registry lookup" `Quick test_rules_registry;
     Alcotest.test_case "finding format and key" `Quick test_finding_format;
   ]
