@@ -95,8 +95,8 @@ let engine_cancel_churn () =
 
 (* Pure window-synchronization machinery: 8 partitions pass a token around
    a ring with every hop at exactly the lookahead bound, so each window
-   fires one event and drains one message — all barrier and merge
-   overhead, no simulation payload. This is the cost a parallel run must
+   fires one event and delivers one message — all window and delivery
+   phase overhead, no simulation payload. This is the cost a parallel run must
    amortize against its per-window batch. *)
 let parsim_window_ring () =
   let parts = 8 in

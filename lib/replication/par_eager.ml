@@ -40,7 +40,8 @@ type txn = {
   t_ops : Op.t array;
   t_started : float;
   mutable t_op : int;  (* index of the op being locked/worked *)
-  mutable t_awaiting : (int * int) list;  (* (node, oid) grants outstanding *)
+  t_wait : int array;  (* per site, the oid of the grant outstanding there, or -1 *)
+  mutable t_left : int;  (* sites in [t_wait] with a grant outstanding *)
   mutable t_deadline : Engine.event_id option;
   mutable t_done : bool;
 }
@@ -158,12 +159,19 @@ and handle t ~src ~dst msg =
         match Int_table.find_opt node.active subject.tid with
         | None -> ()
         | Some txn ->
-            if not txn.t_done then
-              List.iter
-                (fun (site, oid) ->
+            if not txn.t_done then begin
+              (* Home first, then the other sites in ascending order. *)
+              let probe site =
+                let oid = txn.t_wait.(site) in
+                if oid >= 0 then
                   send t ~src:dst ~dst:site
-                    (Probe_at { initiator; waiter = subject; oid; ttl = ttl - 1 }))
-                txn.t_awaiting)
+                    (Probe_at { initiator; waiter = subject; oid; ttl = ttl - 1 })
+              in
+              probe dst;
+              for site = 0 to node_count t - 1 do
+                if site <> dst then probe site
+              done
+            end)
   | Probe_at { initiator; waiter; oid; ttl } ->
       if
         ttl > 0
@@ -176,7 +184,7 @@ and handle t ~src ~dst msg =
         | Some txn ->
             (* Still blocked: a genuine cycle. Already granted everything:
                the probe is stale; let it run. *)
-            if (not txn.t_done) && txn.t_awaiting <> [] then begin
+            if (not txn.t_done) && txn.t_left > 0 then begin
               Metrics.incr node.stats.Repl_stats.deadlocks;
               abort_and_retry t node txn
             end)
@@ -185,9 +193,20 @@ and on_granted t ~site ~oid owner =
   let node = t.nodes.(owner.home) in
   match Int_table.find_opt node.active owner.tid with
   | Some txn when not txn.t_done ->
-      txn.t_awaiting <-
-        List.filter (fun (s, o) -> not (s = site && o = oid)) txn.t_awaiting;
-      if txn.t_awaiting = [] then work t node txn
+      if txn.t_wait.(site) = oid then begin
+        txn.t_wait.(site) <- -1;
+        txn.t_left <- txn.t_left - 1;
+        if txn.t_left = 0 then work t node txn
+      end
+      else
+        (* No such request is outstanding: acting on it would advance the
+           transaction past an op whose locks are not all held. *)
+        Dangers_obs.Warnings.warn ~key:"par_eager.stray_grant"
+          (Printf.sprintf
+             "Par_eager invariant violation: transaction %d at node %d got a \
+              grant for object %d from site %d that it is not awaiting; \
+              ignoring it"
+             owner.tid owner.home oid site)
   | Some _ | None ->
       (* A grant for a dead transaction. Its abort sent [site] a Release,
          but a non-FIFO delay model can deliver that Release before the
@@ -212,25 +231,25 @@ and next_op t node txn =
       (* Update-everywhere: X at every replica, requested in one scatter.
          Remote requests are outstanding immediately; the local one only
          if it queued. *)
-      let awaiting = ref [] in
-      for dst = node_count t - 1 downto 0 do
-        if dst <> node.id then awaiting := (dst, oid) :: !awaiting
-      done;
-      let local =
-        if request t node ~owner:txn.t_owner ~mode:Mode.X oid then []
-        else [ (node.id, oid) ]
-      in
-      txn.t_awaiting <- local @ !awaiting;
-      for dst = 0 to node_count t - 1 do
-        if dst <> node.id then
+      let n = node_count t in
+      let local = request t node ~owner:txn.t_owner ~mode:Mode.X oid in
+      if not local then txn.t_wait.(node.id) <- oid;
+      txn.t_left <- (if local then n - 1 else n);
+      for dst = 0 to n - 1 do
+        if dst <> node.id then begin
+          txn.t_wait.(dst) <- oid;
           send t ~src:node.id ~dst (Lock_req { owner = txn.t_owner; oid })
+        end
       done;
-      if txn.t_awaiting = [] then work t node txn
+      if txn.t_left = 0 then work t node txn
     end
     else begin
       (* Reads touch only the local replica (the model ignores reads). *)
       if request t node ~owner:txn.t_owner ~mode:Mode.S oid then work t node txn
-      else txn.t_awaiting <- [ (node.id, oid) ]
+      else begin
+        txn.t_wait.(node.id) <- oid;
+        txn.t_left <- 1
+      end
     end
   end
 
@@ -324,7 +343,8 @@ and start_txn t node ops =
       t_ops = ops;
       t_started = Engine.now node.engine;
       t_op = -1;
-      t_awaiting = [];
+      t_wait = Array.make (node_count t) (-1);
+      t_left = 0;
       t_deadline = None;
       t_done = false;
     }
@@ -334,7 +354,7 @@ and start_txn t node ops =
     Some
       (Engine.schedule node.engine ~delay:(lock_timeout t) (fun () ->
            if not txn.t_done then
-             if txn.t_awaiting <> [] then begin
+             if txn.t_left > 0 then begin
                Metrics.incr node.stats.Repl_stats.timeout_aborts;
                abort_and_retry t node txn
              end

@@ -95,15 +95,36 @@ let run ?pool ?max_events ?until t =
   let budget = match max_events with Some n -> n | None -> max_int in
   let fired_at_entry = events_fired t in
   let n = Array.length t.engines in
-  let deliver post =
+  let pool =
+    match pool with
+    | Some pool when Domain_pool.size pool > 1 && n > 1 -> Some pool
+    | _ -> None
+  in
+  let enter post =
     handler ~src:post.Partition.p_src ~dst:post.Partition.p_dst
       ~time:post.Partition.p_time post.Partition.p_msg
+  in
+  let deliver dst =
+    (* DR1: worker [dst] reads and clears only [dst]'s router outboxes,
+       and the handler contract confines it to [dst]'s state; the window
+       phase has finished, and [parallel_for] joins every delivery before
+       [t] is read again on this domain. *)
+    Partition.drain t.router ~dst ~deliver:enter
+  in
+  (* The delivery phase: each destination drains its inbound posts. *)
+  let deliver_all () =
+    match pool with
+    | Some pool -> Domain_pool.parallel_for pool ~n ~f:deliver
+    | None ->
+        for dst = 0 to n - 1 do
+          deliver dst
+        done
   in
   (* Every barrier drains, so posts are only pending at entry when they
      were made outside a run — seeding an otherwise-idle system, or
      between runs. Turn them into engine events now or the loop below
      would see an empty schedule and stop short of them. *)
-  if Partition.pending t.router > 0 then Partition.drain t.router ~deliver;
+  if Partition.pending t.router > 0 then deliver_all ();
   (* Drain everything at or below [u] is done; set every clock to [u],
      mirroring the serial engine's [run ~until]. *)
   let finish () =
@@ -140,7 +161,7 @@ let run ?pool ?max_events ?until t =
               t.engines;
             let window p =
               (* Suppressed DR1: partitions are disjoint — worker [p]
-                 touches only [t.engines.(p)] and its own router column —
+                 touches only [t.engines.(p)] and its own router outboxes —
                  and [parallel_for] joins every window before [t] is read
                  again on this domain. *)
               let e = (t.engines.(p) [@lint.allow "dr1"]) in
@@ -156,9 +177,8 @@ let run ?pool ?max_events ?until t =
               Partition.advance t.router ~part:p ~time:bound
             in
             (match pool with
-            | Some pool when Domain_pool.size pool > 1 && n > 1 ->
-                Domain_pool.parallel_for pool ~n ~f:window
-            | _ ->
+            | Some pool -> Domain_pool.parallel_for pool ~n ~f:window
+            | None ->
                 for p = 0 to n - 1 do
                   window p
                 done);
@@ -171,7 +191,7 @@ let run ?pool ?max_events ?until t =
               t.engines;
             if events_fired t - fired_at_entry > budget then
               raise (Engine.Runaway budget);
-            Partition.drain t.router ~deliver)
+            deliver_all ())
   done
 
 let windows t = t.windows

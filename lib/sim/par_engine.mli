@@ -6,17 +6,20 @@
     strictly below [W + L], where [W] is the global minimum next-event
     time and [L] the {e lookahead}, because any message a partition sends
     carries at least [L] of transmission delay and therefore lands at or
-    beyond the window bound. Windows are separated by a barrier at which
-    the {!Partition} router drains cross-partition messages in a
-    deterministic merge order.
+    beyond the window bound. Each window has two phases, each ended by a
+    barrier: the {e window phase} fires every partition's events below
+    the bound, then the {e delivery phase} drains each partition's
+    inbound cross-partition messages from the {!Partition} router into
+    its engine, in ascending [(time, source, sequence)] order. Both phases
+    run one task per partition on the pool.
 
     {b Determinism.} Partitions are a property of the model, not of the
     hardware: a run with [parts] partitions produces the same per-engine
     event sequences, clocks, and counters whether the windows execute on
     one domain or eight, because the pool only chooses {e which domain}
-    runs a partition's window, never the window decomposition or the
-    message order. Fixed-seed runs are byte-identical at any
-    {!Dangers_util.Domain_pool} size.
+    runs a partition's window or delivery, never the window decomposition
+    or the order in which a partition receives its messages. Fixed-seed
+    runs are byte-identical at any {!Dangers_util.Domain_pool} size.
 
     {b Stalls and null advancement.} A partition with no event inside the
     current window still participates in the barrier — the moral
@@ -48,10 +51,12 @@ val engine : _ t -> int -> Engine.t
 
 val set_handler : 'msg t -> 'msg handler -> unit
 (** How a drained cross-partition message enters its destination: called
-    at the barrier, on the coordinating domain, in deterministic merge
-    order. A handler almost always [Engine.schedule_at (engine t dst)
-    ~time] an event that interprets the message; it must touch only
-    [dst]-partition state. Must be set before the first {!run}. *)
+    in the delivery phase, on whichever domain is delivering [dst], once
+    per message bound for [dst] in ascending [(time, src, seq)] order.
+    Handlers for distinct destinations may run at the same time, so a
+    handler must touch only [dst]-partition state and must not {!post};
+    it almost always [Engine.schedule_at (engine t dst) ~time] an event
+    that interprets the message. Must be set before the first {!run}. *)
 
 val post : 'msg t -> src:int -> dst:int -> delay:float -> 'msg -> unit
 (** Send a message from [src]'s current simulated time. [delay] is the
@@ -74,9 +79,10 @@ val run :
   unit
 (** Advance in windows until no partition has a pending event (or none at
     or below [until]; the partition clocks are then set to [until],
-    mirroring {!Engine.run}). Windows execute on [pool] when given —
-    sized independently of [parts]; extra workers idle, extra partitions
-    queue — and inline otherwise. [max_events] bounds the events fired in
+    mirroring {!Engine.run}). Window and delivery phases execute on
+    [pool] when given — sized independently of [parts]; extra workers
+    idle, extra partitions queue — and inline otherwise. Posts made
+    outside a run are delivered on entry. [max_events] bounds the events fired in
     this call, checked at each barrier: {!Engine.Runaway} is raised once
     the total exceeds it (a window may overshoot by its batch, unlike the
     serial engine's exact cut).

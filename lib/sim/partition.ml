@@ -9,14 +9,16 @@ type 'msg post = {
 type 'msg t = {
   parts : int;
   lookahead : float;
-  (* Per-source accumulation, newest first. Written only by the domain
-     running [src]'s window; read only at the barrier, which orders those
-     writes before the coordinator's reads. *)
+  (* [boxes.(src * parts + dst)]: posts from [src] to [dst], newest first.
+     Written only by the domain running [src]'s window; read and cleared
+     only by the domain delivering [dst]. The two never overlap: a window
+     phase and a delivery phase are separated by a barrier. *)
   boxes : 'msg post list array;
   seqs : int array;
   horizons : float array;
-  mutable posts_total : int;
-  mutable delivered_total : int;
+  (* per destination, written only while delivering that destination *)
+  posted : int array;
+  delivered : int array;
 }
 
 let create ~parts ~lookahead =
@@ -26,11 +28,11 @@ let create ~parts ~lookahead =
   {
     parts;
     lookahead;
-    boxes = Array.make parts [];
+    boxes = Array.make (parts * parts) [];
     seqs = Array.make parts 0;
     horizons = Array.make parts 0.;
-    posts_total = 0;
-    delivered_total = 0;
+    posted = Array.make parts 0;
+    delivered = Array.make parts 0;
   }
 
 let parts t = t.parts
@@ -46,9 +48,10 @@ let post t ~src ~dst ~time msg =
   if not (Float.is_finite time) then invalid_arg "Partition.post: non-finite time";
   let seq = t.seqs.(src) in
   t.seqs.(src) <- seq + 1;
-  t.boxes.(src) <-
+  let box = (src * t.parts) + dst in
+  t.boxes.(box) <-
     { p_time = time; p_src = src; p_dst = dst; p_seq = seq; p_msg = msg }
-    :: t.boxes.(src)
+    :: t.boxes.(box)
 
 let advance t ~part ~time =
   check_part t "advance" part;
@@ -83,28 +86,37 @@ let compare_posts a b =
     let c = Int.compare a.p_src b.p_src in
     if c <> 0 then c else Int.compare a.p_seq b.p_seq
 
-let drain t ~deliver =
-  let all = ref [] in
+let drain t ~dst ~deliver =
+  check_part t "drain" dst;
+  let inbound = ref [] in
   for src = t.parts - 1 downto 0 do
-    all := List.rev_append t.boxes.(src) !all;
-    t.boxes.(src) <- []
+    let box = (src * t.parts) + dst in
+    match t.boxes.(box) with
+    | [] -> ()
+    | posts ->
+        t.boxes.(box) <- [];
+        inbound := List.rev_append posts !inbound
   done;
-  let ordered = List.sort compare_posts !all in
-  List.iter
-    (fun post ->
-      (* The receiver finished its window through [horizons.(dst)]; an
-         earlier delivery would rewrite its past. *)
-      if post.p_time < t.horizons.(post.p_dst) then
-        invalid_arg
-          (Printf.sprintf
-             "Partition.drain: post from %d to %d at t=%.9g precedes the \
-              receiver's completed horizon %.9g (conservative synchronization \
-              violated)"
-             post.p_src post.p_dst post.p_time t.horizons.(post.p_dst));
-      t.posts_total <- t.posts_total + 1;
-      deliver post;
-      t.delivered_total <- t.delivered_total + 1)
-    ordered
+  match !inbound with
+  | [] -> ()
+  | inbound ->
+      let horizon = t.horizons.(dst) in
+      List.iter
+        (fun post ->
+          (* The receiver finished its window through [horizon]; an
+             earlier delivery would rewrite its past. *)
+          if post.p_time < horizon then
+            invalid_arg
+              (Printf.sprintf
+                 "Partition.drain: post from %d to %d at t=%.9g precedes the \
+                  receiver's completed horizon %.9g (conservative \
+                  synchronization violated)"
+                 post.p_src dst post.p_time horizon);
+          t.posted.(dst) <- t.posted.(dst) + 1;
+          deliver post;
+          t.delivered.(dst) <- t.delivered.(dst) + 1)
+        (List.sort compare_posts inbound)
 
-let posts_total t = t.posts_total
-let delivered_total t = t.delivered_total
+let sum = Array.fold_left ( + ) 0
+let posts_total t = sum t.posted
+let delivered_total t = sum t.delivered

@@ -88,20 +88,68 @@ let test_run_until_releases_cancelled () =
   (* also keeps the engine itself reachable across the collection *)
   checki "four still pending" 4 (Engine.pending e)
 
-(* --- Partition router: deterministic merge and the conservative check --- *)
+(* --- Partition router: per-destination order and the conservative check --- *)
+
+(* Drain every destination, on a pool of [pool_size] domains, into one
+   log per destination (no state shared between deliveries). *)
+let drain_per_destination ~pool_size r =
+  let parts = Partition.parts r in
+  let logs = Array.make parts [] in
+  let drain dst =
+    Partition.drain r ~dst ~deliver:(fun p ->
+        if p.Partition.p_dst <> dst then failwith "delivered to the wrong drain";
+        logs.(dst) <- p.Partition.p_msg :: logs.(dst))
+  in
+  (if pool_size <= 1 then
+     (* destinations are independent: drain them last to first *)
+     for dst = parts - 1 downto 0 do
+       drain dst
+     done
+   else begin
+     let pool = Domain_pool.create ~workers:pool_size in
+     Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () ->
+         Domain_pool.parallel_for pool ~n:parts ~f:drain)
+   end);
+  Array.map (fun log -> String.concat "," (List.rev log)) logs
 
 let test_router_merge_order () =
   let r = Partition.create ~parts:3 ~lookahead:0.5 in
-  (* same time from two sources, plus two posts from one source: merge
-     order is (time, src, per-source seq), nothing else *)
+  (* each destination receives in (time, src, per-source seq) order,
+     however the posts to other destinations interleave with it *)
   Partition.post r ~src:2 ~dst:0 ~time:1.0 "c";
   Partition.post r ~src:1 ~dst:0 ~time:1.0 "b1";
+  Partition.post r ~src:1 ~dst:2 ~time:0.5 "x";
   Partition.post r ~src:1 ~dst:0 ~time:1.0 "b2";
-  Partition.post r ~src:0 ~dst:1 ~time:0.75 "a";
-  let log = ref [] in
-  Partition.drain r ~deliver:(fun p -> log := p.Partition.p_msg :: !log);
-  checks "merge order" "a,b1,b2,c" (String.concat "," (List.rev !log));
-  checki "delivered" 4 (Partition.delivered_total r)
+  Partition.post r ~src:2 ~dst:0 ~time:0.75 "a";
+  Partition.post r ~src:0 ~dst:1 ~time:0.75 "y";
+  checki "pending" 6 (Partition.pending r);
+  let logs = drain_per_destination ~pool_size:1 r in
+  checks "dst 0" "a,b1,b2,c" logs.(0);
+  checks "dst 1" "y" logs.(1);
+  checks "dst 2" "x" logs.(2);
+  checki "nothing left" 0 (Partition.pending r);
+  checki "posted" 6 (Partition.posts_total r);
+  checki "delivered" 6 (Partition.delivered_total r)
+
+(* Equal-time posts from three sources to one destination, plus two
+   posts from one source: source breaks the time tie, per-source sequence
+   the source tie — at any pool size. *)
+let test_router_ties_per_destination () =
+  List.iter
+    (fun pool_size ->
+      let r = Partition.create ~parts:4 ~lookahead:0.5 in
+      Partition.post r ~src:3 ~dst:0 ~time:2.0 "d";
+      Partition.post r ~src:2 ~dst:0 ~time:2.0 "c1";
+      Partition.post r ~src:1 ~dst:0 ~time:2.0 "b";
+      Partition.post r ~src:2 ~dst:3 ~time:2.0 "z";
+      Partition.post r ~src:2 ~dst:0 ~time:2.0 "c2";
+      Partition.post r ~src:3 ~dst:0 ~time:1.5 "a";
+      let logs = drain_per_destination ~pool_size r in
+      let pool = Printf.sprintf "pool=%d " pool_size in
+      checks (pool ^ "dst 0") "a,b,c1,c2,d" logs.(0);
+      checks (pool ^ "dst 3") "z" logs.(3);
+      checks (pool ^ "dst 1") "" logs.(1))
+    [ 1; 2 ]
 
 let test_router_conservative_violation () =
   let r = Partition.create ~parts:2 ~lookahead:0.5 in
@@ -109,7 +157,7 @@ let test_router_conservative_violation () =
   Partition.advance r ~part:1 ~time:10.;
   Partition.post r ~src:0 ~dst:1 ~time:9. "late";
   checkb "delivery into the past rejected" true
-    (match Partition.drain r ~deliver:ignore with
+    (match Partition.drain r ~dst:1 ~deliver:ignore with
     | exception Invalid_argument _ -> true
     | () -> false)
 
@@ -127,54 +175,61 @@ let test_router_safe_time () =
 (* --- QCheck: arbitrary cross-partition schedules ---
 
    Each case is a batch of (src, dst, delay) sends fanned out from a
-   driver event per partition at time 0. Delivery times are tie-free by
-   construction, so the global delivery order the barrier produces must
-   equal the sorted delivery times — the order one serial engine would
-   fire them in — and no delivery may precede the receiver's completed
-   horizon. *)
+   driver event per partition at time 0, so a source's sequence follows
+   op order. Delays are coarse, so delivery times tie often. Each
+   destination must receive its messages in (time, src, seq) order — the
+   order one serial engine would fire them in, with ties broken by source
+   — and none may precede the receiver's clock. Checked inline and on a
+   two-domain pool, logging per destination so concurrent deliveries
+   share no state. *)
 
 let router_order_prop =
   let gen =
     QCheck.list_of_size
       (QCheck.Gen.int_range 1 60)
-      QCheck.(triple (int_range 0 3) (int_range 0 3) (int_range 1 999))
+      QCheck.(triple (int_range 0 3) (int_range 0 3) (int_range 1 20))
   in
   QCheck.Test.make ~count:100
-    ~name:"par engine delivers in serial-heap order, never early" gen
+    ~name:"par engine delivers in serial-heap order per destination, never early"
+    gen
     (fun ops ->
       let parts = 4 in
       let lookahead = 0.05 in
-      (* unique fractional part per op index: no two delivery times tie *)
-      let delay i units = lookahead +. (float_of_int units /. 1000.) +. (float_of_int i *. 1e-7) in
-      let t = Par_engine.create ~parts ~lookahead () in
-      let log = ref [] in
-      (* the handler runs at the barrier in drain order — the parallel
-         engine's global serialization of cross-partition traffic *)
-      Par_engine.set_handler t (fun ~src:_ ~dst ~time () ->
-          let e = Par_engine.engine t dst in
-          if time < Engine.now e then
-            QCheck.Test.fail_report "delivered before the receiver's clock";
-          log := time :: !log;
-          ignore (Engine.schedule_at e ~time ignore));
-      for p = 0 to parts - 1 do
-        ignore
-          (Engine.schedule (Par_engine.engine t p) ~delay:0. (fun () ->
-               List.iteri
-                 (fun i (src, dst, units) ->
-                   if src = p && src <> dst then
-                     Par_engine.post t ~src ~dst ~delay:(delay i units) ())
-                 ops))
-      done;
-      Par_engine.run t;
-      let expected =
-        List.sort Float.compare
-          (List.concat
-             (List.mapi
-                (fun i (src, dst, units) ->
-                  if src <> dst then [ delay i units ] else [])
-                ops))
+      let delay units = lookahead +. (float_of_int units /. 100.) in
+      let deliveries ~pool_size =
+        let t = Par_engine.create ~parts ~lookahead () in
+        let logs = Array.make parts [] in
+        Par_engine.set_handler t (fun ~src:_ ~dst ~time i ->
+            let e = Par_engine.engine t dst in
+            if time < Engine.now e then
+              QCheck.Test.fail_report "delivered before the receiver's clock";
+            logs.(dst) <- i :: logs.(dst);
+            ignore (Engine.schedule_at e ~time ignore));
+        for p = 0 to parts - 1 do
+          ignore
+            (Engine.schedule (Par_engine.engine t p) ~delay:0. (fun () ->
+                 List.iteri
+                   (fun i (src, dst, units) ->
+                     if src = p && src <> dst then
+                       Par_engine.post t ~src ~dst ~delay:(delay units) i)
+                   ops))
+        done;
+        (if pool_size <= 1 then Par_engine.run t
+         else begin
+           let pool = Domain_pool.create ~workers:pool_size in
+           Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () ->
+               Par_engine.run ~pool t)
+         end);
+        Array.map List.rev logs
       in
-      List.rev !log = expected)
+      let expected =
+        Array.init parts (fun dst ->
+            List.mapi (fun i (src, d, units) -> (delay units, src, i, d)) ops
+            |> List.filter (fun (_, src, _, d) -> d = dst && src <> dst)
+            |> List.sort compare
+            |> List.map (fun (_, _, i, _) -> i))
+      in
+      deliveries ~pool_size:1 = expected && deliveries ~pool_size:2 = expected)
 
 (* --- Windows on a real pool: identical at any pool size --- *)
 
@@ -395,6 +450,50 @@ let test_par_eager_stale_grant_released () =
         (Par_eager.converged t))
     [ 1; 2; 3; 4; 5; 6 ]
 
+(* --- Par_eager at the benchmark's width ---
+
+   64 nodes, where many sources post to one destination at the same
+   window and ties at a destination are common. The text is exactly what
+   [dangers simulate --scheme par-eager-group --nodes 64 --db-size 5000
+   --tps 1 --span 2 --seed 42] prints, pinned at every domain count. *)
+
+let par_eager_64_expected =
+  "par-eager-group over 2.0s:\n\
+   commits=146 (73.000/s) waits=1536 (768.0000/s) deadlocks=14 (7.00000/s)\n\
+   restarts=14 reconciliations=0 (0.00000/s) mean duration=0.4458s\n\
+   diagnostics: windows=139 lookahead_stalls=112 null_messages=112 \
+   channel_posts=366469 deadlock_probes=3261 timeout_aborts=0 \
+   apply_dropped=0\n"
+
+let par_eager_64_output ~sim_domains =
+  let params =
+    { Params.default with nodes = 64; db_size = 5000; tps = 1. }
+  in
+  let task =
+    Sweep.Scheme_task
+      { scheme = "par-eager-group"; spec = Scheme.spec params; seed = 42;
+        warmup = 5.; span = 2. }
+  in
+  match Sweep.run ~sim_domains [ task ] with
+  | [ Sweep.Scheme_item { outcome; _ } ] ->
+      Format.asprintf "%a@.diagnostics:%a@." Par_eager.Repl_stats.pp_summary
+        outcome.Scheme.summary
+        (fun ppf -> List.iter (fun (k, v) -> Format.fprintf ppf " %s=%g" k v))
+        outcome.Scheme.diagnostics
+  | _ -> assert false
+
+let test_par_eager_pinned_at_64_nodes () =
+  let stray_before = Dangers_obs.Warnings.count ~key:"par_eager.stray_grant" in
+  List.iter
+    (fun sim_domains ->
+      checks
+        (Printf.sprintf "sim-domains=%d output" sim_domains)
+        par_eager_64_expected
+        (par_eager_64_output ~sim_domains))
+    [ 1; 2; 4 ];
+  checki "no stray grants" stray_before
+    (Dangers_obs.Warnings.count ~key:"par_eager.stray_grant")
+
 let suite =
   [
     Alcotest.test_case "next_time skips cancelled roots" `Quick
@@ -403,6 +502,8 @@ let suite =
     Alcotest.test_case "run ~until releases cancelled closures" `Quick
       test_run_until_releases_cancelled;
     Alcotest.test_case "router merge order" `Quick test_router_merge_order;
+    Alcotest.test_case "router ties per destination" `Quick
+      test_router_ties_per_destination;
     Alcotest.test_case "router rejects past delivery" `Quick
       test_router_conservative_violation;
     Alcotest.test_case "router safe time" `Quick test_router_safe_time;
@@ -419,4 +520,6 @@ let suite =
       test_par_eager_probes_find_every_deadlock;
     Alcotest.test_case "par-eager stale grant released" `Slow
       test_par_eager_stale_grant_released;
+    Alcotest.test_case "par-eager pinned at 64 nodes" `Slow
+      test_par_eager_pinned_at_64_nodes;
   ]
