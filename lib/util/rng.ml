@@ -90,32 +90,52 @@ let poisson t ~mean =
     if value < 0. then 0 else int_of_float (value +. 0.5)
   end
 
-let zipf t ~n ~theta =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  if theta < 0. then invalid_arg "Rng.zipf: theta must be >= 0";
-  if Float.equal theta 0. then int t n
-  else begin
-    (* Closed-form inverse of the approximate Zipf CDF (Gray et al. '94). *)
-    let nf = float_of_int n in
-    let zeta2 = 1.0 +. (0.5 ** theta) in
-    let zetan =
-      let rec sum i acc =
-        if i > n then acc else sum (i + 1) (acc +. (1.0 /. (float_of_int i ** theta)))
+module Zipf = struct
+  type rng = t
+
+  (* [zeta2] and [zetan] are the normalisers over the first 2 and all [n]
+     ranks; [alpha] and [eta] are the inverse-CDF constants. *)
+  type t =
+    | Uniform of int
+    | Skewed of {
+        n : int; nf : float; zeta2 : float; zetan : float; alpha : float; eta : float;
+      }
+
+  let create ~n ~theta =
+    if n <= 0 then invalid_arg "Rng.Zipf.create: n must be positive";
+    if not (theta >= 0.) then invalid_arg "Rng.Zipf.create: theta must be >= 0";
+    if Float.equal theta 1. then invalid_arg "Rng.Zipf.create: theta must not be 1";
+    if Float.equal theta 0. then Uniform n
+    else begin
+      (* Closed-form inverse of the approximate Zipf CDF (Gray et al. '94);
+         the left-to-right sum fixes every bit of [zetan]. *)
+      let nf = float_of_int n in
+      let zeta2 = 1.0 +. (0.5 ** theta) in
+      let zetan =
+        let rec sum i acc =
+          if i > n then acc else sum (i + 1) (acc +. (1.0 /. (float_of_int i ** theta)))
+        in
+        sum 1 0.0
       in
-      sum 1 0.0
-    in
-    let alpha = 1.0 /. (1.0 -. theta) in
-    let eta =
-      (1.0 -. ((2.0 /. nf) ** (1.0 -. theta))) /. (1.0 -. (zeta2 /. zetan))
-    in
-    let u = float t 1.0 in
-    let uz = u *. zetan in
-    if uz < 1.0 then 0
-    else if uz < zeta2 then 1
-    else
-      let rank = int_of_float (nf *. ((eta *. u -. eta +. 1.0) ** alpha)) in
-      if rank >= n then n - 1 else rank
-  end
+      let alpha = 1.0 /. (1.0 -. theta) in
+      let eta =
+        (1.0 -. ((2.0 /. nf) ** (1.0 -. theta))) /. (1.0 -. (zeta2 /. zetan))
+      in
+      Skewed { n; nf; zeta2; zetan; alpha; eta }
+    end
+
+  let draw z (rng : rng) =
+    match z with
+    | Uniform n -> int rng n
+    | Skewed { n; nf; zeta2; zetan; alpha; eta } ->
+        let u = float rng 1.0 in
+        let uz = u *. zetan in
+        if uz < 1.0 then 0
+        else if uz < zeta2 then 1
+        else
+          let rank = int_of_float (nf *. ((eta *. u -. eta +. 1.0) ** alpha)) in
+          if rank >= n then n - 1 else rank
+end
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

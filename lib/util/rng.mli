@@ -41,11 +41,28 @@ val poisson : t -> mean:float -> int
 (** Poisson-distributed count with the given mean (Knuth's method below mean
     30, normal approximation above). *)
 
-val zipf : t -> n:int -> theta:float -> int
-(** [zipf t ~n ~theta] draws from [0, n) with Zipfian skew [theta]
-    (0 = uniform). Uses the rejection method of Gray et al. (SIGMOD'94
-    quickly-generating billion-record databases). Used only by the hotspot
-    workload extension; the paper's model is uniform. *)
+(** Zipf-distributed ranks over [0, n), rank 0 hottest. Used only by the
+    hotspot workload extension; the paper's model is uniform. *)
+module Zipf : sig
+  type rng := t
+
+  type t
+  (** An immutable sampler for one [(n, theta)]; safe to share. *)
+
+  val create : n:int -> theta:float -> t
+  (** [create ~n ~theta] computes, once, the constants of the closed-form
+      inverse of the approximate Zipf CDF given by Gray et al. (SIGMOD'94,
+      "Quickly generating billion-record synthetic databases"): the
+      normalisers zeta(2) and zeta(n) = sum of 1/i^theta over i in [1, n],
+      and the exponents that invert the CDF. [theta = 0] is uniform.
+      The closed form divides by [1 - theta], so [theta = 1] is rejected.
+      @raise Invalid_argument if [n <= 0], [theta < 0] (or NaN) or
+      [theta = 1]. *)
+
+  val draw : t -> rng -> int
+  (** One rank in O(1): consumes exactly one [float rng 1.0], or one
+      [int rng n] when [theta = 0]. *)
+end
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)

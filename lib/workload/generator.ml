@@ -5,8 +5,7 @@ type t = {
   clock : Clock.t;
   rng : Rng.t;
   mean_interarrival : float;
-  profile : Profile.t;
-  db_size : int;
+  sampler : Profile.sampler;
   submit : Dangers_txn.Op.t list -> unit;
   mutable next_arrival : Clock.event_id option;
   mutable stopped : bool;
@@ -20,7 +19,7 @@ let rec arm t =
       Some
         (Clock.schedule t.clock ~delay:gap (fun () ->
              t.count <- t.count + 1;
-             t.submit (Profile.generate t.profile t.rng ~db_size:t.db_size);
+             t.submit (Profile.draw t.sampler t.rng);
              arm t))
   end
 
@@ -31,8 +30,7 @@ let start ~clock ~rng ~tps ~profile ~db_size ~submit =
       clock;
       rng;
       mean_interarrival = 1. /. tps;
-      profile;
-      db_size;
+      sampler = Profile.sampler profile ~db_size;
       submit;
       next_arrival = None;
       stopped = false;

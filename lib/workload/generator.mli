@@ -16,7 +16,10 @@ val start :
   submit:(Dangers_txn.Op.t list -> unit) ->
   t
 (** Begin generating; the first arrival is one inter-arrival time from now.
-    @raise Invalid_argument if [tps <= 0]. *)
+    The profile's {!Profile.sampler} is built here, once, and every arrival
+    draws from it.
+    @raise Invalid_argument if [tps <= 0] or {!Profile.sampler} rejects
+    [profile] at [db_size]. *)
 
 val stop : t -> unit
 (** No further arrivals; in-flight transactions are unaffected. *)

@@ -26,8 +26,10 @@ let create ?(update_kind = Assigns) ?(access = Uniform) ?(magnitude = 100.)
       invalid_arg "Profile.create: Mixed fraction outside [0,1]"
   | Mixed _ | Assigns | Increments -> ());
   (match access with
-  | Zipf theta when theta <= 0. ->
+  | Zipf theta when not (theta > 0.) ->
       invalid_arg "Profile.create: Zipf theta must be positive"
+  | Zipf theta when Float.equal theta 1. ->
+      invalid_arg "Profile.create: Zipf theta must not be 1"
   | Tpcb { branches; tellers_per_branch } ->
       if branches <= 0 || tellers_per_branch <= 0 then
         invalid_arg "Profile.create: Tpcb layout must be positive";
@@ -53,16 +55,38 @@ let tpcb_regions ~branches ~tellers_per_branch ~db_size part =
       if a < 0 || a >= accounts then invalid_arg "Profile.tpcb_regions: account";
       Oid.of_int (branches + tellers + a)
 
-let pick_oids t rng ~db_size =
+(* How a sampler picks a transaction's objects, with everything that does
+   not depend on the draw worked out once. *)
+type keys =
+  | Uniform_keys
+  | Tpcb_keys of { branches : int; tellers_per_branch : int; accounts : int }
+  | Zipf_keys of Rng.Zipf.t
+
+type sampler = { profile : t; db_size : int; keys : keys }
+
+let sampler t ~db_size =
+  if t.actions + t.reads > db_size then
+    invalid_arg "Profile.sampler: actions exceed db_size";
+  let keys =
+    match t.access with
+    | Uniform -> Uniform_keys
+    | Tpcb { branches; tellers_per_branch } ->
+        (* The regions fit, with an account to update and [reads] others. *)
+        let accounts = db_size - branches - (branches * tellers_per_branch) in
+        if accounts < t.reads + 1 then invalid_arg "Profile.sampler: Tpcb db too small";
+        Tpcb_keys { branches; tellers_per_branch; accounts }
+    | Zipf theta -> Zipf_keys (Rng.Zipf.create ~n:db_size ~theta)
+  in
+  { profile = t; db_size; keys }
+
+let pick_oids s rng =
+  let t = s.profile and db_size = s.db_size in
   let k = t.actions + t.reads in
-  match t.access with
-  | Uniform ->
+  match s.keys with
+  | Uniform_keys ->
       Rng.sample_without_replacement rng ~n:db_size ~k
       |> Array.map Oid.of_int
-  | Tpcb { branches; tellers_per_branch } ->
-      let tellers = branches * tellers_per_branch in
-      let accounts = db_size - branches - tellers in
-      if accounts <= 0 then invalid_arg "Profile.generate: Tpcb db too small";
+  | Tpcb_keys { branches; tellers_per_branch; accounts } ->
       let account = Rng.int rng accounts in
       let branch = Rng.int rng branches in
       let teller = (branch * tellers_per_branch) + Rng.int rng tellers_per_branch in
@@ -83,15 +107,14 @@ let pick_oids t rng ~db_size =
         in
         Array.append updates (Array.of_list read_oids)
       end
-  | Zipf theta ->
+  | Zipf_keys zipf ->
       (* Distinctness by rejection; hotspots make repeats likely, so cap the
          retries per slot and fall back to a uniform draw. *)
       let chosen = Hashtbl.create k in
       let draw_distinct () =
         let rec try_draw attempts =
           let candidate =
-            if attempts >= 32 then Rng.int rng db_size
-            else Rng.zipf rng ~n:db_size ~theta
+            if attempts >= 32 then Rng.int rng db_size else Rng.Zipf.draw zipf rng
           in
           if Hashtbl.mem chosen candidate then try_draw (attempts + 1)
           else begin
@@ -114,19 +137,17 @@ let make_op t rng oid =
   | Increments -> increment ()
   | Mixed fraction -> if Rng.float rng 1.0 < fraction then increment () else assign ()
 
-let generate t rng ~db_size =
-  if t.actions + t.reads > db_size then
-    invalid_arg "Profile.generate: actions exceed db_size";
-  match t.access with
-  | Tpcb _ ->
+let draw s rng =
+  let t = s.profile in
+  let oids = pick_oids s rng in
+  match s.keys with
+  | Tpcb_keys _ ->
       (* Updates lead (account, teller, branch), reads follow. *)
-      let oids = pick_oids t rng ~db_size in
       Array.to_list
         (Array.mapi
            (fun i oid -> if i < t.actions then make_op t rng oid else Op.Read oid)
            oids)
-  | Uniform | Zipf _ ->
-      let oids = pick_oids t rng ~db_size in
+  | Uniform_keys | Zipf_keys _ ->
       let ops =
         Array.mapi
           (fun i oid -> if i < t.reads then Op.Read oid else make_op t rng oid)

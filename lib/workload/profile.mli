@@ -15,7 +15,7 @@ type update_kind =
 
 type access =
   | Uniform  (** the model's equiprobable access *)
-  | Zipf of float  (** hotspot skew theta > 0 *)
+  | Zipf of float  (** hotspot skew theta > 0, theta <> 1 *)
   | Tpcb of { branches : int; tellers_per_branch : int }
       (** TPC-B-style hierarchy (the benchmarks the paper cites when it
           scales DB_Size with the fleet): the object space is laid out as
@@ -42,19 +42,29 @@ val create :
   actions:int -> unit -> t
 (** Defaults: [Assigns], [Uniform], magnitude 100, no reads.
     @raise Invalid_argument on a non-positive action count or magnitude, a
-    negative read count, a [Mixed] fraction outside [0,1], or a
-    non-positive Zipf theta. *)
+    negative read count, a [Mixed] fraction outside [0,1], a
+    non-positive Zipf theta or a Zipf theta of 1 (the closed-form sampler
+    divides by [1 - theta]). *)
 
 val of_params : Dangers_analytic.Params.t -> t
 (** The model's profile: [actions] from Table 2, assignments, uniform. *)
 
-val generate :
-  t -> Dangers_util.Rng.t -> db_size:int -> Dangers_txn.Op.t list
+type sampler
+(** A profile bound to a database size, with its checks run and its key
+    distribution built (for [Zipf], the {!Dangers_util.Rng.Zipf} sampler).
+    Immutable, so one sampler is safe to share between generators. *)
+
+val sampler : t -> db_size:int -> sampler
+(** Validates once what every transaction needs, so {!draw} does not.
+    @raise Invalid_argument if [actions + reads > db_size], or under [Tpcb]
+    if the regions do not fit with an account to update and [reads] other
+    accounts. *)
+
+val draw : sampler -> Dangers_util.Rng.t -> Dangers_txn.Op.t list
 (** One transaction's operations: [actions] updates and [reads] reads on
     distinct objects, in shuffled order. Under [Tpcb] the three updates are
-    account, teller, branch (reads still drawn uniformly).
-    @raise Invalid_argument if [actions + reads > db_size], or under [Tpcb]
-    if [actions <> 3] or the regions do not fit. *)
+    account, teller, branch, and the reads follow, drawn uniformly from the
+    other accounts. *)
 
 val tpcb_regions :
   branches:int -> tellers_per_branch:int -> db_size:int ->

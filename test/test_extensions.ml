@@ -55,9 +55,10 @@ let test_assign_from_commutes () =
 
 let test_profile_reads () =
   let profile = Profile.create ~reads:3 ~actions:2 () in
+  let sampler = Profile.sampler profile ~db_size:30 in
   let rng = Rng.create ~seed:1 in
   for _ = 1 to 50 do
-    let ops = Profile.generate profile rng ~db_size:30 in
+    let ops = Profile.draw sampler rng in
     checki "five ops" 5 (List.length ops);
     let reads = List.filter (fun op -> not (Op.is_update op)) ops in
     checki "three reads" 3 (List.length reads);

@@ -92,16 +92,58 @@ let test_poisson_mean () =
   test 3.0;
   test 50.0
 
-let test_zipf_bounds_and_skew () =
-  let rng = Rng.create ~seed:23 in
-  let n = 100 in
-  let counts = Array.make n 0 in
-  for _ = 1 to 5000 do
-    let x = Rng.zipf rng ~n ~theta:0.9 in
-    Alcotest.check Alcotest.bool "in range" true (x >= 0 && x < n);
-    counts.(x) <- counts.(x) + 1
-  done;
-  checkb "rank 0 hotter than rank 50" true (counts.(0) > counts.(50))
+(* The per-draw closed form the sampler replaced: it recomputes every
+   constant, zeta(n) included, on each call. Kept as the reference that
+   [Rng.Zipf] must match draw for draw. *)
+let reference_zipf t ~n ~theta =
+  if Float.equal theta 0. then Rng.int t n
+  else begin
+    let nf = float_of_int n in
+    let zeta2 = 1.0 +. (0.5 ** theta) in
+    let zetan =
+      let rec sum i acc =
+        if i > n then acc else sum (i + 1) (acc +. (1.0 /. (float_of_int i ** theta)))
+      in
+      sum 1 0.0
+    in
+    let alpha = 1.0 /. (1.0 -. theta) in
+    let eta =
+      (1.0 -. ((2.0 /. nf) ** (1.0 -. theta))) /. (1.0 -. (zeta2 /. zetan))
+    in
+    let u = Rng.float t 1.0 in
+    let uz = u *. zetan in
+    if uz < 1.0 then 0
+    else if uz < zeta2 then 1
+    else
+      let rank = int_of_float (nf *. ((eta *. u -. eta +. 1.0) ** alpha)) in
+      if rank >= n then n - 1 else rank
+  end
+
+let test_zipf_matches_reference () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun theta ->
+          let label = Printf.sprintf "n=%d theta=%g" n theta in
+          let zipf = Rng.Zipf.create ~n ~theta in
+          let rng = Rng.create ~seed:23 and twin = Rng.create ~seed:23 in
+          let counts = Array.make n 0 in
+          for _ = 1 to 2000 do
+            let x = Rng.Zipf.draw zipf rng in
+            check Alcotest.int label (reference_zipf twin ~n ~theta) x;
+            checkb "in range" true (x >= 0 && x < n);
+            counts.(x) <- counts.(x) + 1
+          done;
+          check Alcotest.int64 (label ^ ": one value per draw") (Rng.bits64 twin)
+            (Rng.bits64 rng);
+          if n = 100 && theta > 0. then
+            checkb (label ^ ": rank 0 hotter than rank 50") true
+              (counts.(0) > counts.(50)))
+        [ 0.; 0.5; 0.9; 1.2 ])
+    [ 1; 2; 100; 1000 ];
+  Alcotest.check_raises "theta 1 rejected"
+    (Invalid_argument "Rng.Zipf.create: theta must not be 1") (fun () ->
+      ignore (Rng.Zipf.create ~n:10 ~theta:1.0))
 
 let test_sample_without_replacement () =
   let rng = Rng.create ~seed:29 in
@@ -160,7 +202,7 @@ let suite =
     Alcotest.test_case "float mean" `Quick test_float_mean;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
-    Alcotest.test_case "zipf bounds and skew" `Quick test_zipf_bounds_and_skew;
+    Alcotest.test_case "zipf matches per-draw formula" `Quick test_zipf_matches_reference;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "sample full permutation" `Quick test_sample_full;
     Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_is_permutation;

@@ -14,9 +14,10 @@ let checki = Alcotest.check Alcotest.int
 
 let test_profile_generates_distinct () =
   let profile = Profile.create ~actions:5 () in
+  let sampler = Profile.sampler profile ~db_size:20 in
   let rng = Rng.create ~seed:1 in
   for _ = 1 to 100 do
-    let ops = Profile.generate profile rng ~db_size:20 in
+    let ops = Profile.draw sampler rng in
     checki "five ops" 5 (List.length ops);
     let oids = List.map (fun op -> Oid.to_int (Op.oid op)) ops in
     checki "distinct objects" 5 (List.length (List.sort_uniq Int.compare oids))
@@ -25,15 +26,18 @@ let test_profile_generates_distinct () =
 let test_profile_kinds () =
   let rng = Rng.create ~seed:2 in
   let all_assigns =
-    Profile.generate (Profile.create ~update_kind:Profile.Assigns ~actions:4 ()) rng
-      ~db_size:100
+    Profile.draw
+      (Profile.sampler (Profile.create ~update_kind:Profile.Assigns ~actions:4 ())
+         ~db_size:100)
+      rng
   in
   checkb "assigns only" true
     (List.for_all (function Op.Assign _ -> true | Op.Increment _ | Op.Read _ | Op.Assign_from _ -> false) all_assigns);
   let all_incs =
-    Profile.generate
-      (Profile.create ~update_kind:Profile.Increments ~actions:4 ())
-      rng ~db_size:100
+    Profile.draw
+      (Profile.sampler (Profile.create ~update_kind:Profile.Increments ~actions:4 ())
+         ~db_size:100)
+      rng
   in
   checkb "increments only" true
     (List.for_all (function Op.Increment _ -> true | Op.Assign _ | Op.Read _ | Op.Assign_from _ -> false) all_incs);
@@ -44,10 +48,13 @@ let test_profile_kinds () =
 
 let test_profile_mixed_fraction () =
   let rng = Rng.create ~seed:3 in
-  let profile = Profile.create ~update_kind:(Profile.Mixed 0.5) ~actions:1 () in
+  let sampler =
+    Profile.sampler (Profile.create ~update_kind:(Profile.Mixed 0.5) ~actions:1 ())
+      ~db_size:50
+  in
   let incs = ref 0 and total = 2000 in
   for _ = 1 to total do
-    match Profile.generate profile rng ~db_size:50 with
+    match Profile.draw sampler rng with
     | [ Op.Increment _ ] -> incr incs
     | [ Op.Assign _ ] -> ()
     | _ -> Alcotest.fail "one op expected"
@@ -57,10 +64,13 @@ let test_profile_mixed_fraction () =
 
 let test_profile_zipf_skews () =
   let rng = Rng.create ~seed:4 in
-  let profile = Profile.create ~access:(Profile.Zipf 0.9) ~actions:1 () in
+  let sampler =
+    Profile.sampler (Profile.create ~access:(Profile.Zipf 0.9) ~actions:1 ())
+      ~db_size:100
+  in
   let counts = Array.make 100 0 in
   for _ = 1 to 3000 do
-    match Profile.generate profile rng ~db_size:100 with
+    match Profile.draw sampler rng with
     | [ op ] ->
         let i = Oid.to_int (Op.oid op) in
         counts.(i) <- counts.(i) + 1
@@ -70,10 +80,11 @@ let test_profile_zipf_skews () =
 
 let test_profile_validation () =
   Alcotest.check_raises "actions > db_size"
-    (Invalid_argument "Profile.generate: actions exceed db_size") (fun () ->
-      ignore
-        (Profile.generate (Profile.create ~actions:10 ()) (Rng.create ~seed:0)
-           ~db_size:5));
+    (Invalid_argument "Profile.sampler: actions exceed db_size") (fun () ->
+      ignore (Profile.sampler (Profile.create ~actions:10 ()) ~db_size:5));
+  Alcotest.check_raises "zipf theta 1"
+    (Invalid_argument "Profile.create: Zipf theta must not be 1") (fun () ->
+      ignore (Profile.create ~access:(Profile.Zipf 1.0) ~actions:1 ()));
   Alcotest.check_raises "bad mixed fraction"
     (Invalid_argument "Profile.create: Mixed fraction outside [0,1]") (fun () ->
       ignore (Profile.create ~update_kind:(Profile.Mixed 1.5) ~actions:1 ()))
@@ -115,9 +126,9 @@ let test_tpcb_profile () =
       ~actions:3 ()
   in
   let rng = Rng.create ~seed:9 in
-  let db_size = 5 + 20 + 100 in
+  let sampler = Profile.sampler profile ~db_size:(5 + 20 + 100) in
   for _ = 1 to 200 do
-    match Profile.generate profile rng ~db_size with
+    match Profile.draw sampler rng with
     | [ account; teller; branch ] ->
         let region op lo hi =
           let i = Oid.to_int (Op.oid op) in
@@ -136,6 +147,9 @@ let test_tpcb_profile () =
              [ account; teller; branch ])
     | _ -> Alcotest.fail "three ops expected"
   done;
+  Alcotest.check_raises "tpcb regions must fit"
+    (Invalid_argument "Profile.sampler: Tpcb db too small") (fun () ->
+      ignore (Profile.sampler profile ~db_size:(5 + 20)));
   Alcotest.check_raises "tpcb needs 3 actions"
     (Invalid_argument "Profile.create: Tpcb requires exactly 3 actions")
     (fun () ->
