@@ -79,6 +79,28 @@ let engine_event_throughput () =
   Engine.run engine;
   if !fired < 100_000 then failwith "Suite.engine_event_throughput: short run"
 
+(* The heap path: 256 self-rescheduling chains firing 100k events, each at
+   a delay no other event shares (the fractional part of i times the
+   golden ratio), like random message delays, Poisson arrivals and
+   backoffs. No delay repeats, so none is admitted into a FIFO lane and
+   every event goes through the heap. *)
+let engine_random_delay () =
+  let engine = Engine.create () in
+  let scheduled = ref 0 in
+  let rec tick () =
+    if !scheduled < 100_000 then begin
+      incr scheduled;
+      let golden = float_of_int !scheduled *. 0.6180339887498949 in
+      ignore (Engine.schedule engine ~delay:(0.001 *. Float.rem golden 1.) tick)
+    end
+  in
+  for _ = 1 to 256 do
+    tick ()
+  done;
+  Engine.run engine;
+  if Engine.events_fired engine < 100_000 then
+    failwith "Suite.engine_random_delay: short run"
+
 (* Schedule-then-cancel churn: half the scheduled work is cancelled before
    it fires, the pattern of timeouts and disconnect cycles. *)
 let engine_cancel_churn () =
@@ -125,6 +147,7 @@ let cases ~quick =
     case ~runs:10 20 "lock/contended-fifo" "lock.waits" lock_contended_fifo;
     case ~runs:10 20 "lock/deadlock-chain" "lock.dfs_visits" lock_deadlock_chain;
     case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
+    case 10 "engine/random-delay" "sim.step_ns.p50" engine_random_delay;
     case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"
       engine_cancel_churn;
     case 10 "parsim/window-ring" "parsim.windows" parsim_window_ring;

@@ -1,7 +1,7 @@
 (** The component micro-benchmark suite: lock-table fast path, contended
-    FIFO and deadlock detection, engine event throughput and cancel
-    churn, and the parallel engine's window ring. End-to-end runs live in
-    bench/e2e.
+    FIFO and deadlock detection, engine event throughput (on the
+    engine's FIFO lanes and on its heap) and cancel churn, and the
+    parallel engine's window ring. End-to-end runs live in bench/e2e.
 
     [quick] shrinks sample counts only — never workloads — so quick-mode
     results compare meaningfully against full-mode baselines, just with

@@ -101,8 +101,9 @@ let park t ~at message =
 let arrive t ({ p_src; p_dst; p_msg } as message) =
   if t.connected.(p_dst) then begin
     t.delivered <- t.delivered + 1;
-    Clock.trace t.clock
-      (Dangers_sim.Trace.Message_delivered { src = p_src; dst = p_dst });
+    if Clock.tracing t.clock then
+      Clock.trace t.clock
+        (Dangers_sim.Trace.Message_delivered { src = p_src; dst = p_dst });
     t.deliver ~src:p_src ~dst:p_dst p_msg
   end
   else park t ~at:p_dst message
@@ -144,7 +145,9 @@ let send t ~src ~dst msg =
   check_node t dst "Network.send";
   if src = dst then invalid_arg "Network.send: src = dst";
   t.sent <- t.sent + 1;
-  Clock.trace t.clock (Dangers_sim.Trace.Message_sent { src; dst });
+  (* Per-message records are built only when a tracer is attached. *)
+  if Clock.tracing t.clock then
+    Clock.trace t.clock (Dangers_sim.Trace.Message_sent { src; dst });
   route t { p_src = src; p_dst = dst; p_msg = msg }
 
 let broadcast t ~src msg =

@@ -1,18 +1,29 @@
 (* The event queue is the hottest loop of every simulation: an eager run at
-   nodes=10 fires tens of millions of events. The engine therefore keeps its
-   own inline binary min-heap over parallel arrays instead of a generic heap
-   of event records:
+   nodes=10 fires tens of millions of events. Nearly every one of them is
+   scheduled at a handful of relative delays — the model charges each
+   action a fixed Action_Time, and the default message delay is zero — so
+   the engine keeps two kinds of queue side by side:
 
-   - [times] is a plain [float array] (unboxed floats), so the key compare
-     in sift operations is a raw float compare, not two closure calls into a
-     polymorphic [cmp].
-   - [seqs] breaks ties so equal-time events fire in schedule order, as
-     before.
-   - The only per-event allocation is the two-field handle given back to the
-     caller ([action] plus the [cancelled] flag); the time and sequence live
-     only in the heap arrays.
-   - Sift up/down move a hole instead of swapping, and [step]/[run] never
-     allocate an [option].
+   - A few FIFO {e lanes}, each a power-of-two ring buffer bound to one
+     relative delay. The clock never goes back, so events pushed at
+     [now + d] for a fixed [d] arrive in (time, seq) order: a lane is
+     sorted by construction, and push and pop are O(1) with no sifting.
+     [schedule] uses the lane bound to its delay, else rebinds an empty
+     lane to a delay that is seen to repeat, else falls back to the heap.
+   - An inline binary min-heap over parallel arrays for everything else
+     (distinct delays, [schedule_at]). [times] is a plain [float array]
+     (unboxed floats), so the key compare is a raw float compare; sift
+     up/down move a hole instead of swapping.
+
+   In both, [seqs] breaks ties so equal-time events fire in schedule
+   order. The next event is the least (time, seq) among the heap root and
+   the lane heads, so fire order is exactly that of one heap over every
+   event. [top] caches which source holds it and [lane_top] which lane
+   leads the lanes: a push updates both with one compare each, a heap pop
+   costs one compare, and only a lane pop scans the lane heads. The only
+   per-event allocation is the two-field handle given back to the caller
+   ([action] plus the [cancelled] flag); the time and sequence live only
+   in the queue arrays, and [step]/[run] never allocate an [option].
 
    The same queue serves the simulator and the live server. A time source
    decides the one thing that differs: virtual time jumps to the next
@@ -28,6 +39,15 @@ type time =
   | Virtual
   | Wall of { elapsed : unit -> float; sleep : float -> unit }
 
+(* Ring buffer of the events scheduled at one delay, oldest at [head]. *)
+type lane = {
+  mutable l_times : float array;
+  mutable l_seqs : int array;
+  mutable l_evs : event array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type t = {
   time : time;
   mutable clock : float;
@@ -39,8 +59,15 @@ type t = {
   mutable seqs : int array;
   mutable evs : event array;
   mutable size : int;
+  lanes : lane array;
+  delays : float array;
+      (* the delay each lane is bound to (-1 when unbound), then that of
+         the latest schedule to fall back to the heap *)
+  mutable top : int; (* source of the next event: a lane, [heap] or [none] *)
+  mutable lane_top : int; (* the lane with the earliest head, or [none] *)
+  mutable queued : int; (* heap plus lanes, cancelled events included *)
   mutable high_water : int;
-  filler : event; (* occupies [evs] slots past [size] *)
+  filler : event; (* occupies [evs] and lane slots not in use *)
   mutable trace : Trace.t option;
   mutable idle_waiter : (timeout:float -> unit) option;
   (* Cross-domain entry points. The flags let the single-domain hot loop
@@ -51,11 +78,25 @@ type t = {
   stop_flag : bool Atomic.t;
 }
 
+(* Sources of the next event: lanes [0 .. lane_count - 1], then the heap. *)
+let lane_count = 4
+let heap = lane_count
+let none = -1
+
 (* One filler per engine, not one per module: engines may live on
    different domains, and a single shared record would be cross-domain
    mutable state. *)
 let with_time time =
   let filler = { action = ignore; cancelled = true } in
+  let lane _ =
+    {
+      l_times = Array.make 16 0.;
+      l_seqs = Array.make 16 0;
+      l_evs = Array.make 16 filler;
+      head = 0;
+      len = 0;
+    }
+  in
   {
     time;
     clock = 0.;
@@ -66,6 +107,11 @@ let with_time time =
     seqs = Array.make 16 0;
     evs = Array.make 16 filler;
     size = 0;
+    lanes = Array.init lane_count lane;
+    delays = Array.make (lane_count + 1) (-1.);
+    top = none;
+    lane_top = none;
+    queued = 0;
     high_water = 0;
     filler;
     trace = None;
@@ -87,6 +133,58 @@ let now t =
       let elapsed = w.elapsed () in
       if elapsed > t.clock then elapsed else t.clock
 
+(* The head of a non-empty source. Inlined, so a head time is never
+   returned as a boxed float. *)
+let[@inline] head_time t s =
+  if s = heap then t.times.(0)
+  else
+    let l = t.lanes.(s) in
+    l.l_times.(l.head)
+
+let[@inline] head_seq t s =
+  if s = heap then t.seqs.(0)
+  else
+    let l = t.lanes.(s) in
+    l.l_seqs.(l.head)
+
+let[@inline] head_event t s =
+  if s = heap then t.evs.(0)
+  else
+    let l = t.lanes.(s) in
+    l.l_evs.(l.head)
+
+(* Whether non-empty source [a]'s head fires before source [b]'s. *)
+let[@inline] before t a b =
+  let ta = head_time t a and tb = head_time t b in
+  ta < tb || (Float.equal ta tb && head_seq t a < head_seq t b)
+
+(* The lane whose head fires first, by a scan of the lane heads; needed
+   only when a lane's head changes by a pop. *)
+let rescan_lanes t =
+  let best = ref none in
+  for k = 0 to lane_count - 1 do
+    if t.lanes.(k).len > 0 && (!best = none || before t k !best) then best := k
+  done;
+  t.lane_top <- !best
+
+(* The next event is the earlier of the heap root and the first lane. *)
+let reselect t =
+  let k = t.lane_top in
+  t.top <- (if t.size > 0 && (k = none || before t heap k) then heap else k)
+
+(* Bookkeeping for an event just queued at [time] in source [s]. Its seq
+   is the largest yet, so it comes first only if it is strictly earlier
+   than the current first: then it is its source's head, and the next
+   event. *)
+let[@inline] queued_in t s time =
+  if s <> heap && (t.lane_top = none || time < head_time t t.lane_top) then
+    t.lane_top <- s;
+  if t.top = none || time < head_time t t.top then t.top <- s;
+  t.next_seq <- t.next_seq + 1;
+  t.live <- t.live + 1;
+  t.queued <- t.queued + 1;
+  if t.queued > t.high_water then t.high_water <- t.queued
+
 let grow t =
   let cap = Array.length t.times in
   let cap' = 2 * cap in
@@ -103,7 +201,6 @@ let grow t =
 let push t time seq ev =
   if t.size = Array.length t.times then grow t;
   t.size <- t.size + 1;
-  if t.size > t.high_water then t.high_water <- t.size;
   (* bubble a hole up from the new slot, then drop the event in *)
   let i = ref (t.size - 1) in
   let placed = ref false in
@@ -165,22 +262,75 @@ let remove_min t =
     t.evs.(!i) <- ev
   end
 
+(* Double a full lane, unrolling the ring so the oldest event is at 0. *)
+let grow_lane t l =
+  let cap = Array.length l.l_evs in
+  let times = Array.make (2 * cap) 0. in
+  let seqs = Array.make (2 * cap) 0 in
+  let evs = Array.make (2 * cap) t.filler in
+  let first = cap - l.head in
+  Array.blit l.l_times l.head times 0 first;
+  Array.blit l.l_times 0 times first l.head;
+  Array.blit l.l_seqs l.head seqs 0 first;
+  Array.blit l.l_seqs 0 seqs first l.head;
+  Array.blit l.l_evs l.head evs 0 first;
+  Array.blit l.l_evs 0 evs first l.head;
+  l.l_times <- times;
+  l.l_seqs <- seqs;
+  l.l_evs <- evs;
+  l.head <- 0
+
+(* The lane bound to [delay], else [none]. An unbound delay is admitted
+   into the first empty lane only when the previous schedule that fell
+   back to the heap had the same delay: a one-off delay (a random arrival
+   or backoff) would otherwise hold a lane until it fires and push the
+   repeated ones onto the heap. Every event in a lane shares its delay,
+   so the lane stays sorted. *)
+let lane_for t delay =
+  let found = ref none and empty = ref none and k = ref 0 in
+  while !found = none && !k < lane_count do
+    if Float.equal t.delays.(!k) delay then found := !k
+    else if !empty = none && t.lanes.(!k).len = 0 then empty := !k;
+    incr k
+  done;
+  if !found = none then begin
+    if !empty <> none && Float.equal t.delays.(lane_count) delay then begin
+      t.delays.(!empty) <- delay;
+      found := !empty
+    end
+    else t.delays.(lane_count) <- delay
+  end;
+  !found
+
 let schedule_at t ~time action =
   if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   let event = { action; cancelled = false } in
   push t time t.next_seq event;
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
+  queued_in t heap time;
   event
 
 let schedule t ~delay action =
   if not (Float.is_finite delay && delay >= 0.) then
     invalid_arg "Engine.schedule: delay must be finite and non-negative";
-  schedule_at t ~time:(t.clock +. delay) action
+  let k = lane_for t delay in
+  if k = none then schedule_at t ~time:(t.clock +. delay) action
+  else begin
+    let event = { action; cancelled = false } in
+    let l = t.lanes.(k) in
+    if l.len = Array.length l.l_evs then grow_lane t l;
+    let i = (l.head + l.len) land (Array.length l.l_evs - 1) in
+    let time = t.clock +. delay in
+    l.l_times.(i) <- time;
+    l.l_seqs.(i) <- t.next_seq;
+    l.l_evs.(i) <- event;
+    l.len <- l.len + 1;
+    queued_in t k time;
+    event
+  end
 
-(* A cancelled event may sit in the heap until it reaches the root; drop
-   its closure now so it does not pin what it captured until then. *)
+(* A cancelled event may stay queued until it is the next event; drop its
+   closure now so it does not pin what it captured until then. *)
 let cancel t event =
   if not event.cancelled then begin
     event.cancelled <- true;
@@ -190,24 +340,42 @@ let cancel t event =
 
 let pending t = t.live
 
-(* Cancelled roots are popped eagerly so the root is an event that will
-   actually fire; this keeps the parallel engine's window bound (the global
-   minimum of [next_time]) exact rather than pessimistic. *)
+(* Remove the next event, known to exist, and find the one after it. A
+   popped lane slot is reset to the filler, as past-the-end heap slots
+   are. *)
+let pop t =
+  let s = t.top in
+  if s = heap then remove_min t
+  else begin
+    let l = t.lanes.(s) in
+    l.l_evs.(l.head) <- t.filler;
+    l.head <- (l.head + 1) land (Array.length l.l_evs - 1);
+    l.len <- l.len - 1;
+    rescan_lanes t
+  end;
+  t.queued <- t.queued - 1;
+  reselect t
+
+(* Cancelled events are popped eagerly once they are next, so the next
+   event is one that will actually fire; this keeps the parallel engine's
+   window bound (the global minimum of [next_time]) exact rather than
+   pessimistic. Only the next event is ever removed, so the queue holds
+   exactly what one heap over every event would. *)
 let drop_cancelled t =
-  while t.size > 0 && t.evs.(0).cancelled do
-    remove_min t
+  while t.top <> none && (head_event t t.top).cancelled do
+    pop t
   done
 
 let next_time t =
   drop_cancelled t;
-  if t.size = 0 then None else Some t.times.(0)
+  if t.top = none then None else Some (head_time t t.top)
 
-(* Fire the root, known live. Virtual time never schedules into the past,
-   so the clock only moves forward in either mode; under wall time it may
-   already be past the event. *)
+(* Fire the next event, known live. Virtual time never schedules into the
+   past, so the clock only moves forward in either mode; under wall time
+   it may already be past the event. *)
 let fire t =
-  let event = t.evs.(0) and time = t.times.(0) in
-  remove_min t;
+  let event = head_event t t.top and time = head_time t t.top in
+  pop t;
   (* Mark fired events as no longer live so a later [cancel] (e.g. a
      schedule stopped from inside its own callback) stays a no-op instead
      of corrupting the live count. *)
@@ -219,7 +387,7 @@ let fire t =
 
 let step t =
   drop_cancelled t;
-  if t.size = 0 then false
+  if t.top = none then false
   else begin
     fire t;
     true
@@ -264,7 +432,7 @@ let run_virtual t ~limit ~deadline =
     else begin
       if Atomic.get t.mail_flag then drain_posts t;
       drop_cancelled t;
-      if t.size > 0 && t.times.(0) <= deadline then begin
+      if t.top <> none && head_time t t.top <= deadline then begin
         if !budget = 0 then raise (Runaway limit);
         decr budget;
         fire t
@@ -283,15 +451,16 @@ let run_wall t ~elapsed ~sleep ~limit ~deadline =
       let now = elapsed () in
       if now > t.clock then t.clock <- now;
       drop_cancelled t;
-      if t.size > 0 && t.times.(0) <= deadline then begin
-        if t.times.(0) <= t.clock then begin
+      if t.top <> none && head_time t t.top <= deadline then begin
+        let next = head_time t t.top in
+        if next <= t.clock then begin
           if !budget = 0 then raise (Runaway limit);
           decr budget;
           fire t
         end
         else
           (* Next event is in the real future: park until it is due. *)
-          idle t ~sleep (t.times.(0) -. t.clock)
+          idle t ~sleep (next -. t.clock)
       end
       else if t.clock >= deadline then continue := false
       else if Float.is_finite deadline then idle t ~sleep (deadline -. t.clock)

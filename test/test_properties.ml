@@ -64,33 +64,204 @@ let network_conservation =
       && Hashtbl.fold (fun _ n acc -> acc && n = 1) received true
       && Network.messages_delivered network = !sent)
 
-(* --- Engine: fired callbacks come in non-decreasing time order and
-   cancelled events never fire. --- *)
+(* --- Engine vs a sorted-list reference: the exact fired sequence, so
+   callbacks come in (time, seq) order and cancelled events never fire.
+   The delays mostly come from a small alphabet, so events share delays
+   (the engine's FIFO lanes) and times (ties across lanes and the
+   heap). --- *)
+
+type delay = Fixed of int | Random of float
+
+type op =
+  | Schedule of delay * delay list (* the callback schedules the list *)
+  | Schedule_at of delay * delay list (* at now + delay, on the heap *)
+  | Cancel of int (* an event by creation index, from the script *)
+  | Cancel_in_callback of delay * int (* a callback that cancels one *)
+  | Run_until of float
+  | Step
+  | Next_time
+
+let delay_value = function
+  | Fixed i -> [| 0.; 0.01; 0.5 |].(i)
+  | Random d -> d
+
+(* What the script needs from an event core; [high_water] and [pending]
+   are read once at the end. *)
+type 'h core = {
+  now : unit -> float;
+  schedule : delay:float -> (unit -> unit) -> 'h;
+  schedule_at : time:float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  step : unit -> bool;
+  next_time : unit -> float option;
+  run_until : float -> unit;
+  high_water : unit -> int;
+  pending : unit -> int;
+}
+
+type observed = Fired of float * int | Next of float option | Stepped of bool
+
+let engine_core () =
+  let e = Engine.create () in
+  {
+    now = (fun () -> Engine.now e);
+    schedule = (fun ~delay f -> Engine.schedule e ~delay f);
+    schedule_at = (fun ~time f -> Engine.schedule_at e ~time f);
+    cancel = Engine.cancel e;
+    step = (fun () -> Engine.step e);
+    next_time = (fun () -> Engine.next_time e);
+    run_until = (fun until -> Engine.run e ~until);
+    high_water = (fun () -> Engine.queue_high_water e);
+    pending = (fun () -> Engine.pending e);
+  }
+
+(* One list sorted by (time, seq); cancelled entries stay queued until
+   they reach the front, so the high water counts them as the engine's
+   does. *)
+let reference_core () =
+  let clock = ref 0. and seq = ref 0 and queue = ref [] and high = ref 0 in
+  let add time f =
+    let entry = (time, !seq, ref false, f) in
+    incr seq;
+    let key (t, s, _, _) = (t, s) in
+    queue := List.merge (fun a b -> compare (key a) (key b)) !queue [ entry ];
+    high := max !high (List.length !queue);
+    entry
+  in
+  let rec drop () =
+    match !queue with
+    | (_, _, cancelled, _) :: rest when !cancelled ->
+        queue := rest;
+        drop ()
+    | _ -> ()
+  in
+  let fire () =
+    match !queue with
+    | (time, _, cancelled, f) :: rest ->
+        queue := rest;
+        cancelled := true;
+        clock := Float.max !clock time;
+        f ()
+    | [] -> assert false
+  in
+  let rec run_until until =
+    drop ();
+    match !queue with
+    | (time, _, _, _) :: _ when time <= until ->
+        fire ();
+        run_until until
+    | _ -> clock := Float.max !clock until
+  in
+  {
+    now = (fun () -> !clock);
+    schedule = (fun ~delay f -> add (!clock +. delay) f);
+    schedule_at = (fun ~time f -> add time f);
+    cancel = (fun (_, _, cancelled, _) -> cancelled := true);
+    step =
+      (fun () ->
+        drop ();
+        !queue <> [] && (fire (); true));
+    next_time =
+      (fun () ->
+        drop ();
+        match !queue with (time, _, _, _) :: _ -> Some time | [] -> None);
+    run_until;
+    high_water = (fun () -> !high);
+    pending =
+      (fun () ->
+        List.length (List.filter (fun (_, _, c, _) -> not !c) !queue));
+  }
+
+(* Run [script] on [core] and return what was observed, then the final
+   pending count and high water. Every event gets a creation index; a
+   fired event logs (now, index). *)
+let play core script =
+  let log = ref [] and handles = ref [] and created = ref 0 in
+  let note x = log := x :: !log in
+  let rec make ~schedule children =
+    let id = !created in
+    incr created;
+    let h =
+      schedule (fun () ->
+          note (Fired (core.now (), id));
+          List.iter
+            (fun d -> make ~schedule:(core.schedule ~delay:(delay_value d)) [])
+            children)
+    in
+    handles := h :: !handles
+  in
+  let cancel_nth k =
+    match !handles with
+    | [] -> ()
+    | hs -> core.cancel (List.nth hs (k mod List.length hs))
+  in
+  List.iter
+    (function
+      | Schedule (d, children) ->
+          make ~schedule:(core.schedule ~delay:(delay_value d)) children
+      | Schedule_at (d, children) ->
+          make
+            ~schedule:(core.schedule_at ~time:(core.now () +. delay_value d))
+            children
+      | Cancel k -> cancel_nth k
+      | Cancel_in_callback (d, k) ->
+          handles :=
+            core.schedule ~delay:(delay_value d) (fun () -> cancel_nth k)
+            :: !handles
+      | Run_until span -> core.run_until (core.now () +. span)
+      | Step -> note (Stepped (core.step ()))
+      | Next_time -> note (Next (core.next_time ())))
+    script;
+  core.run_until infinity;
+  (List.rev !log, core.pending (), core.high_water ())
+
+let engine_op_gen =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [
+        (4, map (fun i -> Fixed i) (int_bound 2));
+        (1, map (fun d -> Random d) (float_bound_inclusive 1.));
+      ]
+  in
+  let children = list_size (int_bound 2) delay in
+  frequency
+    [
+      (6, map2 (fun d c -> Schedule (d, c)) delay children);
+      (2, map2 (fun d c -> Schedule_at (d, c)) delay children);
+      (2, map (fun k -> Cancel k) nat);
+      (1, map2 (fun d k -> Cancel_in_callback (d, k)) delay nat);
+      (1, map (fun s -> Run_until s) (float_bound_inclusive 0.6));
+      (1, return Step);
+      (1, return Next_time);
+    ]
+
+let engine_op_print =
+  let d = function
+    | Fixed i -> Printf.sprintf "%g" (delay_value (Fixed i))
+    | Random x -> Printf.sprintf "~%h" x
+  in
+  let ds c = String.concat "," (List.map d c) in
+  function
+  | Schedule (x, c) -> Printf.sprintf "schedule %s [%s]" (d x) (ds c)
+  | Schedule_at (x, c) -> Printf.sprintf "at +%s [%s]" (d x) (ds c)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Cancel_in_callback (x, k) -> Printf.sprintf "callback %s cancels %d" (d x) k
+  | Run_until s -> Printf.sprintf "run +%h" s
+  | Step -> "step"
+  | Next_time -> "next_time"
 
 let engine_ordering =
-  QCheck.Test.make ~name:"engine: time-ordered, cancelled never fire" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 30)
-              (pair (float_range 0. 100.) bool))
+  QCheck.Test.make
+    ~name:"engine: time-ordered, cancelled never fire, exactly as the reference"
+    ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map engine_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 60) engine_op_gen))
     (fun script ->
-      let engine = Engine.create () in
-      let fired = ref [] in
-      let cancelled_fired = ref false in
-      List.iteri
-        (fun i (delay, cancel) ->
-          let event =
-            Engine.schedule engine ~delay (fun () ->
-                if cancel then cancelled_fired := true
-                else fired := (Engine.now engine, i) :: !fired)
-          in
-          if cancel then Engine.cancel engine event)
-        script;
-      Engine.run engine;
-      let times = List.rev_map fst !fired in
-      let rec sorted = function
-        | a :: (b :: _ as rest) -> a <= b && sorted rest
-        | [ _ ] | [] -> true
-      in
-      (not !cancelled_fired) && sorted times)
+      (* the reference counts every queued event, so equal high waters
+         also show that events in the engine's lanes are counted *)
+      play (engine_core ()) script = play (reference_core ()) script)
 
 (* --- Update log vs a pure reference. --- *)
 
