@@ -1,15 +1,28 @@
-(* The `dangers` command-line interface.
+(* The `dangers` command-line interface. Every simulation it starts goes
+   through `Sweep.run` / `Sweep.run_observed`, so each output is
+   byte-identical at any `--jobs`.
 
    Subcommands:
      list                      enumerate experiments and schemes
-     experiment [IDS..]        regenerate paper tables/figures
+     experiment [IDS..]        regenerate paper tables/figures (`--format
+                               markdown` for the full report)
      sweep [IDS..]             run an (experiment | scheme) x seed grid on a
                                Domain pool and export the results
+                               (`--scenario NAME` for a named workload)
      analytic                  print the closed-form predictions for a
                                parameter point (all schemes)
      simulate                  run one replication scheme under load and
                                print its measured summary
-     scenario NAME             run a named workload scenario across schemes *)
+     trace FILE                inspect or convert a recorded trace
+     validate FILE..           schema-check recorded trace, metrics and
+                               series files
+     fuzz                      fault-injection sweep or one-case replay
+     lint                      static determinism / domain-safety analysis
+     bench                     component micro-benchmarks
+     serve / load              the live two-tier service and its load
+                               generator
+     stat                      scrape a running service (`--watch` for a
+                               live dashboard) *)
 
 module Params = Dangers_analytic.Params
 module Model = Dangers_analytic.Model
@@ -27,6 +40,7 @@ module Json = Dangers_obs.Json
 module Obs = Dangers_obs.Metrics
 module Trace = Dangers_sim.Trace
 module Trace_export = Dangers_sim.Trace_export
+module Timeseries = Dangers_obs.Timeseries
 
 open Cmdliner
 
@@ -154,8 +168,8 @@ let obs_term =
          & info [ "series-out" ] ~docv:"FILE"
              ~doc:"Sample each run's metrics registry on the simulated \
                    clock across the measured window and write the \
-                   dangers/metrics-series/v1 JSONL to $(docv) (inspect \
-                   with `dangers series`).")
+                   dangers/metrics-series/v1 JSONL to $(docv) (check \
+                   with `dangers validate`).")
   in
   let series_interval =
     Arg.(value & opt float 1.0
@@ -214,9 +228,9 @@ let write_observations opts observations =
           match o.Sweep.o_series with
           | None -> ()
           | Some series ->
-              windows := !windows + Dangers_obs.Timeseries.sampled series;
+              windows := !windows + Timeseries.sampled series;
               output_string oc
-                (Dangers_obs.Timeseries.to_jsonl ~label:o.Sweep.o_label
+                (Timeseries.to_jsonl ~label:o.Sweep.o_label
                    ~seed:o.Sweep.o_seed series))
         observations;
       close_out oc;
@@ -243,6 +257,17 @@ let run_tasks ?(sim_domains = 1) ~opts ~jobs tasks =
     List.map fst observed
   end
   else Sweep.run ~jobs ?sim_domains tasks
+
+(* Print [text] on stdout, or write it to [out]. *)
+let emit ~out text =
+  match out with
+  | None ->
+      print_string text;
+      flush stdout
+  | Some file ->
+      let oc = open_out file in
+      output_string oc text;
+      close_out oc
 
 (* Scheme-specific post-run facts, one line, stable order. *)
 let pp_diagnostics ppf outcome =
@@ -275,6 +300,49 @@ let list_cmd =
 
 (* --- experiment --- *)
 
+(* The registry entries named by [ids], in the order given; [None] after
+   reporting any unknown id, with the known ones, on stderr. *)
+let find_experiments ids =
+  match List.filter (fun id -> Registry.find id = None) ids with
+  | [] -> Some (List.filter_map Registry.find ids)
+  | missing ->
+      prerr_endline ("unknown experiment ids: " ^ String.concat ", " missing);
+      prerr_endline ("known ids: " ^ String.concat " " (Registry.ids ()));
+      None
+
+(* The paper-vs-measured report: one markdown section per experiment, then
+   the reproduced-findings count. *)
+let print_markdown ~quick ~seed runs =
+  Format.printf
+    "# Paper reproduction report@.@.Generated by `dangers experiment \
+     --format markdown`%s with seed %d. Every table and figure of Gray et \
+     al. (SIGMOD'96), analytic prediction vs simulator measurement.@.@."
+    (if quick then " (quick mode)" else "")
+    seed;
+  let total = ref 0 and ok = ref 0 in
+  List.iter
+    (fun ((e : Experiment.t), (result : Experiment.result)) ->
+      Format.printf "## %s — %s@.@.*%s*@.@." result.id result.title
+        e.paper_ref;
+      List.iter
+        (fun table -> Format.printf "%s@." (Table.to_markdown table))
+        result.tables;
+      List.iter
+        (fun f ->
+          incr total;
+          if Experiment.finding_ok f then incr ok;
+          Format.printf
+            "- %s finding: **%s** — expected %.4g, measured %.4g (tolerance \
+             %.2g)@."
+            (if Experiment.finding_ok f then "✅" else "❌")
+            f.Experiment.label f.Experiment.expected f.Experiment.actual
+            f.Experiment.tolerance)
+        result.findings;
+      List.iter (fun note -> Format.printf "@.> %s@." note) result.notes;
+      Format.printf "@.")
+    runs;
+  Format.printf "---@.@.**Findings reproduced: %d / %d.**@." !ok !total
+
 let experiment_cmd =
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID"
@@ -283,35 +351,40 @@ let experiment_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Shorter runs, fewer seeds.")
   in
-  let run ids quick seed jobs sim_domains opts =
-    let selected =
-      match ids with
-      | [] -> Ok Registry.all
-      | ids ->
-          let missing = List.filter (fun id -> Registry.find id = None) ids in
-          if missing <> [] then
-            Error ("unknown experiment ids: " ^ String.concat ", " missing)
-          else Ok (List.filter_map Registry.find ids)
-    in
-    match selected with
-    | Error message ->
-        prerr_endline message;
-        prerr_endline ("known ids: " ^ String.concat " " (Registry.ids ()));
-        1
-    | Ok experiments ->
-        Sweep.experiment_tasks ~quick experiments ~seeds:[ seed ]
-        |> run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs)
-        |> List.iter (function
-             | Sweep.Experiment_item { result; _ } ->
-                 Format.printf "%a@." Experiment.pp_result result
-             | Sweep.Scheme_item _ -> assert false);
+  let format =
+    Arg.(value
+         & opt (enum [ ("table", `Table); ("markdown", `Markdown) ]) `Table
+         & info [ "format" ]
+             ~doc:"Output format: $(b,table) (plain-text tables) or \
+                   $(b,markdown) (the full paper-vs-measured report, with \
+                   a reproduced-findings count).")
+  in
+  let run ids quick format seed jobs sim_domains opts =
+    match find_experiments ids with
+    | None -> 1
+    | Some selected ->
+        let experiments =
+          match selected with [] -> Registry.all | selected -> selected
+        in
+        let results =
+          Sweep.experiment_tasks ~quick experiments ~seeds:[ seed ]
+          |> run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs)
+          |> List.map (function
+               | Sweep.Experiment_item { result; _ } -> result
+               | Sweep.Scheme_item _ -> assert false)
+        in
+        (match format with
+        | `Table ->
+            List.iter (Format.printf "%a@." Experiment.pp_result) results
+        | `Markdown ->
+            print_markdown ~quick ~seed (List.combine experiments results));
         0
   in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures (analytic vs measured).")
-    Term.(const run $ ids $ quick $ seed_term $ jobs_term $ sim_domains_term
-          $ obs_term)
+    Term.(const run $ ids $ quick $ format $ seed_term $ jobs_term
+          $ sim_domains_term $ obs_term)
 
 (* --- analytic --- *)
 
@@ -452,7 +525,7 @@ let sweep_cmd =
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID"
          ~doc:"Experiment ids to sweep (default: the full registry, unless \
-               $(b,--scheme) is given).")
+               $(b,--scheme) or $(b,--scenario) is given).")
   in
   let schemes =
     Arg.(value & opt_all string []
@@ -473,6 +546,16 @@ let sweep_cmd =
     Arg.(value & opt float 120.
          & info [ "span" ] ~doc:"Measured seconds per scheme run.")
   in
+  let scenario =
+    Arg.(value
+         & opt (some (enum (List.map (fun s -> (s.Scenario.name, s))
+                              Scenario.all))) None
+         & info [ "scenario" ] ~docv:"NAME"
+             ~doc:"Run a named workload scenario: its parameter point, \
+                   transaction profile and initial object value replace \
+                   the parameter flags, and every registered scheme runs \
+                   unless $(b,--scheme) narrows the set.")
+  in
   let format =
     Arg.(value & opt format_conv `Table
          & info [ "format" ] ~doc:"Output format: table, json (JSONL), csv.")
@@ -481,114 +564,75 @@ let sweep_cmd =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the output to FILE.")
   in
-  let run params ids schemes quick nseeds span format out seed jobs sim_domains
-      opts =
+  let run params ids schemes scenario quick nseeds span format out seed jobs
+      sim_domains opts =
     let scheme_names =
-      if List.mem "all" schemes then Scheme.names () else schemes
+      match (schemes, scenario) with
+      | [], Some _ -> Scheme.names ()
+      | schemes, _ when List.mem "all" schemes -> Scheme.names ()
+      | schemes, _ -> schemes
     in
-    let unknown_ids = List.filter (fun id -> Registry.find id = None) ids in
     let unknown_schemes =
       List.filter (fun s -> Scheme.find s = None) scheme_names
     in
-    if unknown_ids <> [] then begin
-      prerr_endline
-        ("unknown experiment ids: " ^ String.concat ", " unknown_ids);
-      prerr_endline ("known ids: " ^ String.concat " " (Registry.ids ()));
-      1
-    end
-    else if unknown_schemes <> [] then begin
-      prerr_endline
-        ("unknown schemes: " ^ String.concat ", " unknown_schemes);
-      prerr_endline
-        ("known schemes: " ^ String.concat " " (Scheme.names ()));
-      1
-    end
-    else begin
-      Params.validate params;
-      let seeds = List.init (max 1 nseeds) (fun i -> seed + (101 * i)) in
-      let experiments =
-        match (ids, scheme_names) with
-        | [], [] -> Registry.all
-        | [], _ :: _ -> []
-        | ids, _ -> List.filter_map Registry.find ids
-      in
-      let tasks =
-        Sweep.experiment_tasks ~quick experiments ~seeds
-        @ Sweep.scheme_tasks ~span ~seeds ~specs:[ Scheme.spec params ]
-            scheme_names
-      in
-      note_serial_schemes ~sim_domains scheme_names;
-      let items = run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs) tasks in
-      let emit text =
-        match out with
-        | None -> print_string text
-        | Some file ->
-            let oc = open_out file in
-            output_string oc text;
-            close_out oc
-      in
-      (match format with
-      | `Table -> (
-          print_items_table items;
-          match out with
-          | None -> ()
-          | Some file ->
-              emit (Export.to_jsonl (List.map Export.record_of_item items));
-              Printf.printf "wrote %s (JSONL)\n" file)
-      | `Json -> emit (Export.to_jsonl (List.map Export.record_of_item items))
-      | `Csv -> emit (Export.to_csv (List.map Export.record_of_item items)));
-      0
-    end
+    match find_experiments ids with
+    | None -> 1
+    | Some _ when unknown_schemes <> [] ->
+        prerr_endline
+          ("unknown schemes: " ^ String.concat ", " unknown_schemes);
+        prerr_endline
+          ("known schemes: " ^ String.concat " " (Scheme.names ()));
+        1
+    | Some selected ->
+        let params, spec =
+          match scenario with
+          | None -> (params, Scheme.spec params)
+          | Some s ->
+              ( s.Scenario.params,
+                Scheme.spec ~profile:s.Scenario.profile
+                  ~initial_value:s.Scenario.initial_value s.Scenario.params )
+        in
+        Params.validate params;
+        let seeds = List.init (max 1 nseeds) (fun i -> seed + (101 * i)) in
+        let experiments =
+          match (selected, scheme_names) with
+          | [], [] -> Registry.all
+          | selected, _ -> selected
+        in
+        let tasks =
+          Sweep.experiment_tasks ~quick experiments ~seeds
+          @ Sweep.scheme_tasks ~span ~seeds ~specs:[ spec ] scheme_names
+        in
+        note_serial_schemes ~sim_domains scheme_names;
+        let items =
+          run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs) tasks
+        in
+        let records = List.map Export.record_of_item items in
+        (match format with
+        | `Table ->
+            Option.iter
+              (fun s ->
+                Format.printf "%s: %s@.%a@.@." s.Scenario.name
+                  s.Scenario.description Params.pp params)
+              scenario;
+            print_items_table items;
+            Option.iter
+              (fun file ->
+                emit ~out (Export.to_jsonl records);
+                Printf.printf "wrote %s (JSONL)\n" file)
+              out
+        | `Json -> emit ~out (Export.to_jsonl records)
+        | `Csv -> emit ~out (Export.to_csv records));
+        0
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Run an (experiment | scheme) x seed grid on a multicore task \
              pool. Results are in task order and byte-identical at any \
              $(b,--jobs).")
-    Term.(const run $ params_term $ ids $ schemes $ quick $ seeds $ span
-          $ format $ out $ seed_term $ jobs_term $ sim_domains_term
+    Term.(const run $ params_term $ ids $ schemes $ scenario $ quick $ seeds
+          $ span $ format $ out $ seed_term $ jobs_term $ sim_domains_term
           $ obs_term)
-
-(* --- report --- *)
-
-let report_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Shorter runs, fewer seeds.")
-  in
-  let run quick seed =
-    Format.printf
-      "# Paper reproduction report@.@.Generated by `dangers report`%s with seed %d. Every table and figure of Gray et al. (SIGMOD'96), analytic prediction vs simulator measurement.@.@."
-      (if quick then " (quick mode)" else "")
-      seed;
-    let total = ref 0 and ok = ref 0 in
-    List.iter
-      (fun e ->
-        let result = e.Experiment.run ~quick ~seed in
-        Format.printf "## %s — %s@.@.*%s*@.@." result.Experiment.id
-          result.Experiment.title e.Experiment.paper_ref;
-        List.iter
-          (fun table -> Format.printf "%s@." (Table.to_markdown table))
-          result.Experiment.tables;
-        List.iter
-          (fun f ->
-            incr total;
-            if Experiment.finding_ok f then incr ok;
-            Format.printf "- %s finding: **%s** — expected %.4g, measured                            %.4g (tolerance %.2g)@."
-              (if Experiment.finding_ok f then "✅" else "❌")
-              f.Experiment.label f.Experiment.expected f.Experiment.actual
-              f.Experiment.tolerance)
-          result.Experiment.findings;
-        List.iter (fun note -> Format.printf "@.> %s@." note)
-          result.Experiment.notes;
-        Format.printf "@.")
-      Registry.all;
-    Format.printf "---@.@.**Findings reproduced: %d / %d.**@." !ok !total;
-    0
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Emit the full paper-vs-measured report as markdown on stdout.")
-    Term.(const run $ quick $ seed_term)
 
 (* --- trace --- *)
 
@@ -599,21 +643,16 @@ let event_tag event =
 
 let trace_cmd =
   let file =
-    Arg.(value & pos 0 (some string) None
+    Arg.(required & pos 0 (some string) None
          & info [] ~docv:"FILE"
              ~doc:"A dangers/trace/v1 JSONL file recorded with \
-                   $(b,--trace-out). When omitted, runs a short lazy-master \
-                   simulation and prints its trace.")
-  in
-  let span =
-    Arg.(value & opt float 0.5
-         & info [ "span" ] ~doc:"Live run: simulated seconds to trace.")
+                   $(b,--trace-out).")
   in
   let last =
-    Arg.(value & opt int (-1)
+    Arg.(value & opt (some int) None
          & info [ "last" ] ~docv:"N"
-             ~doc:"Entries to print, newest (default: 60 for a live run, \
-                   all of $(i,FILE)).")
+             ~doc:"Print only the newest $(docv) entries of each section \
+                   (default: all).")
   in
   let chrome =
     Arg.(value & flag
@@ -626,12 +665,6 @@ let trace_cmd =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"OUT"
              ~doc:"With $(b,--chrome): write the converted JSON to $(docv).")
-  in
-  let validate =
-    Arg.(value & flag
-         & info [ "validate" ]
-             ~doc:"Check $(i,FILE) against the dangers/trace/v1 schema and \
-                   report; exit 1 if it does not conform.")
   in
   let filter =
     Arg.(value & opt (some string) None
@@ -654,90 +687,111 @@ let trace_cmd =
     let entries = List.filter (matches filter) s.Trace_export.entries in
     let total = List.length entries in
     let tail =
-      if last >= 0 && total > last then
-        List.filteri (fun i _ -> i >= total - last) entries
-      else entries
+      match last with
+      | Some last when total > last ->
+          List.filteri (fun i _ -> i >= total - last) entries
+      | _ -> entries
     in
     if total > List.length tail then
       Format.printf "  (showing the last %d of %d)@." (List.length tail) total;
     List.iter (fun entry -> Format.printf "%a@." Trace.pp_entry entry) tail;
     Format.printf "@."
   in
-  let live_run params span last seed =
-    Params.validate params;
-    let module Lazy_master = Dangers_replication.Lazy_master in
-    let module Common = Dangers_replication.Common in
-    let module Clock = Dangers_runtime.Clock in
-    let sys = Lazy_master.create params ~seed in
-    let clock = (Lazy_master.base sys).Common.clock in
-    let tracer = Trace.create () in
-    Clock.set_tracer clock (Some tracer);
-    Lazy_master.start sys;
-    Clock.run_for clock span;
-    Lazy_master.stop_load sys;
-    let last = if last < 0 then 60 else last in
-    let entries = Trace.entries tracer in
-    let total = List.length entries in
-    let tail = if total > last then List.filteri (fun i _ -> i >= total - last) entries else entries in
-    Format.printf
-      "lazy-master, %gs of simulated time: %d events recorded (%d dropped),        showing the last %d@.@."
-      span (Trace.recorded tracer) (Trace.dropped tracer) (List.length tail);
-    List.iter (fun entry -> Format.printf "%a@." Trace.pp_entry entry) tail;
-    0
-  in
-  let run params span last seed file chrome out validate filter =
-    match file with
-    | None -> live_run params span last seed
-    | Some path -> (
-        match
-          let ic = open_in_bin path in
-          let contents = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          contents
-        with
-        | exception Sys_error message ->
-            prerr_endline ("trace: " ^ message);
-            1
-        | contents ->
-            if validate then (
-              match Trace_export.validate contents with
-              | Ok (sections, events) ->
-                  Printf.printf "%s: valid %s (%d section(s), %d event(s))\n"
-                    path Trace_export.schema_id sections events;
-                  0
-              | Error message ->
-                  Printf.eprintf "%s: INVALID: %s\n" path message;
-                  1)
-            else (
-              match Trace_export.of_jsonl contents with
-              | exception Json.Parse_error message ->
-                  Printf.eprintf "%s: %s\n" path message;
-                  1
-              | sections ->
-                  if chrome then begin
-                    let text = Json.to_string (Trace_export.to_chrome sections) in
-                    (match out with
-                    | None -> print_endline text
-                    | Some target ->
-                        let oc = open_out target in
-                        output_string oc text;
-                        output_char oc '\n';
-                        close_out oc;
-                        Printf.printf "wrote %s\n" target);
-                    0
-                  end
-                  else begin
-                    List.iter (print_section last filter) sections;
-                    0
-                  end))
+  let run file last chrome out filter =
+    match Trace_export.load file with
+    | exception Sys_error message ->
+        prerr_endline ("trace: " ^ message);
+        1
+    | exception Json.Parse_error message ->
+        Printf.eprintf "%s: %s\n" file message;
+        1
+    | sections ->
+        if chrome then begin
+          emit ~out (Json.to_string (Trace_export.to_chrome sections) ^ "\n");
+          Option.iter (Printf.printf "wrote %s\n") out
+        end
+        else List.iter (print_section last filter) sections;
+        0
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Inspect a recorded trace file (pretty-print, $(b,--validate), \
-             convert with $(b,--chrome) for Perfetto); with no FILE, run a \
-             short traced lazy-master simulation.")
-    Term.(const run $ params_term $ span $ last $ seed_term $ file $ chrome
-          $ out $ validate $ filter)
+       ~doc:"Inspect a recorded trace file (pretty-print, or convert with \
+             $(b,--chrome) for Perfetto). Record one with \
+             $(b,simulate --trace-out FILE); check it with $(b,validate).")
+    Term.(const run $ file $ last $ chrome $ out $ filter)
+
+(* --- validate --- *)
+
+(* Check a recorded file against the schema its first line names; [Ok]
+   carries the summary line. *)
+let validate_contents contents =
+  let lines =
+    String.split_on_char '\n' contents
+    |> List.filter (fun line -> String.trim line <> "")
+  in
+  match lines with
+  | [] -> Error "empty file"
+  | first :: _ -> (
+      match Json.member "schema" (Json.of_string first) with
+      | exception Json.Parse_error message -> Error ("line 1: " ^ message)
+      | Json.Str schema when String.equal schema Trace_export.schema_id ->
+          Trace_export.validate contents
+          |> Result.map (fun (sections, events) ->
+                 Printf.sprintf "valid %s (%d section(s), %d event(s))" schema
+                   sections events)
+      | Json.Str schema when String.equal schema Timeseries.schema_id ->
+          Timeseries.validate contents
+          |> Result.map (fun (series, windows) ->
+                 Printf.sprintf "valid %s (%d series, %d window(s))" schema
+                   series windows)
+      | Json.Str schema when String.equal schema Obs.schema_id -> (
+          match
+            List.iteri
+              (fun i line ->
+                try ignore (Obs.snapshot_of_json (Json.of_string line))
+                with Json.Parse_error message ->
+                  Json.parse_error "line %d: %s" (i + 1) message)
+              lines
+          with
+          | () ->
+              Ok
+                (Printf.sprintf "valid %s (%d snapshot(s))" schema
+                   (List.length lines))
+          | exception Json.Parse_error message -> Error message)
+      | Json.Str schema -> Error (Printf.sprintf "unknown schema %S" schema)
+      | _ -> Error "line 1: schema is not a string")
+
+let validate_cmd =
+  let files =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE"
+         ~doc:"A recorded dangers/trace/v1, dangers/metrics/v1 or \
+               dangers/metrics-series/v1 file.")
+  in
+  let run files =
+    List.fold_left
+      (fun status file ->
+        match In_channel.with_open_bin file In_channel.input_all with
+        | exception Sys_error message ->
+            prerr_endline ("validate: " ^ message);
+            1
+        | contents -> (
+            match validate_contents contents with
+            | Ok summary ->
+                Printf.printf "%s: %s\n" file summary;
+                status
+            | Error message ->
+                Printf.eprintf "%s: INVALID: %s\n" file message;
+                1))
+      0 files
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:"Schema-check recorded files: each is read as the schema its \
+             first line names (a trace from $(b,--trace-out), metrics \
+             snapshots from $(b,--metrics-out), or a series from \
+             $(b,--series-out)). Exits 1 if any file is unreadable, \
+             malformed or of an unknown schema.")
+    Term.(const run $ files)
 
 (* --- fuzz --- *)
 
@@ -838,57 +892,6 @@ let fuzz_cmd =
              the paper's invariants; or replay one case deterministically.")
     Term.(const run $ replay $ scheme $ count $ nodes $ txns $ level
           $ sabotage $ seed_term)
-
-(* --- scenario --- *)
-
-let scenario_cmd =
-  let scenario_name =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"NAME" ~doc:"Scenario: checkbook, inventory, sales.")
-  in
-  let run name seed jobs =
-    match Scenario.find name with
-    | None ->
-        prerr_endline
-          ("unknown scenario; available: "
-          ^ String.concat ", " (List.map (fun s -> s.Scenario.name) Scenario.all));
-        1
-    | Some scenario ->
-        Format.printf "%s: %s@.%a@.@." scenario.Scenario.name
-          scenario.Scenario.description Params.pp scenario.Scenario.params;
-        let params = scenario.Scenario.params in
-        let profile = scenario.Scenario.profile in
-        let span = 120. and warmup = 5. in
-        let spec = Scheme.spec ~profile params in
-        let two_tier_spec =
-          Scheme.spec ~profile ~initial_value:scenario.Scenario.initial_value
-            params
-        in
-        let tasks =
-          List.map
-            (fun (scheme, spec) ->
-              Sweep.Scheme_task { scheme; spec; seed; warmup; span })
-            [
-              ("eager-group", spec);
-              ("lazy-group", spec);
-              ("lazy-master", spec);
-              ("two-tier", two_tier_spec);
-            ]
-        in
-        Sweep.run ~jobs:(resolve_jobs jobs) tasks
-        |> List.iter (function
-             | Sweep.Scheme_item { scheme; outcome; _ } ->
-                 Format.printf "%a@.@." Repl_stats.pp_summary
-                   outcome.Scheme.summary;
-                 if String.equal scheme "two-tier" then
-                   Format.printf "two-tier converged: %b@."
-                     (Scheme.diagnostic outcome "converged" = Some 1.)
-             | Sweep.Experiment_item _ -> assert false);
-        0
-  in
-  Cmd.v
-    (Cmd.info "scenario" ~doc:"Run a named workload scenario across schemes.")
-    Term.(const run $ scenario_name $ seed_term $ jobs_term)
 
 (* --- lint --- *)
 
@@ -994,13 +997,8 @@ let lint_cmd =
             | `Json ->
                 Json.to_string (Lint_report.to_json report) ^ "\n"
           in
-          (match out with
-          | None -> print_string text
-          | Some file ->
-              let oc = open_out file in
-              output_string oc text;
-              close_out oc;
-              Printf.printf "wrote %s\n" file);
+          emit ~out text;
+          Option.iter (Printf.printf "wrote %s\n") out;
           let fail_on =
             match fail_on with
             | `Error -> Dangers_lint.Finding.Error
@@ -1166,7 +1164,7 @@ let serve_cmd =
           query through the framed protocol. Stop with a client Shutdown \
           or SIGINT; request latency is recorded in the \
           serve.request_seconds histogram, and the registry is scrapeable \
-          mid-run with `dangers stat` / `dangers top`.")
+          mid-run with `dangers stat`.")
     Term.(
       const run $ params_term $ scheme $ socket_term $ base_nodes $ seed
       $ metrics_out $ series_out $ sample_interval $ quiet)
@@ -1236,7 +1234,7 @@ let load_cmd =
       const run $ socket_term $ clients $ txns $ burst $ ops $ db_size $ seed
       $ shutdown)
 
-(* --- stat / top: scraping a running server --- *)
+(* --- stat: scraping a running server --- *)
 
 module Monitor = Dangers_live.Monitor
 
@@ -1249,23 +1247,13 @@ let with_monitor socket f =
         (Unix.error_message err) socket;
       1
 
-let emit ~out text =
-  match out with
-  | None ->
-      print_string text;
-      flush stdout
-  | Some file ->
-      let oc = open_out file in
-      output_string oc text;
-      close_out oc
-
 let stat_cmd =
   let format =
     Arg.(value
          & opt (enum [ ("table", `Table); ("json", `Json); ("prom", `Prom) ])
              `Table
          & info [ "format" ]
-             ~doc:"Output form: $(b,table) (the `dangers top` dashboard), \
+             ~doc:"Output form: $(b,table) (the live dashboard), \
                    $(b,json) (the dangers/metrics/v1 snapshot), or \
                    $(b,prom) (Prometheus text exposition, self-checked \
                    against the 0.0.4 format).")
@@ -1274,7 +1262,8 @@ let stat_cmd =
     Arg.(value & flag
          & info [ "watch" ]
              ~doc:"Keep polling every --interval seconds instead of \
-                   printing one scrape.")
+                   printing one scrape. A table on a terminal is redrawn \
+                   in place.")
   in
   let interval =
     Arg.(value & opt float 1.0
@@ -1308,6 +1297,9 @@ let stat_cmd =
                     Error ("invalid Prometheus exposition: " ^ message))
             | `Table -> Ok (Monitor.render (Monitor.poll monitor))
           in
+          let clear =
+            watch && format = `Table && out = None && Unix.isatty Unix.stdout
+          in
           let polls = ref 0 in
           let failed = ref None in
           let more () =
@@ -1317,7 +1309,9 @@ let stat_cmd =
           while more () do
             if !polls > 0 then Unix.sleepf interval;
             (match scrape () with
-            | Ok text -> emit ~out text
+            | Ok text ->
+                if clear then print_string "\027[H\027[2J";
+                emit ~out text
             | Error message -> failed := Some message);
             incr polls
           done;
@@ -1332,84 +1326,12 @@ let stat_cmd =
        ~doc:
          "Scrape a running `dangers serve` over its socket: the live \
           metrics registry as a dashboard table, dangers/metrics/v1 JSON, \
-          or Prometheus text exposition; --watch polls continuously.")
-    Term.(const run $ socket_term $ format $ watch $ interval $ count $ out)
-
-let top_cmd =
-  let interval =
-    Arg.(value & opt float 1.0
-         & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period.")
-  in
-  let count =
-    Arg.(value & opt int 0
-         & info [ "count" ] ~docv:"N"
-             ~doc:"Stop after $(docv) refreshes (0 = until interrupted).")
-  in
-  let run socket interval count =
-    if interval <= 0. then begin
-      prerr_endline "top: --interval must be positive";
-      1
-    end
-    else
-      with_monitor socket (fun monitor ->
-          let clear = Unix.isatty Unix.stdout in
-          let polls = ref 0 in
-          (try
-             while count = 0 || !polls < count do
-               if !polls > 0 then Unix.sleepf interval;
-               let frame = Monitor.poll monitor in
-               if clear then print_string "\027[H\027[2J";
-               print_string (Monitor.render frame);
-               flush stdout;
-               incr polls
-             done
-           with Sys.Break -> ());
-          0)
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live dashboard over a running `dangers serve`: per-second \
+          or Prometheus text exposition. With --watch it polls over one \
+          persistent connection; the table then shows per-second \
           commit/sync/reconciliation rates, submit-to-commit and \
           reconcile-lag percentiles, and per-mobile replication lag \
-          (tentative queue depth and oldest tentative age), refreshed \
-          every --interval seconds over one persistent connection.")
-    Term.(const run $ socket_term $ interval $ count)
-
-let series_cmd =
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"A dangers/metrics-series/v1 JSONL file.")
-  in
-  let validate =
-    Arg.(value & flag
-         & info [ "validate" ]
-             ~doc:"Only validate (the default action is also validation; \
-                   the flag makes intent explicit in scripts).")
-  in
-  let run file validate =
-    ignore validate;
-    match In_channel.with_open_bin file In_channel.input_all with
-    | exception Sys_error message ->
-        Printf.eprintf "series: %s\n" message;
-        1
-    | contents -> (
-        match Dangers_obs.Timeseries.validate contents with
-        | Ok (series, windows) ->
-            Printf.printf "%s: ok — %d series, %d window(s)\n" file series
-              windows;
-            0
-        | Error message ->
-            Printf.eprintf "series: %s: %s\n" file message;
-            1)
-  in
-  Cmd.v
-    (Cmd.info "series"
-       ~doc:
-         "Validate a dangers/metrics-series/v1 JSONL file (from `dangers \
-          serve --series-out` or a simulated run's --series-out) and \
-          print its series and window counts.")
-    Term.(const run $ file $ validate)
+          (tentative queue depth and oldest tentative age).")
+    Term.(const run $ socket_term $ format $ watch $ interval $ count $ out)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1424,6 +1346,6 @@ let () =
        (Cmd.group ~default info
           [
             list_cmd; experiment_cmd; sweep_cmd; analytic_cmd; simulate_cmd;
-            trace_cmd; report_cmd; scenario_cmd; fuzz_cmd; bench_cmd;
-            lint_cmd; serve_cmd; load_cmd; stat_cmd; top_cmd; series_cmd;
+            trace_cmd; validate_cmd; fuzz_cmd; bench_cmd; lint_cmd; serve_cmd;
+            load_cmd; stat_cmd;
           ]))

@@ -121,7 +121,7 @@ let render frame =
   let counter name =
     match Obs.snapshot_counter frame.f_snapshot name with Some v -> v | None -> 0
   in
-  out "dangers top — commits %d, tentative %d, syncs %d, warnings %d\n"
+  out "dangers stat — commits %d, tentative %d, syncs %d, warnings %d\n"
     (counter "scheme.commits_total")
     (counter "scheme.tentative_commits_total")
     (counter "scheme.syncs_total")

@@ -1,5 +1,5 @@
-(** Client-side scraping and rendering for [dangers top] and
-    [dangers stat]: one persistent {!Protocol} connection to a running
+(** Client-side scraping and rendering for [dangers stat] and its
+    [--watch] dashboard: one persistent {!Protocol} connection to a running
     {!Server}, polled for metrics.
 
     The connection is deliberately held open across polls — the server

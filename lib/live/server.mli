@@ -24,8 +24,7 @@
     [sample_interval] wall seconds from the idle waiter, each window
     streaming to [series_out] as dangers/metrics-series/v1 JSONL as it is
     taken. Clients scrape the registry mid-run with
-    [Metrics_snapshot]/[Metrics_prom] — what [dangers stat] and
-    [dangers top] poll. *)
+    [Metrics_snapshot]/[Metrics_prom] — what [dangers stat] polls. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket; unlinked and rebound *)
