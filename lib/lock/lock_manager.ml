@@ -8,16 +8,11 @@ type t = {
 
 type outcome = Granted | Waiting | Deadlock of int list
 
-(* DANGERS_LOCK_DEBUG=1 turns the reference cross-check on everywhere, e.g.
-   for a CI run of the full suite against the incremental detector. *)
-let env_debug =
-  match Sys.getenv_opt "DANGERS_LOCK_DEBUG" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let dfs_visits t = Lock_table.search_visits t.locks - t.visits_at_reset
 
-let create ?obs ?(debug_check = env_debug) () =
+(* DANGERS_LOCK_DEBUG=1 turns the reference cross-check on everywhere, e.g.
+   for a CI run of the full suite against the incremental detector. *)
+let create ?obs ?(debug_check = Lock_table.debug) () =
   let t =
     {
       locks = Lock_table.create ();
@@ -36,6 +31,9 @@ let create ?obs ?(debug_check = env_debug) () =
             Dangers_obs.Metrics.Count ("lock.deadlocks_total", t.deadlock_count);
             Dangers_obs.Metrics.Count
               ("lock.deadlock_dfs_visits_total", dfs_visits t);
+            Dangers_obs.Metrics.Gauge
+              ( "lock.live_locks_high_water",
+                float_of_int (Lock_table.live_locks_high_water t.locks) );
           ]));
   t
 

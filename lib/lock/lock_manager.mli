@@ -19,9 +19,10 @@ val create : ?obs:Dangers_obs.Metrics.t -> ?debug_check:bool -> unit -> t
     recomputed blockers); divergence raises [Failure].
 
     When [obs] is given, the manager registers a pull source exposing
-    [lock.waits_total], [lock.deadlocks_total] and
-    [lock.deadlock_dfs_visits_total] at snapshot time; the request path is
-    unchanged either way. *)
+    [lock.waits_total], [lock.deadlocks_total],
+    [lock.deadlock_dfs_visits_total] and the gauge
+    [lock.live_locks_high_water] (the table's size bound) at snapshot
+    time; the request path is unchanged either way. *)
 
 type outcome =
   | Granted

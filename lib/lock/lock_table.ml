@@ -27,16 +27,22 @@
      Owner ids are never recycled (each retry is a fresh transaction id),
      so the owner table and the search marks are bounded by the owners
      live at once, not by the largest id seen.
+   - A lock record leaves the table once it has no holder and no waiter,
+     and goes to the table's spare pool, a list threaded through the
+     records themselves. The next resource to need a record takes it,
+     arrays and all, so the table holds the locks live now, and the pool
+     holds at most the peak live locks, never every resource ever locked.
+     A reused record keeps counting its [version] up, so no memoized
+     blocker list can validate against a later use of the record.
 
-   Lock records are never removed once created: the backing arrays are
-   reused on the next conflict over the same resource, and the resource
-   space is bounded (nodes x db_size) in every simulator use. Both tables
-   are [Int_table]s, so a lookup makes no C call. *)
+   Both maps are [Int_table]s with a sentinel filler, so a lookup neither
+   calls C nor allocates. With [DANGERS_LOCK_DEBUG] set, every mutation
+   ends with [self_check]. *)
 
 module Int_table = Dangers_util.Int_table
 
 type lock = {
-  resource : int;
+  mutable resource : int;
   (* granted set: [g_n] live entries, unordered, all granted [g_mode] *)
   mutable g_owner : owner array;
   mutable g_mode : Mode.t;
@@ -47,6 +53,7 @@ type lock = {
   mutable q_n : int;
   (* bumped by any mutation that can change an existing waiter's blockers *)
   mutable version : int;
+  mutable next_spare : lock; (* in the spare pool: the next record, or [idle] *)
 }
 
 and owner = {
@@ -64,53 +71,90 @@ and owner = {
 and waiter = { w_owner : owner; w_mode : Mode.t; on_grant : unit -> unit }
 
 type t = {
-  locks : lock Int_table.t;
+  locks : lock Int_table.t; (* locks that are held or waited for *)
   owners : owner Int_table.t; (* owners that hold or wait *)
+  mutable spare : lock; (* the spare pool's first record, or [idle] *)
+  mutable live_locks_high_water : int;
   mutable grants : int;
   mutable search_gen : int;
   mutable search_visits : int;
   (* Per-table sentinels, so no mutable record is shared across domains:
-     [idle] is the [w_lock] of an owner that is not waiting and is never
-     mutated; [vacant] fills unused slots of the lock arrays so they pin
-     no retired owner. *)
+     [idle] is the [w_lock] of an owner that is not waiting, the end of
+     the spare pool and the filler of [locks], and is never mutated;
+     [vacant] fills unused slots of the lock arrays so they pin no retired
+     owner, and its owner fills [owners]. *)
   idle : lock;
   vacant : waiter;
 }
 
 type outcome = Granted | Queued
 
-let new_lock resource =
-  { resource; g_owner = [||]; g_mode = Mode.X; g_n = 0;
-    q_buf = [||]; q_head = 0; q_n = 0; version = 0 }
+let debug =
+  match Sys.getenv_opt "DANGERS_LOCK_DEBUG" with
+  | Some ("" | "0") | None -> false
+  | Some _ -> true
 
 let create () =
-  let idle = new_lock min_int in
+  let rec idle =
+    { resource = min_int; g_owner = [||]; g_mode = Mode.X; g_n = 0;
+      q_buf = [||]; q_head = 0; q_n = 0; version = 0; next_spare = idle }
+  in
   let nobody =
     { id = min_int; held = []; w_lock = idle; w_version = 0; w_blockers = [];
       mark = 0 }
   in
-  { locks = Int_table.create 1024; owners = Int_table.create 64; grants = 0;
-    search_gen = 0; search_visits = 0; idle;
-    vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } }
+  { locks = Int_table.create ~filler:idle 64;
+    owners = Int_table.create ~filler:nobody 64; spare = idle;
+    live_locks_high_water = 0; grants = 0; search_gen = 0; search_visits = 0;
+    idle; vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } }
 
+let nobody t = t.vacant.w_owner
+
+(* The resource's record, taken from the spare pool or made when the
+   resource has none. *)
 let lock_for t resource =
-  match Int_table.find_opt t.locks resource with
-  | Some lock -> lock
-  | None ->
-      let lock = new_lock resource in
-      Int_table.add t.locks resource lock;
-      lock
+  let lock = Int_table.get t.locks resource in
+  if lock != t.idle then lock
+  else begin
+    let lock =
+      if t.spare == t.idle then
+        { resource; g_owner = [||]; g_mode = Mode.X; g_n = 0; q_buf = [||];
+          q_head = 0; q_n = 0; version = 0; next_spare = t.idle }
+      else begin
+        let lock = t.spare in
+        t.spare <- lock.next_spare;
+        lock.next_spare <- t.idle;
+        lock.resource <- resource;
+        lock
+      end
+    in
+    Int_table.add t.locks resource lock;
+    let live = Int_table.length t.locks in
+    if live > t.live_locks_high_water then t.live_locks_high_water <- live;
+    lock
+  end
+
+(* Send a lock with no holder and no waiter to the spare pool. Its arrays
+   hold only [vacant] entries by then: removals and pops clear the slots
+   they empty. *)
+let retire_lock_if_idle t lock =
+  if lock.g_n = 0 && lock.q_n = 0 then begin
+    Int_table.remove t.locks lock.resource;
+    lock.next_spare <- t.spare;
+    t.spare <- lock
+  end
 
 let owner_for t id =
-  match Int_table.find_opt t.owners id with
-  | Some o -> o
-  | None ->
-      let o =
-        { id; held = []; w_lock = t.idle; w_version = 0; w_blockers = [];
-          mark = 0 }
-      in
-      Int_table.add t.owners id o;
-      o
+  let o = Int_table.get t.owners id in
+  if o != nobody t then o
+  else begin
+    let o =
+      { id; held = []; w_lock = t.idle; w_version = 0; w_blockers = [];
+        mark = 0 }
+    in
+    Int_table.add t.owners id o;
+    o
+  end
 
 let waiting t o = o.w_lock != t.idle
 
@@ -119,6 +163,29 @@ let retire_if_idle t o =
   match o.held with
   | [] when not (waiting t o) -> Int_table.remove t.owners o.id
   | _ -> ()
+
+(* The debug invariants: the maps hold no idle record, each under its own
+   key, and [grants] counts the granted entries. *)
+let self_check t =
+  let granted =
+    Int_table.fold
+      (fun resource lock sum ->
+        if lock.resource <> resource || (lock.g_n = 0 && lock.q_n = 0) then
+          failwith
+            (Printf.sprintf "Lock_table: idle or misfiled lock record at %d"
+               resource);
+        sum + lock.g_n)
+      t.locks 0
+  in
+  if granted <> t.grants then
+    failwith
+      (Printf.sprintf "Lock_table: %d grants counted, %d granted entries"
+         t.grants granted);
+  Int_table.fold
+    (fun id o () ->
+      if o.id <> id || (o.held = [] && not (waiting t o)) then
+        failwith (Printf.sprintf "Lock_table: idle or misfiled owner %d" id))
+    t.owners ()
 
 let bump lock = lock.version <- lock.version + 1
 
@@ -239,7 +306,7 @@ let pump t lock =
   in
   loop []
 
-let acquire t ~owner ~resource ~mode ~on_grant =
+let acquire_in t ~owner ~resource ~mode ~on_grant =
   let o = owner_for t owner in
   if waiting t o then
     invalid_arg "Lock_table.acquire: owner is already waiting";
@@ -280,6 +347,11 @@ let acquire t ~owner ~resource ~mode ~on_grant =
       Queued
     end
   end
+
+let acquire t ~owner ~resource ~mode ~on_grant =
+  let outcome = acquire_in t ~owner ~resource ~mode ~on_grant in
+  if debug then self_check t;
+  outcome
 
 (* An owner recorded as waiting must be present in its resource's queue; the
    two are updated together. If the invariant ever breaks we keep the old
@@ -333,15 +405,11 @@ let blocker_owners t o =
 
 let ids owners = List.map (fun o -> o.id) owners
 
-let blockers t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | None -> []
-  | Some o -> ids (blocker_owners t o)
+let blockers t ~owner = ids (blocker_owners t (Int_table.get t.owners owner))
 
 let blockers_fresh t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | Some o when waiting t o -> ids (recompute_blockers o)
-  | Some _ | None -> []
+  let o = Int_table.get t.owners owner in
+  if waiting t o then ids (recompute_blockers o) else []
 
 (* Same traversal as [Waits_for.find_cycle] — successors explored in
    ascending id order, visited nodes pruned, the start node itself never
@@ -367,21 +435,16 @@ let find_cycle t ~start =
     in
     explore (blocker_owners t o)
   in
-  match Int_table.find_opt t.owners start with
-  | Some o -> dfs o [ start ]
-  | None -> None (* neither holds nor waits, so nothing blocks it *)
+  let o = Int_table.get t.owners start in
+  (* An owner that neither holds nor waits has no blockers. *)
+  if o == nobody t then None else dfs o [ start ]
 
 let search_visits t = t.search_visits
-
-let is_waiting t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | Some o -> waiting t o
-  | None -> false
+let is_waiting t ~owner = waiting t (Int_table.get t.owners owner)
 
 let waiting_resource t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | Some o when waiting t o -> Some o.w_lock.resource
-  | Some _ | None -> None
+  let o = Int_table.get t.owners owner in
+  if waiting t o then Some o.w_lock.resource else None
 
 let cancel_wait_of t o =
   if waiting t o then begin
@@ -390,49 +453,52 @@ let cancel_wait_of t o =
     bump lock;
     stop_wait t o;
     let callbacks = pump t lock in
+    retire_lock_if_idle t lock;
     List.iter (fun callback -> callback ()) callbacks
   end
 
 let cancel_wait t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | None -> ()
-  | Some o ->
-      cancel_wait_of t o;
-      retire_if_idle t o
+  let o = Int_table.get t.owners owner in
+  if o != nobody t then begin
+    cancel_wait_of t o;
+    retire_if_idle t o;
+    if debug then self_check t
+  end
 
 let release_all t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | None -> ()
-  | Some o ->
-      cancel_wait_of t o;
-      let held = List.sort (fun a b -> Int.compare a.resource b.resource) o.held in
-      o.held <- [];
-      retire_if_idle t o;
-      let callbacks =
-        List.concat_map
-          (fun lock ->
-            (match g_find lock o with
-            | -1 -> ()
-            | i -> g_remove t lock i);
-            t.grants <- t.grants - 1;
-            bump lock;
-            pump t lock)
-          held
-      in
-      List.iter (fun callback -> callback ()) callbacks
+  let o = Int_table.get t.owners owner in
+  if o != nobody t then begin
+    cancel_wait_of t o;
+    let held = List.sort (fun a b -> Int.compare a.resource b.resource) o.held in
+    o.held <- [];
+    retire_if_idle t o;
+    let callbacks =
+      List.concat_map
+        (fun lock ->
+          (match g_find lock o with
+          | -1 -> ()
+          | i -> g_remove t lock i);
+          t.grants <- t.grants - 1;
+          bump lock;
+          let callbacks = pump t lock in
+          retire_lock_if_idle t lock;
+          callbacks)
+        held
+    in
+    List.iter (fun callback -> callback ()) callbacks;
+    if debug then self_check t
+  end
 
 let holds t ~owner ~resource =
-  match Int_table.find_opt t.owners owner with
+  let o = Int_table.get t.owners owner in
+  match List.find_opt (fun lock -> lock.resource = resource) o.held with
   | None -> None
-  | Some o -> (
-      match List.find_opt (fun lock -> lock.resource = resource) o.held with
-      | None -> None
-      | Some lock -> (
-          match g_find lock o with -1 -> None | _ -> Some lock.g_mode))
+  | Some lock -> ( match g_find lock o with -1 -> None | _ -> Some lock.g_mode)
 
 let held_resources t ~owner =
-  match Int_table.find_opt t.owners owner with
-  | None -> []
-  | Some o -> List.sort Int.compare (List.map (fun lock -> lock.resource) o.held)
+  let o = Int_table.get t.owners owner in
+  List.sort Int.compare (List.map (fun lock -> lock.resource) o.held)
 
 let grants_outstanding t = t.grants
+let live_locks t = Int_table.length t.locks
+let live_locks_high_water t = t.live_locks_high_water

@@ -12,9 +12,18 @@
 
     Each owner that holds or waits has one record: its granted locks, its
     wait with a memoized blocker list, and a deadlock-search mark. The
-    record leaves the table when the owner neither holds nor waits, so the
-    table's size is bounded by the owners live at once and the resources
-    ever locked, never by the largest owner id. *)
+    record leaves the table when the owner neither holds nor waits, and a
+    lock record leaves it when the resource has no holder and no waiter
+    (the record is kept for reuse), so the table's size is bounded by the
+    owners and locks live at once, never by the largest owner id or the
+    resources ever locked.
+
+    With [DANGERS_LOCK_DEBUG] set, every mutation ends with a check of the
+    table's invariants: no idle record is mapped, and
+    {!grants_outstanding} equals the granted entries. *)
+
+val debug : bool
+(** [DANGERS_LOCK_DEBUG] is set to something other than [""] or ["0"]. *)
 
 type t
 
@@ -77,3 +86,9 @@ val holds : t -> owner:int -> resource:int -> Mode.t option
 val held_resources : t -> owner:int -> int list
 val grants_outstanding : t -> int
 (** Total (owner, resource) grants — an invariant-check hook for tests. *)
+
+val live_locks : t -> int
+(** Resources with a holder or a waiter now. *)
+
+val live_locks_high_water : t -> int
+(** The most {!live_locks} since creation: the table's size bound. *)

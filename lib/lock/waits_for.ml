@@ -3,7 +3,7 @@ module Int_table = Dangers_util.Int_table
 let find_cycle ~successors ~start =
   (* DFS with an explicit path; [visited] prunes nodes proven not to reach
      [start]. *)
-  let visited = Int_table.create 64 in
+  let visited = Int_table.create ~filler:() 64 in
   let rec dfs node path =
     let explore acc successor =
       match acc with
@@ -21,7 +21,7 @@ let find_cycle ~successors ~start =
   dfs start [ start ]
 
 let reachable ~successors ~start =
-  let visited = Int_table.create 64 in
+  let visited = Int_table.create ~filler:() 64 in
   let rec dfs node =
     List.iter
       (fun successor ->

@@ -64,6 +64,43 @@ let lock_deadlock_chain () =
     Lock_manager.release_all locks ~owner:i
   done
 
+(* The lazy-group shape: a replica apply locks its objects at the
+   receiving node, so each of 40 nodes' tables sees short transactions
+   spread over all 4,000 of its objects. The tables are built, and every
+   resource of every table locked once, on the first call; each call then
+   runs 1,000 transactions of 4 X locks and a release, one table after
+   another, at resources a fixed stride apart. *)
+let lock_wide_tables () =
+  let tables = 40 and resources = 4_000 in
+  let state =
+    lazy
+      (let locks = Array.init tables (fun _ -> Lock_manager.create ()) in
+       let next_owner = ref 0 and cursor = ref 0 in
+       let txn table first =
+         let owner = !next_owner in
+         incr next_owner;
+         for r = 0 to 3 do
+           ignore
+             (Lock_manager.request locks.(table) ~owner
+                ~resource:((first + (r * 1_009)) mod resources)
+                ~mode:Mode.X ~on_grant:ignore)
+         done;
+         Lock_manager.release_all locks.(table) ~owner
+       in
+       for table = 0 to tables - 1 do
+         for first = 0 to resources - 1 do
+           txn table first
+         done
+       done;
+       (txn, cursor))
+  in
+  fun () ->
+    let txn, cursor = Lazy.force state in
+    for i = 0 to 999 do
+      cursor := (!cursor + 1_237) mod resources;
+      txn (i mod tables) !cursor
+    done
+
 (* Raw event throughput: 8 interleaved self-rescheduling chains firing
    100k events — the schedule/step cycle with no simulation payload. *)
 let engine_event_throughput () =
@@ -146,6 +183,7 @@ let cases ~quick =
       lock_acquire_release;
     case ~runs:10 20 "lock/contended-fifo" "lock.waits" lock_contended_fifo;
     case ~runs:10 20 "lock/deadlock-chain" "lock.dfs_visits" lock_deadlock_chain;
+    case 20 "lock/wide-tables" "sim.step_ns.p50" (lock_wide_tables ());
     case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
     case 10 "engine/random-delay" "sim.step_ns.p50" engine_random_delay;
     case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"

@@ -46,6 +46,21 @@ type txn = {
   mutable t_done : bool;
 }
 
+(* The filler of a node's [active] table: a finished transaction, so a
+   lookup of an unknown tid reads as done. One per node, never mutated,
+   so no mutable record is shared across domains. *)
+let done_filler () =
+  {
+    t_owner = { home = -1; tid = -1; key = -1 };
+    t_ops = [||];
+    t_started = 0.;
+    t_op = -1;
+    t_wait = [||];
+    t_left = 0;
+    t_deadline = None;
+    t_done = true;
+  }
+
 type node = {
   id : int;
   engine : Engine.t;
@@ -154,66 +169,65 @@ and handle t ~src ~dst msg =
         writes;
       Lock_table.release_all node.locks ~owner:owner.key
   | Release { owner } -> Lock_table.release_all node.locks ~owner:owner.key
-  | Probe { initiator; subject; ttl } -> (
-      if ttl > 0 && subject.home = dst then
-        match Int_table.find_opt node.active subject.tid with
-        | None -> ()
-        | Some txn ->
-            if not txn.t_done then begin
-              (* Home first, then the other sites in ascending order. *)
-              let probe site =
-                let oid = txn.t_wait.(site) in
-                if oid >= 0 then
-                  send t ~src:dst ~dst:site
-                    (Probe_at { initiator; waiter = subject; oid; ttl = ttl - 1 })
-              in
-              probe dst;
-              for site = 0 to node_count t - 1 do
-                if site <> dst then probe site
-              done
-            end)
+  | Probe { initiator; subject; ttl } ->
+      if ttl > 0 && subject.home = dst then begin
+        (* A finished or unknown transaction reads as the done filler. *)
+        let txn = Int_table.get node.active subject.tid in
+        if not txn.t_done then begin
+          (* Home first, then the other sites in ascending order. *)
+          let probe site =
+            let oid = txn.t_wait.(site) in
+            if oid >= 0 then
+              send t ~src:dst ~dst:site
+                (Probe_at { initiator; waiter = subject; oid; ttl = ttl - 1 })
+          in
+          probe dst;
+          for site = 0 to node_count t - 1 do
+            if site <> dst then probe site
+          done
+        end
+      end
   | Probe_at { initiator; waiter; oid; ttl } ->
       if
         ttl > 0
         && Lock_table.waiting_resource node.locks ~owner:waiter.key = Some oid
       then chase t node ~initiator ~waiter ~ttl:(ttl - 1)
-  | Victim { owner } -> (
-      if owner.home = dst then
-        match Int_table.find_opt node.active owner.tid with
-        | None -> ()
-        | Some txn ->
-            (* Still blocked: a genuine cycle. Already granted everything:
-               the probe is stale; let it run. *)
-            if (not txn.t_done) && txn.t_left > 0 then begin
-              Metrics.incr node.stats.Repl_stats.deadlocks;
-              abort_and_retry t node txn
-            end)
+  | Victim { owner } ->
+      if owner.home = dst then begin
+        let txn = Int_table.get node.active owner.tid in
+        (* Still blocked: a genuine cycle. Already granted everything:
+           the probe is stale; let it run. *)
+        if (not txn.t_done) && txn.t_left > 0 then begin
+          Metrics.incr node.stats.Repl_stats.deadlocks;
+          abort_and_retry t node txn
+        end
+      end
 
 and on_granted t ~site ~oid owner =
   let node = t.nodes.(owner.home) in
-  match Int_table.find_opt node.active owner.tid with
-  | Some txn when not txn.t_done ->
-      if txn.t_wait.(site) = oid then begin
-        txn.t_wait.(site) <- -1;
-        txn.t_left <- txn.t_left - 1;
-        if txn.t_left = 0 then work t node txn
-      end
-      else
-        (* No such request is outstanding: acting on it would advance the
-           transaction past an op whose locks are not all held. *)
-        Dangers_obs.Warnings.warn ~key:"par_eager.stray_grant"
-          (Printf.sprintf
-             "Par_eager invariant violation: transaction %d at node %d got a \
-              grant for object %d from site %d that it is not awaiting; \
-              ignoring it"
-             owner.tid owner.home oid site)
-  | Some _ | None ->
-      (* A grant for a dead transaction. Its abort sent [site] a Release,
-         but a non-FIFO delay model can deliver that Release before the
-         Lock_req it should undo, and the lock would then stay held for
-         good. Release again: a duplicate is a no-op. *)
-      if site <> node.id then
-        send t ~src:node.id ~dst:site (Release { owner })
+  let txn = Int_table.get node.active owner.tid in
+  if not txn.t_done then begin
+    if txn.t_wait.(site) = oid then begin
+      txn.t_wait.(site) <- -1;
+      txn.t_left <- txn.t_left - 1;
+      if txn.t_left = 0 then work t node txn
+    end
+    else
+      (* No such request is outstanding: acting on it would advance the
+         transaction past an op whose locks are not all held. *)
+      Dangers_obs.Warnings.warn ~key:"par_eager.stray_grant"
+        (Printf.sprintf
+           "Par_eager invariant violation: transaction %d at node %d got a \
+            grant for object %d from site %d that it is not awaiting; \
+            ignoring it"
+           owner.tid owner.home oid site)
+  end
+  else if site <> node.id then
+    (* A grant for a dead transaction. Its abort sent [site] a Release,
+       but a non-FIFO delay model can deliver that Release before the
+       Lock_req it should undo, and the lock would then stay held for
+       good. Release again: a duplicate is a no-op. *)
+    send t ~src:node.id ~dst:site (Release { owner })
 
 (* The op's locks are all held: charge Action_Time, then move on. *)
 and work t node txn =
@@ -403,7 +417,7 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
                   initial_value);
             lamport = Timestamp.Clock.create ~node:id;
             locks = Lock_table.create ();
-            active = Int_table.create 16;
+            active = Int_table.create ~filler:(done_filler ()) 16;
             next_tid = 0;
             gen_rng = Rng.split rng;
             delay_rng = Rng.split rng;

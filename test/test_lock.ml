@@ -576,23 +576,51 @@ let lock_table_model_prop =
         script;
       true)
 
-(* Lock records stay for the life of the table, so their size is the
-   table's footprint: one grant mode per lock and a granted-owner array
-   sized for the usual single X holder keep a resource that was locked
-   once within 16 words. *)
-let test_footprint_per_resource () =
+(* A lock record leaves the table when its resource has no holder and no
+   waiter, and the next resource reuses it, arrays and all: a table that
+   has locked 10,000 distinct resources, each contended once, is the size
+   it was after the first 100. *)
+let test_bounded_by_live_locks () =
   let t = Lock_table.create () in
-  let resources = 10_000 in
-  for resource = 0 to resources - 1 do
-    ignore (Lock_table.acquire t ~owner:resource ~resource ~mode:Mode.X ~on_grant:noop);
-    Lock_table.release_all t ~owner:resource
-  done;
-  checki "all released" 0 (Lock_table.grants_outstanding t);
-  let per_resource =
-    float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int resources
+  let granted = ref 0 in
+  let cycle resource =
+    let holder = 2 * resource and waiter = (2 * resource) + 1 in
+    ignore (Lock_table.acquire t ~owner:holder ~resource ~mode:Mode.X ~on_grant:noop);
+    ignore
+      (Lock_table.acquire t ~owner:waiter ~resource ~mode:Mode.X
+         ~on_grant:(fun () -> incr granted));
+    Lock_table.release_all t ~owner:holder;
+    Lock_table.release_all t ~owner:waiter
   in
-  checkb (Printf.sprintf "%.1f words per resource <= 16" per_resource) true
-    (per_resource <= 16.)
+  let words () = Obj.reachable_words (Obj.repr t) in
+  for resource = 0 to 99 do
+    cycle resource
+  done;
+  let early = words () in
+  for resource = 100 to 9_999 do
+    cycle resource
+  done;
+  checki "every waiter granted" 10_000 !granted;
+  checki "all released" 0 (Lock_table.grants_outstanding t);
+  checki "no live locks" 0 (Lock_table.live_locks t);
+  checki "one lock live at a time" 1 (Lock_table.live_locks_high_water t);
+  checki "same size as after 100 resources" early (words ())
+
+(* The manager reports its table's bound as a gauge. *)
+let test_manager_live_locks_gauge () =
+  let registry = Dangers_obs.Metrics.create () in
+  let m = Lock_manager.create ~obs:registry () in
+  for resource = 0 to 2 do
+    ignore (Lock_manager.request m ~owner:1 ~resource ~mode:Mode.X ~on_grant:noop)
+  done;
+  Lock_manager.release_all m ~owner:1;
+  ignore (Lock_manager.request m ~owner:2 ~resource:7 ~mode:Mode.X ~on_grant:noop);
+  let snapshot = Dangers_obs.Metrics.snapshot registry in
+  Alcotest.check
+    (Alcotest.option (Alcotest.float 0.))
+    "high water of live locks" (Some 3.)
+    (Dangers_obs.Metrics.snapshot_gauge snapshot "lock.live_locks_high_water");
+  checki "live now" 1 (Lock_table.live_locks (Lock_manager.table m))
 
 let lock_manager_incremental_prop =
   QCheck.Test.make
@@ -646,7 +674,8 @@ let suite =
     Alcotest.test_case "manager reset counters" `Quick test_manager_reset_counters;
     Alcotest.test_case "manager dfs visits pinned" `Quick test_manager_dfs_visits_pinned;
     Alcotest.test_case "manager bounded by live owners" `Quick test_manager_bounded_by_live_owners;
-    Alcotest.test_case "footprint per resource" `Quick test_footprint_per_resource;
+    Alcotest.test_case "table bounded by live locks" `Quick test_bounded_by_live_locks;
+    Alcotest.test_case "manager live locks gauge" `Quick test_manager_live_locks_gauge;
     QCheck_alcotest.to_alcotest lock_table_safety_prop;
     QCheck_alcotest.to_alcotest lock_table_model_prop;
     QCheck_alcotest.to_alcotest lock_manager_incremental_prop;

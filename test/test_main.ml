@@ -6,6 +6,7 @@ let () =
       ("sim", Test_sim.suite);
       ("trace", Test_trace.suite);
       ("storage", Test_storage.suite);
+      ("int_table", Test_int_table.suite);
       ("lock", Test_lock.suite);
       ("txn", Test_txn.suite);
       ("net", Test_net.suite);
