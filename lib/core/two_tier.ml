@@ -137,17 +137,10 @@ let run_base_transaction t ?(acceptance = Acceptance.Always)
     ?(tentative_results = []) ~ops ~on_done () =
   let common = t.common in
   let stats = common.Common.stats in
+  let steps = Executor.steps_of_ops ops in
   let rec attempt () =
     let owner_id = Txn_id.Gen.next common.Common.txn_gen in
     let started = Clock.now common.Common.clock in
-    let steps =
-      List.map
-        (fun op ->
-          let resource = Oid.to_int (Op.oid op) in
-          if Op.is_update op then Executor.update_step ~resource
-          else Executor.read_step ~resource)
-        ops
-    in
     Executor.run t.base_executor ~owner:owner_id ~steps
       ~on_commit:(fun () ->
         let results = prospective_results t ops in

@@ -23,10 +23,14 @@
      releases, cancellations, front-of-queue upgrades) — a plain tail
      enqueue cannot, so the common contention pattern keeps every cache
      warm.
-   - An owner's record leaves the table once it neither holds nor waits.
-     Owner ids are never recycled (each retry is a fresh transaction id),
-     so the owner table and the search marks are bounded by the owners
-     live at once, not by the largest id seen.
+   - An owner's record leaves the table once it neither holds nor waits,
+     and goes to the table's owner pool, as lock records do (below); the
+     next new owner id takes it, held-lock array and all. Owner ids are
+     never recycled (each retry is a fresh transaction id), so the owner
+     table and the search marks are bounded by the owners live at once,
+     not by the largest id seen. A record leaves only when no lock lists
+     it, and every removal from a lock bumps that lock's version, so no
+     valid memoized blocker list names a pooled record.
    - A lock record leaves the table once it has no holder and no waiter,
      and goes to the table's spare pool, a list threaded through the
      records themselves. The next resource to need a record takes it,
@@ -36,8 +40,20 @@
      blocker list can validate against a later use of the record.
 
    Both maps are [Int_table]s with a sentinel filler, so a lookup neither
-   calls C nor allocates. With [DANGERS_LOCK_DEBUG] set, every mutation
-   ends with [self_check]. *)
+   calls C nor allocates. With both pools warm, an uncontended acquire
+   allocates nothing.
+
+   [release_all] drops the owner's grants in place, in held order,
+   pumping each queue; a pump that grants nothing allocates nothing, so
+   a release that wakes nobody allocates nothing. The grant callbacks
+   run once the state has settled, grouped by lock in ascending resource
+   order, so the fire order does not depend on the held order. Lock
+   records retire into the pool in held order; a reused record keeps
+   counting its [version] up, so that order is harmless.
+
+   The scans on these paths are top-level functions over explicit
+   arguments: a local closure would be allocated on every call. With
+   [DANGERS_LOCK_DEBUG] set, every mutation ends with [self_check]. *)
 
 module Int_table = Dangers_util.Int_table
 
@@ -57,8 +73,10 @@ type lock = {
 }
 
 and owner = {
-  id : int;
-  mutable held : lock list; (* locks granted to this owner *)
+  mutable id : int;
+  (* locks granted to this owner: [h_n] live entries, in grant order *)
+  mutable held : lock array;
+  mutable h_n : int;
   (* The lock this owner queues on, or the table's [idle] lock. Its
      blockers are memoized and valid while [w_version] matches the lock's
      version. *)
@@ -66,6 +84,7 @@ and owner = {
   mutable w_version : int;
   mutable w_blockers : owner list; (* ascending id *)
   mutable mark : int; (* = [search_gen]: visited by the current search *)
+  mutable next_owner : owner; (* in the owner pool: the next, or [nobody] *)
 }
 
 and waiter = { w_owner : owner; w_mode : Mode.t; on_grant : unit -> unit }
@@ -74,6 +93,7 @@ type t = {
   locks : lock Int_table.t; (* locks that are held or waited for *)
   owners : owner Int_table.t; (* owners that hold or wait *)
   mutable spare : lock; (* the spare pool's first record, or [idle] *)
+  mutable spare_owners : owner; (* the owner pool's first, or [nobody] *)
   mutable live_locks_high_water : int;
   mutable grants : int;
   mutable search_gen : int;
@@ -82,7 +102,8 @@ type t = {
      [idle] is the [w_lock] of an owner that is not waiting, the end of
      the spare pool and the filler of [locks], and is never mutated;
      [vacant] fills unused slots of the lock arrays so they pin no retired
-     owner, and its owner fills [owners]. *)
+     owner, and its owner, [nobody], fills [owners] and ends the owner
+     pool. *)
   idle : lock;
   vacant : waiter;
 }
@@ -99,12 +120,13 @@ let create () =
     { resource = min_int; g_owner = [||]; g_mode = Mode.X; g_n = 0;
       q_buf = [||]; q_head = 0; q_n = 0; version = 0; next_spare = idle }
   in
-  let nobody =
-    { id = min_int; held = []; w_lock = idle; w_version = 0; w_blockers = [];
-      mark = 0 }
+  let rec nobody =
+    { id = min_int; held = [||]; h_n = 0; w_lock = idle; w_version = 0;
+      w_blockers = []; mark = 0; next_owner = nobody }
   in
   { locks = Int_table.create ~filler:idle 64;
     owners = Int_table.create ~filler:nobody 64; spare = idle;
+    spare_owners = nobody;
     live_locks_high_water = 0; grants = 0; search_gen = 0; search_visits = 0;
     idle; vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } }
 
@@ -144,13 +166,23 @@ let retire_lock_if_idle t lock =
     t.spare <- lock
   end
 
+(* The owner's record, taken from the owner pool or made when the owner
+   has none. A pooled record holds nothing and waits on nothing. *)
 let owner_for t id =
   let o = Int_table.get t.owners id in
   if o != nobody t then o
   else begin
     let o =
-      { id; held = []; w_lock = t.idle; w_version = 0; w_blockers = [];
-        mark = 0 }
+      if t.spare_owners == nobody t then
+        { id; held = [||]; h_n = 0; w_lock = t.idle; w_version = 0;
+          w_blockers = []; mark = 0; next_owner = nobody t }
+      else begin
+        let o = t.spare_owners in
+        t.spare_owners <- o.next_owner;
+        o.next_owner <- nobody t;
+        o.id <- id;
+        o
+      end
     in
     Int_table.add t.owners id o;
     o
@@ -158,11 +190,26 @@ let owner_for t id =
 
 let waiting t o = o.w_lock != t.idle
 
-(* Drop an owner that neither holds nor waits. *)
+(* Send an owner that neither holds nor waits to the owner pool. The
+   caller must not touch the record afterwards: the next new owner may
+   take it. *)
 let retire_if_idle t o =
-  match o.held with
-  | [] when not (waiting t o) -> Int_table.remove t.owners o.id
-  | _ -> ()
+  if o.h_n = 0 && not (waiting t o) then begin
+    Int_table.remove t.owners o.id;
+    o.next_owner <- t.spare_owners;
+    t.spare_owners <- o
+  end
+
+(* Record a grant of [lock] to [o]. *)
+let hold t o lock =
+  if o.h_n = Array.length o.held then begin
+    let held = Array.make (max 4 (2 * o.h_n)) t.idle in
+    Array.blit o.held 0 held 0 o.h_n;
+    o.held <- held
+  end;
+  o.held.(o.h_n) <- lock;
+  o.h_n <- o.h_n + 1;
+  t.grants <- t.grants + 1
 
 (* The debug invariants: the maps hold no idle record, each under its own
    key, and [grants] counts the granted entries. *)
@@ -183,7 +230,7 @@ let self_check t =
          t.grants granted);
   Int_table.fold
     (fun id o () ->
-      if o.id <> id || (o.held = [] && not (waiting t o)) then
+      if o.id <> id || (o.h_n = 0 && not (waiting t o)) then
         failwith (Printf.sprintf "Lock_table: idle or misfiled owner %d" id))
     t.owners ()
 
@@ -191,9 +238,12 @@ let bump lock = lock.version <- lock.version + 1
 
 (* --- granted-set primitives --- *)
 
-let g_find lock o =
-  let rec scan i = if i >= lock.g_n then -1 else if lock.g_owner.(i) == o then i else scan (i + 1) in
-  scan 0
+let rec g_scan lock o i =
+  if i >= lock.g_n then -1
+  else if lock.g_owner.(i) == o then i
+  else g_scan lock o (i + 1)
+
+let g_find lock o = g_scan lock o 0
 
 (* Callers add only a mode compatible with the granted set, so [mode] is
    the set's mode from here on. *)
@@ -284,27 +334,25 @@ let grant_waiter t lock waiter =
   (match g_find lock o with
   | -1 ->
       g_add t lock o waiter.w_mode;
-      o.held <- lock :: o.held;
-      t.grants <- t.grants + 1
+      hold t o lock
   | _ -> lock.g_mode <- waiter.w_mode);
   stop_wait t o
 
 (* Strict FIFO pump: grant from the front until the first waiter that still
    conflicts. Returns the grant callbacks to run once state is settled. *)
-let pump t lock =
-  let rec loop acc =
-    if lock.q_n = 0 then List.rev acc
-    else
-      let waiter = q_get lock 0 in
-      if admits lock waiter.w_owner waiter.w_mode then begin
-        ignore (q_pop_front t lock);
-        grant_waiter t lock waiter;
-        bump lock;
-        loop (waiter.on_grant :: acc)
-      end
-      else List.rev acc
-  in
-  loop []
+let rec pump_onto t lock acc =
+  if lock.q_n = 0 then List.rev acc
+  else
+    let waiter = q_get lock 0 in
+    if admits lock waiter.w_owner waiter.w_mode then begin
+      ignore (q_pop_front t lock);
+      grant_waiter t lock waiter;
+      bump lock;
+      pump_onto t lock (waiter.on_grant :: acc)
+    end
+    else List.rev acc
+
+let pump t lock = pump_onto t lock []
 
 let acquire_in t ~owner ~resource ~mode ~on_grant =
   let o = owner_for t owner in
@@ -334,8 +382,7 @@ let acquire_in t ~owner ~resource ~mode ~on_grant =
   else begin
     if lock.q_n = 0 && admits lock o mode then begin
       g_add t lock o mode;
-      o.held <- lock :: o.held;
-      t.grants <- t.grants + 1;
+      hold t o lock;
       (* queue is empty, so no waiter cache can depend on this lock *)
       Granted
     end
@@ -465,39 +512,60 @@ let cancel_wait t ~owner =
     if debug then self_check t
   end
 
+let drop_grant t lock o =
+  (match g_find lock o with -1 -> () | i -> g_remove t lock i);
+  t.grants <- t.grants - 1;
+  bump lock
+
+(* Drop [o]'s grants on [held.(i)] onwards, pumping each queue. A pump
+   touches only its lock and the waiters it grants, and a waiter waits on
+   one lock, so the held order is as good as any. Returns the non-empty
+   callback lists, each tagged with its resource. *)
+let rec release_from t o i groups =
+  if i >= o.h_n then groups
+  else begin
+    let lock = o.held.(i) in
+    drop_grant t lock o;
+    let resource = lock.resource in
+    let callbacks = pump t lock in
+    retire_lock_if_idle t lock;
+    release_from t o (i + 1)
+      (match callbacks with [] -> groups | _ -> (resource, callbacks) :: groups)
+  end
+
+let by_resource (a, _) (b, _) = Int.compare a b
+let run_group (_, callbacks) = List.iter (fun callback -> callback ()) callbacks
+
 let release_all t ~owner =
   let o = Int_table.get t.owners owner in
   if o != nobody t then begin
     cancel_wait_of t o;
-    let held = List.sort (fun a b -> Int.compare a.resource b.resource) o.held in
-    o.held <- [];
+    let groups = release_from t o 0 [] in
+    o.h_n <- 0;
     retire_if_idle t o;
-    let callbacks =
-      List.concat_map
-        (fun lock ->
-          (match g_find lock o with
-          | -1 -> ()
-          | i -> g_remove t lock i);
-          t.grants <- t.grants - 1;
-          bump lock;
-          let callbacks = pump t lock in
-          retire_lock_if_idle t lock;
-          callbacks)
-        held
-    in
-    List.iter (fun callback -> callback ()) callbacks;
+    (* [List.sort] allocates its local closures even on an empty list *)
+    (match groups with
+    | [] -> ()
+    | _ -> List.iter run_group (List.sort by_resource groups));
     if debug then self_check t
   end
 
+let rec find_held o resource i =
+  if i >= o.h_n then -1
+  else if o.held.(i).resource = resource then i
+  else find_held o resource (i + 1)
+
 let holds t ~owner ~resource =
   let o = Int_table.get t.owners owner in
-  match List.find_opt (fun lock -> lock.resource = resource) o.held with
-  | None -> None
-  | Some lock -> ( match g_find lock o with -1 -> None | _ -> Some lock.g_mode)
+  match find_held o resource 0 with
+  | -1 -> None
+  | i -> (
+      let lock = o.held.(i) in
+      match g_find lock o with -1 -> None | _ -> Some lock.g_mode)
 
 let held_resources t ~owner =
   let o = Int_table.get t.owners owner in
-  List.sort Int.compare (List.map (fun lock -> lock.resource) o.held)
+  List.sort Int.compare (List.init o.h_n (fun i -> o.held.(i).resource))
 
 let grants_outstanding t = t.grants
 let live_locks t = Int_table.length t.locks

@@ -13,10 +13,11 @@
     Each owner that holds or waits has one record: its granted locks, its
     wait with a memoized blocker list, and a deadlock-search mark. The
     record leaves the table when the owner neither holds nor waits, and a
-    lock record leaves it when the resource has no holder and no waiter
-    (the record is kept for reuse), so the table's size is bounded by the
+    lock record leaves it when the resource has no holder and no waiter;
+    both kinds are kept for reuse, so the table's size is bounded by the
     owners and locks live at once, never by the largest owner id or the
-    resources ever locked.
+    resources ever locked, and once those pools are warm an uncontended
+    acquire and a release that wakes nobody allocate nothing.
 
     With [DANGERS_LOCK_DEBUG] set, every mutation ends with a check of the
     table's invariants: no idle record is mapped, and

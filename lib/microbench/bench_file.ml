@@ -11,7 +11,7 @@ type t = {
 let to_json t =
   let stat (s : Harness.stats) =
     Json.Obj
-      [
+      ([
         ("name", Json.Str s.Harness.s_name);
         ("warmup", Json.int_ s.Harness.s_warmup);
         ("samples", Json.int_ s.Harness.s_samples);
@@ -23,6 +23,9 @@ let to_json t =
         ("min_ns", Json.of_float s.Harness.min);
         ("max_ns", Json.of_float s.Harness.max);
       ]
+      @ Option.fold ~none:[]
+          ~some:(fun w -> [ ("minor_words_per_run", Json.of_float w) ])
+          s.Harness.words)
   in
   Json.Obj
     [
@@ -49,6 +52,7 @@ let of_json json =
       p99 = float "p99_ns" j;
       min = float "min_ns" j;
       max = float "max_ns" j;
+      words = Option.map Json.to_float (Json.member_opt "minor_words_per_run" j);
     }
   in
   {

@@ -6,10 +6,12 @@
      "host_cores": N, "quick": false,
      "benchmarks": [{"name": ..., "warmup": ..., "samples": ..., "runs": ...,
                      "mean_ns": ..., "stddev_ns": ..., "p50_ns": ...,
-                     "p99_ns": ..., "min_ns": ..., "max_ns": ...}, ...]}
+                     "p99_ns": ..., "min_ns": ..., "max_ns": ...,
+                     "minor_words_per_run": ...}, ...]}
     v}
-    All times are nanoseconds per run. Encoded with {!Dangers_obs.Json},
-    so floats round-trip exactly. *)
+    All times are nanoseconds per run. [minor_words_per_run] is optional:
+    files written before it was recorded lack it and still load. Encoded
+    with {!Dangers_obs.Json}, so floats round-trip exactly. *)
 
 val schema_id : string
 

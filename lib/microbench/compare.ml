@@ -3,6 +3,7 @@ type change = {
   old_mean : float;
   new_mean : float;
   ratio : float;
+  words : (float * float) option;
 }
 
 type report = {
@@ -14,31 +15,40 @@ type report = {
   only_new : string list;
 }
 
-let change ~name ~old_mean ~new_mean =
-  { name; old_mean; new_mean; ratio = new_mean /. old_mean }
+let change (old_s : Harness.stats) (new_s : Harness.stats) =
+  {
+    name = new_s.Harness.s_name;
+    old_mean = old_s.Harness.mean;
+    new_mean = new_s.Harness.mean;
+    ratio = new_s.Harness.mean /. old_s.Harness.mean;
+    words =
+      (match (old_s.Harness.words, new_s.Harness.words) with
+      | Some o, Some n -> Some (o, n)
+      | None, _ | _, None -> None);
+  }
 
 let diff ~threshold (old_file : Bench_file.t) (new_file : Bench_file.t) =
   if threshold <= 0. then invalid_arg "Compare.diff: threshold must be positive";
-  let mean_of (s : Harness.stats) = (s.Harness.s_name, s.Harness.mean) in
-  let old_means = List.map mean_of old_file.Bench_file.benchmarks in
-  let new_means = List.map mean_of new_file.Bench_file.benchmarks in
+  let by_name (s : Harness.stats) = (s.Harness.s_name, s) in
+  let old_stats = List.map by_name old_file.Bench_file.benchmarks in
+  let new_stats = List.map by_name new_file.Bench_file.benchmarks in
   let regressions = ref [] and improvements = ref [] and stable = ref [] in
   let only_new = ref [] in
   List.iter
-    (fun (name, new_mean) ->
-      match List.assoc_opt name old_means with
+    (fun (name, new_s) ->
+      match List.assoc_opt name old_stats with
       | None -> only_new := name :: !only_new
-      | Some old_mean ->
-          let c = change ~name ~old_mean ~new_mean in
+      | Some old_s ->
+          let c = change old_s new_s in
           if c.ratio > 1. +. threshold then regressions := c :: !regressions
           else if c.ratio < 1. -. threshold then improvements := c :: !improvements
           else stable := c :: !stable)
-    new_means;
+    new_stats;
   let only_old =
     List.filter_map
       (fun (name, _) ->
-        if List.mem_assoc name new_means then None else Some name)
-      old_means
+        if List.mem_assoc name new_stats then None else Some name)
+      old_stats
   in
   (match only_old with
   | [] -> ()
@@ -64,8 +74,13 @@ let ok report = report.regressions = []
 let print ppf report =
   let pct ratio = (ratio -. 1.) *. 100. in
   let line verdict c =
-    Format.fprintf ppf "%-12s %-28s %+7.1f%%  (%.0fns -> %.0fns)@." verdict
-      c.name (pct c.ratio) c.old_mean c.new_mean
+    Format.fprintf ppf "%-12s %-28s %+7.1f%%  (%.0fns -> %.0fns)" verdict
+      c.name (pct c.ratio) c.old_mean c.new_mean;
+    (* Reported, never judged: the verdict is the time's alone. *)
+    Option.iter
+      (fun (o, n) -> Format.fprintf ppf "  words %.0f -> %.0f (%+.0f)" o n (n -. o))
+      c.words;
+    Format.fprintf ppf "@."
   in
   List.iter (line "REGRESSION") report.regressions;
   List.iter (line "improvement") report.improvements;

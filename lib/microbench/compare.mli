@@ -8,13 +8,19 @@
     and reported through the process-wide warn-once registry under the
     key ["bench.compare.missing"] — but it does not fail the check, so a
     trimmed quick run can still be compared against a full baseline.
-    Gate on [only_old] directly if lost coverage must be fatal. *)
+    Gate on [only_old] directly if lost coverage must be fatal.
+
+    Minor words per run are reported beside each pair of means but never
+    judged: the verdict is the time's alone. *)
 
 type change = {
   name : string;
   old_mean : float;
   new_mean : float;
   ratio : float;  (** [new_mean /. old_mean] *)
+  words : (float * float) option;
+      (** minor words per run, old and new; [None] unless both files
+          record them *)
 }
 
 type report = {

@@ -31,17 +31,24 @@ type stats = {
   p99 : float;
   min : float;
   max : float;
+  words : float option;
 }
 
-(* One timed batch: ns per run, averaged over [runs] back-to-back calls so
-   sub-microsecond benches are not swamped by clock granularity. *)
-let time_ns f runs =
+(* One timed batch: ns and minor words per run, averaged over [runs]
+   back-to-back calls so sub-microsecond benches are not swamped by clock
+   granularity. The word count is read inside the clock reads, whose
+   boxed results it would otherwise include; [Gc.minor_words] itself
+   returns an unboxed float and allocates nothing. *)
+let time_batch f runs =
   let t0 = Monotonic_clock.now () in
+  let w0 = Gc.minor_words () in
   for _ = 1 to runs do
     f ()
   done;
+  let w1 = Gc.minor_words () in
   let t1 = Monotonic_clock.now () in
-  Int64.to_float (Int64.sub t1 t0) /. float_of_int runs
+  let per_run x = x /. float_of_int runs in
+  (per_run (Int64.to_float (Int64.sub t1 t0)), per_run (w1 -. w0))
 
 (* Linear interpolation between closest ranks, as in numpy's default. *)
 let percentile sorted p =
@@ -75,14 +82,24 @@ let of_samples ~name ~warmup ~runs xs =
     p99 = percentile sorted 99.;
     min = sorted.(0);
     max = sorted.(n - 1);
+    words = None;
   }
 
 let run b =
   for _ = 1 to b.warmup do
-    ignore (time_ns b.f b.runs)
+    ignore (time_batch b.f b.runs)
   done;
-  let xs = Array.init b.samples (fun _ -> time_ns b.f b.runs) in
-  of_samples ~name:b.name ~warmup:b.warmup ~runs:b.runs xs
+  let batches = Array.init b.samples (fun _ -> time_batch b.f b.runs) in
+  let words =
+    Array.fold_left (fun sum (_, w) -> sum +. w) 0. batches
+    /. float_of_int b.samples
+  in
+  {
+    (of_samples ~name:b.name ~warmup:b.warmup ~runs:b.runs
+       (Array.map fst batches))
+    with
+    words = Some words;
+  }
 
 let pp_stats ppf s =
   let scale v =
@@ -92,4 +109,5 @@ let pp_stats ppf s =
     else Printf.sprintf "%.0fns" v
   in
   Format.fprintf ppf "%-28s mean %10s  +/-%9s  p50 %10s  p99 %10s" s.s_name
-    (scale s.mean) (scale s.stddev) (scale s.p50) (scale s.p99)
+    (scale s.mean) (scale s.stddev) (scale s.p50) (scale s.p99);
+  Option.iter (Format.fprintf ppf "  %10.0f words") s.words

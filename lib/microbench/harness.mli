@@ -4,7 +4,9 @@
     [warmup] untimed batches, then [samples] timed batches of [runs]
     back-to-back calls each; the recorded unit is nanoseconds per run.
     Summaries are mean/stddev (sample, n-1)/p50/p99/min/max over the
-    batches. *)
+    batches. Each batch also counts the minor-heap words it allocates
+    ([Gc.minor_words]), a figure that, unlike time, does not move with
+    the host's load. *)
 
 type bench
 
@@ -28,13 +30,17 @@ type stats = {
   p99 : float;
   min : float;
   max : float;
+  words : float option;
+      (** minor words allocated per run, mean over the batches; [None]
+          for results recorded before words were counted *)
 }
 
 val run : bench -> stats
 
 val of_samples :
   name:string -> warmup:int -> runs:int -> float array -> stats
-(** Summarize raw per-run nanosecond samples; exposed for tests.
+(** Summarize raw per-run nanosecond samples, with no word count;
+    exposed for tests.
     @raise Invalid_argument on an empty array. *)
 
 val percentile : float array -> float -> float

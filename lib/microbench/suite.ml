@@ -8,6 +8,8 @@ module Mode = Dangers_lock.Mode
 module Lock_manager = Dangers_lock.Lock_manager
 module Engine = Dangers_sim.Engine
 module Par_engine = Dangers_sim.Par_engine
+module Executor = Dangers_txn.Executor
+module Txn_id = Dangers_txn.Txn_id
 
 (* Uncontended acquire/release: 100 owners each take 4 private X locks and
    drop them — the fast path of every action that meets no conflict. *)
@@ -101,6 +103,44 @@ let lock_wide_tables () =
       txn (i mod tables) !cursor
     done
 
+(* The lazy-group replica apply, whole: each root commit's 4-step list is
+   built once and run as a replica transaction by every one of 40
+   executors on one engine, each over its own 4,000 objects — locks,
+   Action_Time events, commit and release. Each call runs 25 commits
+   (1,000 replica transactions) at resources a fixed stride apart, so no
+   request waits, then drains the engine. Per-run words over 1,000
+   transactions of 4 events each explain the allocation behind
+   [gc.minor_words_per_event]. *)
+let txn_replica_apply () =
+  let nodes = 40 and resources = 4_000 in
+  let state =
+    lazy
+      (let engine = Engine.create () in
+       let executors =
+         Array.init nodes (fun _ ->
+             Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+               ~action_time:0.01 ())
+       in
+       (engine, executors, Txn_id.Gen.create (), ref 0))
+  in
+  let on_commit () = () in
+  let on_deadlock ~cycle:_ = failwith "Suite.txn_replica_apply: deadlock" in
+  fun () ->
+    let engine, executors, ids, cursor = Lazy.force state in
+    for _ = 1 to 25 do
+      cursor := (!cursor + 1_237) mod resources;
+      let steps =
+        List.init 4 (fun r ->
+            Executor.update_step ~resource:((!cursor + (r * 1_009)) mod resources))
+      in
+      Array.iter
+        (fun executor ->
+          Executor.run executor ~owner:(Txn_id.Gen.next ids) ~steps ~on_commit
+            ~on_deadlock)
+        executors
+    done;
+    Engine.run engine
+
 (* Raw event throughput: 8 interleaved self-rescheduling chains firing
    100k events — the schedule/step cycle with no simulation payload. *)
 let engine_event_throughput () =
@@ -184,6 +224,8 @@ let cases ~quick =
     case ~runs:10 20 "lock/contended-fifo" "lock.waits" lock_contended_fifo;
     case ~runs:10 20 "lock/deadlock-chain" "lock.dfs_visits" lock_deadlock_chain;
     case 20 "lock/wide-tables" "sim.step_ns.p50" (lock_wide_tables ());
+    case 20 "txn/replica-apply" "gc.minor_words_per_event"
+      (txn_replica_apply ());
     case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
     case 10 "engine/random-delay" "sim.step_ns.p50" engine_random_delay;
     case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"

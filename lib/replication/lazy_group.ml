@@ -15,10 +15,15 @@ module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Rng = Dangers_util.Rng
 
+(* What a root commit sends each peer: its updates and the lock steps of
+   the replica transaction that applies them, built once at the root and
+   shared by every receiver and every retry (steps are immutable). *)
+type replica_txn = { updates : Reconcile.update list; steps : Executor.step list }
+
 type t = {
   common : Common.base;
   executors : Executor.t array; (* one local lock space per node *)
-  mutable network : Reconcile.update list Network.t option;
+  mutable network : replica_txn Network.t option;
   rule : Reconcile.rule;
   retry_rng : Rng.t;
   expected : float array; (* initial_value + committed increment deltas *)
@@ -82,16 +87,10 @@ let apply_update t ~dst (u : Reconcile.update) =
 (* A replica-update transaction: the model charges it the same Actions x
    Action_Time work as the root (equation 7's lazy accounting). Local
    deadlocks restart it without user impact. *)
-let deliver t ~src:_ ~dst updates =
+let deliver t ~src:_ ~dst { updates; steps } =
   let common = t.common in
   let rec attempt () =
     let owner = Txn_id.Gen.next common.Common.txn_gen in
-    let steps =
-      List.map
-        (fun (u : Reconcile.update) ->
-          Executor.update_step ~resource:(Oid.to_int u.Reconcile.oid))
-        updates
-    in
     Executor.run t.executors.(dst) ~owner ~steps
       ~on_commit:(fun () ->
         Metrics.incr common.Common.stats.Repl_stats.replica_txns;
@@ -139,21 +138,22 @@ let root_commit t ~node ops =
         end)
       ops
   in
-  if updates <> [] then Network.broadcast (network t) ~src:node updates
+  if updates <> [] then begin
+    let steps =
+      List.map
+        (fun (u : Reconcile.update) ->
+          Executor.update_step ~resource:(Oid.to_int u.Reconcile.oid))
+        updates
+    in
+    Network.broadcast (network t) ~src:node { updates; steps }
+  end
 
 let submit t ~node ops =
   let common = t.common in
+  let steps = Executor.steps_of_ops ops in
   let rec attempt () =
     let owner = Txn_id.Gen.next common.Common.txn_gen in
     let started = Clock.now common.Common.clock in
-    let steps =
-      List.map
-        (fun op ->
-          let resource = Oid.to_int (Op.oid op) in
-          if Op.is_update op then Executor.update_step ~resource
-          else Executor.read_step ~resource)
-        ops
-    in
     Executor.run t.executors.(node) ~owner ~steps
       ~on_commit:(fun () ->
         root_commit t ~node ops;

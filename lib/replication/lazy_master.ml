@@ -86,17 +86,11 @@ let master_commit t ~origin ops =
 
 let submit t ~node ops =
   let common = t.common in
+  (* Reads take S locks: the read-lock RPCs to the master. *)
+  let steps = Executor.steps_of_ops ops in
   let rec attempt () =
     let owner = Txn_id.Gen.next common.Common.txn_gen in
     let started = Clock.now common.Common.clock in
-    let steps =
-      List.map
-        (fun op ->
-          let resource = Oid.to_int (Op.oid op) in
-          if Op.is_update op then Executor.update_step ~resource
-          else Executor.read_step ~resource (* read-lock RPC to the master *))
-        ops
-    in
     Executor.run t.master_executor ~owner ~steps
       ~on_commit:(fun () ->
         master_commit t ~origin:node ops;

@@ -15,10 +15,21 @@ type step = { resource : int; mode : Mode.t; cost : float option; work : unit ->
 let update_step ~resource = { resource; mode = Mode.X; cost = None; work = Fun.id }
 let read_step ~resource = { resource; mode = Mode.S; cost = None; work = Fun.id }
 
+let steps_of_ops ops =
+  List.map
+    (fun op ->
+      let resource = Dangers_storage.Oid.to_int (Op.oid op) in
+      if Op.is_update op then update_step ~resource else read_step ~resource)
+    ops
+
 let create ?(on_wait = fun () -> ()) ~clock ~locks ~action_time () =
   if action_time < 0. then invalid_arg "Executor.create: negative action time";
   { clock; locks; action_time; on_wait; active = 0 }
 
+(* One closure set per transaction: [proceed] is also the callback a
+   queued request is granted through, and [worked] is the action every
+   step schedules, so a step allocates only the engine's event. The
+   steps left, the current one first, live in [remaining]. *)
 let run t ~owner ~steps ~on_commit ~on_deadlock =
   let owner_id = Txn_id.to_int owner in
   (* Trace events are allocated only when a tracer is attached; the
@@ -27,32 +38,21 @@ let run t ~owner ~steps ~on_commit ~on_deadlock =
   t.active <- t.active + 1;
   if traced then
     Clock.trace t.clock (Dangers_sim.Trace.Txn_started { owner = owner_id });
-  let finish_commit () =
-    on_commit ();
-    Lock_manager.release_all t.locks ~owner:owner_id;
-    t.active <- t.active - 1;
-    if traced then
-      Clock.trace t.clock (Dangers_sim.Trace.Txn_committed { owner = owner_id })
-  in
-  let kill cycle =
-    Lock_manager.release_all t.locks ~owner:owner_id;
-    t.active <- t.active - 1;
-    on_deadlock ~cycle
-  in
-  let rec start_step remaining =
-    match remaining with
-    | [] -> finish_commit ()
-    | step :: rest ->
-        let proceed () =
-          let cost = Option.value step.cost ~default:t.action_time in
-          Clock.schedule_unit t.clock ~delay:cost (fun () ->
-              step.work ();
-              start_step rest)
-        in
-        (match
-           Lock_manager.request t.locks ~owner:owner_id ~resource:step.resource
-             ~mode:step.mode ~on_grant:proceed
-         with
+  let remaining = ref steps in
+  let rec request () =
+    match !remaining with
+    | [] ->
+        on_commit ();
+        Lock_manager.release_all t.locks ~owner:owner_id;
+        t.active <- t.active - 1;
+        if traced then
+          Clock.trace t.clock
+            (Dangers_sim.Trace.Txn_committed { owner = owner_id })
+    | step :: _ -> (
+        match
+          Lock_manager.request t.locks ~owner:owner_id ~resource:step.resource
+            ~mode:step.mode ~on_grant:proceed
+        with
         | Lock_manager.Granted ->
             if traced then
               Clock.trace t.clock
@@ -70,9 +70,28 @@ let run t ~owner ~steps ~on_commit ~on_deadlock =
               Clock.trace t.clock
                 (Dangers_sim.Trace.Deadlock_victim { owner = owner_id; cycle });
             t.on_wait ();
-            kill cycle)
+            Lock_manager.release_all t.locks ~owner:owner_id;
+            t.active <- t.active - 1;
+            on_deadlock ~cycle)
+  (* The current step's lock is held: occupy its action time. *)
+  and proceed () =
+    match !remaining with
+    | [] -> ()
+    | step :: _ ->
+        let cost =
+          match step.cost with None -> t.action_time | Some cost -> cost
+        in
+        Clock.schedule_unit t.clock ~delay:cost worked
+  (* The action is done: its work, then the next step's request. *)
+  and worked () =
+    match !remaining with
+    | [] -> ()
+    | step :: rest ->
+        remaining := rest;
+        step.work ();
+        request ()
   in
-  start_step steps
+  request ()
 
 let active t = t.active
 let locks t = t.locks

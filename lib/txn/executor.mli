@@ -9,7 +9,16 @@
     The executor is scheme-agnostic: callers provide the step list (a
     single-node transaction has [Actions] steps; an eager-replicated one has
     [Actions x Nodes] steps over per-node resources) and the commit/deadlock
-    continuations. *)
+    continuations.
+
+    Lazy-group turns every commit into Nodes - 1 replica transactions, so
+    the cost of a step is paid Nodes times over. {!run} therefore builds
+    one set of closures per transaction: the steps left live in one
+    mutable cell, the same closure is the lock's grant callback for every
+    step, and the same closure is every step's scheduled action. A step
+    allocates only the engine's event. Steps are immutable values, so
+    callers build a transaction's list once and share it across retries
+    and, for replica transactions, across receivers. *)
 
 type t
 
@@ -44,6 +53,11 @@ val update_step : resource:int -> step
 
 val read_step : resource:int -> step
 (** An [S]-mode step with no work. *)
+
+val steps_of_ops : Op.t list -> step list
+(** One step per op on the op's object id: {!update_step} for updates,
+    {!read_step} for reads. Steps are immutable, so a scheme builds them
+    once per submission and reuses them on every retry. *)
 
 val run :
   t ->

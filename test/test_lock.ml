@@ -363,6 +363,18 @@ module Model = struct
   let grants_outstanding (t : t) =
     Hashtbl.fold (fun _ lock acc -> acc + List.length lock.granted) t 0
 
+  let live_locks (t : t) =
+    Hashtbl.fold
+      (fun _ lock acc -> if lock.granted = [] && lock.queue = [] then acc else acc + 1)
+      t 0
+
+  let held_resources (t : t) ~owner =
+    Hashtbl.fold
+      (fun resource lock acc ->
+        if List.mem_assoc owner lock.granted then resource :: acc else acc)
+      t []
+    |> List.sort Int.compare
+
   (* FIFO pump; returns the owners granted, front of the queue first. *)
   let pump lock =
     let grantable w =
@@ -447,22 +459,22 @@ module Model = struct
         lock.queue <- List.filter (fun w -> w.owner <> owner) lock.queue;
         List.map (fun o -> (o, resource)) (pump lock)
 
+  (* Also whether any held lock had a waiter once the owner's own wait
+     was cancelled, so that the release had a queue to pump. *)
   let release_all t ~owner =
     let from_cancel = cancel_wait t ~owner in
-    let held =
-      Hashtbl.fold
-        (fun resource lock acc ->
-          if List.mem_assoc owner lock.granted then resource :: acc else acc)
-        t []
-      |> List.sort Int.compare
+    let held = held_resources t ~owner in
+    let waited =
+      List.exists (fun resource -> (Hashtbl.find t resource).queue <> []) held
     in
-    from_cancel
-    @ List.concat_map
+    ( waited,
+      from_cancel
+      @ List.concat_map
         (fun resource ->
           let lock = Hashtbl.find t resource in
           lock.granted <- List.remove_assoc owner lock.granted;
           List.map (fun o -> (o, resource)) (pump lock))
-        held
+        held )
 end
 
 let owners = 5
@@ -502,79 +514,142 @@ let script_arb =
 
 let ilist = Alcotest.list Alcotest.int
 
+(* Run one script against the real table and the model, checking every
+   observable after every op, and after every release also the table's
+   size: live locks, grants, and every owner's held resources. Returns
+   how many releases found no waiter on the released locks and how many
+   found one. *)
+let run_model_script script =
+  let real = Lock_table.create () in
+  let model = Model.create () in
+  let real_grants = ref [] in
+  let on_grant owner resource () =
+    real_grants := (owner, resource) :: !real_grants
+  in
+  let model_grants = ref [] in
+  let record_model granted =
+    List.iter (fun grant -> model_grants := grant :: !model_grants) granted
+  in
+  let quiet = ref 0 and pumped = ref 0 in
+  let check_agreement () =
+    Alcotest.check
+      (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+      "grant order" (List.rev !model_grants) (List.rev !real_grants);
+    checki "grants outstanding" (Model.grants_outstanding model)
+      (Lock_table.grants_outstanding real);
+    for owner = 0 to owners - 1 do
+      checkb "is_waiting"
+        (Model.is_waiting model ~owner)
+        (Lock_table.is_waiting real ~owner);
+      Alcotest.check ilist "blockers" (Model.blockers model ~owner)
+        (Lock_table.blockers real ~owner);
+      Alcotest.check ilist "blockers_fresh agrees with memo"
+        (Lock_table.blockers real ~owner)
+        (Lock_table.blockers_fresh real ~owner);
+      for resource = 0 to resources - 1 do
+        checkb "holds"
+          (Model.holds model ~owner ~resource
+          = Some Mode.X)
+          (Lock_table.holds real ~owner ~resource = Some Mode.X);
+        checkb "holds S"
+          (Model.holds model ~owner ~resource = Some Mode.S)
+          (Lock_table.holds real ~owner ~resource = Some Mode.S)
+      done
+    done
+  in
+  let check_size () =
+    checki "live locks" (Model.live_locks model) (Lock_table.live_locks real);
+    for owner = 0 to owners - 1 do
+      Alcotest.check ilist "held resources"
+        (Model.held_resources model ~owner)
+        (Lock_table.held_resources real ~owner)
+    done
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_acquire (owner, resource, mode) ->
+          (* both sides forbid acquiring while waiting; skip those *)
+          if not (Model.is_waiting model ~owner) then begin
+            let model_outcome =
+              Model.acquire model ~owner ~resource ~mode
+            in
+            (* a queue-front upgrade can become grantable only via
+               later releases, so pumping here grants nothing; the
+               real table relies on the same fact *)
+            let real_outcome =
+              Lock_table.acquire real ~owner ~resource ~mode
+                ~on_grant:(on_grant owner resource)
+            in
+            checkb "acquire outcome"
+              (model_outcome = Lock_table.Granted)
+              (real_outcome = Lock_table.Granted)
+          end
+      | Op_cancel owner ->
+          record_model (Model.cancel_wait model ~owner);
+          Lock_table.cancel_wait real ~owner
+      | Op_release owner ->
+          (* grants come back in (cancel pump, then resources
+             ascending) order — the order the real table fires
+             callbacks in *)
+          let waited, granted = Model.release_all model ~owner in
+          incr (if waited then pumped else quiet);
+          record_model granted;
+          Lock_table.release_all real ~owner;
+          check_size ());
+      check_agreement ())
+    script;
+  (!quiet, !pumped)
+
 let lock_table_model_prop =
   QCheck.Test.make
     ~name:"lock table: agrees with the naive reference model" ~count:300
     script_arb
     (fun script ->
-      let real = Lock_table.create () in
-      let model = Model.create () in
-      let real_grants = ref [] in
-      let on_grant owner resource () =
-        real_grants := (owner, resource) :: !real_grants
-      in
-      let model_grants = ref [] in
-      let record_model granted =
-        List.iter (fun grant -> model_grants := grant :: !model_grants) granted
-      in
-      let check_agreement () =
-        Alcotest.check
-          (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-          "grant order" (List.rev !model_grants) (List.rev !real_grants);
-        checki "grants outstanding" (Model.grants_outstanding model)
-          (Lock_table.grants_outstanding real);
-        for owner = 0 to owners - 1 do
-          checkb "is_waiting"
-            (Model.is_waiting model ~owner)
-            (Lock_table.is_waiting real ~owner);
-          Alcotest.check ilist "blockers" (Model.blockers model ~owner)
-            (Lock_table.blockers real ~owner);
-          Alcotest.check ilist "blockers_fresh agrees with memo"
-            (Lock_table.blockers real ~owner)
-            (Lock_table.blockers_fresh real ~owner);
-          for resource = 0 to resources - 1 do
-            checkb "holds"
-              (Model.holds model ~owner ~resource
-              = Some Mode.X)
-              (Lock_table.holds real ~owner ~resource = Some Mode.X);
-            checkb "holds S"
-              (Model.holds model ~owner ~resource = Some Mode.S)
-              (Lock_table.holds real ~owner ~resource = Some Mode.S)
-          done
-        done
-      in
-      List.iter
-        (fun op ->
-          (match op with
-          | Op_acquire (owner, resource, mode) ->
-              (* both sides forbid acquiring while waiting; skip those *)
-              if not (Model.is_waiting model ~owner) then begin
-                let model_outcome =
-                  Model.acquire model ~owner ~resource ~mode
-                in
-                (* a queue-front upgrade can become grantable only via
-                   later releases, so pumping here grants nothing; the
-                   real table relies on the same fact *)
-                let real_outcome =
-                  Lock_table.acquire real ~owner ~resource ~mode
-                    ~on_grant:(on_grant owner resource)
-                in
-                checkb "acquire outcome"
-                  (model_outcome = Lock_table.Granted)
-                  (real_outcome = Lock_table.Granted)
-              end
-          | Op_cancel owner ->
-              record_model (Model.cancel_wait model ~owner);
-              Lock_table.cancel_wait real ~owner
-          | Op_release owner ->
-              (* grants come back in (cancel pump, then resources
-                 ascending) order — the order the real table fires
-                 callbacks in *)
-              record_model (Model.release_all model ~owner);
-              Lock_table.release_all real ~owner);
-          check_agreement ())
-        script;
+      ignore (run_model_script script);
       true)
+
+(* The scripts the model property draws exercise both kinds of release,
+   with no waiter on the released locks and with one, many times each. *)
+let test_model_scripts_cover_both_kinds_of_release () =
+  let rand = Random.State.make [| 42 |] in
+  let quiet = ref 0 and pumped = ref 0 in
+  for _ = 1 to 300 do
+    let q, p = run_model_script (QCheck.Gen.generate1 ~rand (QCheck.get_gen script_arb)) in
+    quiet := !quiet + q;
+    pumped := !pumped + p
+  done;
+  checkb (Printf.sprintf "%d releases with no waiter" !quiet) true (!quiet >= 250);
+  checkb (Printf.sprintf "%d releases with a waiter" !pumped) true (!pumped >= 250)
+
+(* Once the pools hold a record for every lock and owner live at once, a
+   transaction that takes 4 uncontended locks and releases them
+   allocates nothing: the lookups, the grant, the held-lock array and
+   a release that wakes nobody all reuse what is there. Under
+   [DANGERS_LOCK_DEBUG] every mutation ends with a self-check that
+   allocates, so the count is asserted only without it. *)
+let test_steady_state_allocates_nothing () =
+  let t = Lock_table.create () in
+  let txn owner =
+    for r = 0 to 3 do
+      ignore
+        (Lock_table.acquire t ~owner ~resource:((owner * 7) + (r * 1_009))
+           ~mode:Mode.X ~on_grant:noop)
+    done;
+    Lock_table.release_all t ~owner
+  in
+  for owner = 0 to 99 do
+    txn owner
+  done;
+  let w0 = Gc.minor_words () in
+  for owner = 100 to 10_099 do
+    txn owner
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if not Lock_table.debug then
+    Alcotest.check (Alcotest.float 0.) "minor words over 10,000 transactions"
+      0. words;
+  checki "all released" 0 (Lock_table.live_locks t)
 
 (* A lock record leaves the table when its resource has no holder and no
    waiter, and the next resource reuses it, arrays and all: a table that
@@ -678,5 +753,9 @@ let suite =
     Alcotest.test_case "manager live locks gauge" `Quick test_manager_live_locks_gauge;
     QCheck_alcotest.to_alcotest lock_table_safety_prop;
     QCheck_alcotest.to_alcotest lock_table_model_prop;
+    Alcotest.test_case "model scripts cover both kinds of release" `Quick
+      test_model_scripts_cover_both_kinds_of_release;
+    Alcotest.test_case "steady state allocates nothing" `Quick
+      test_steady_state_allocates_nothing;
     QCheck_alcotest.to_alcotest lock_manager_incremental_prop;
   ]

@@ -44,7 +44,28 @@ let test_harness_runs () =
   checkb "timings non-negative" true (stats.Harness.min >= 0.);
   checkb "min <= mean <= max" true
     (stats.Harness.min <= stats.Harness.mean
-    && stats.Harness.mean <= stats.Harness.max)
+    && stats.Harness.mean <= stats.Harness.max);
+  Alcotest.check (Alcotest.option (Alcotest.float 0.))
+    "incrementing a counter allocates nothing" (Some 0.) stats.Harness.words
+
+(* Each run of a closure that conses one 2-field cell allocates 3 words. *)
+let test_harness_counts_words () =
+  let n = ref 0 and sink = ref [] in
+  let stats =
+    Harness.run
+      (Harness.bench ~warmup:0 ~samples:3 ~runs:4 "cons" (fun () ->
+           incr n;
+           sink := [ !n ]))
+  in
+  Alcotest.check (Alcotest.option (Alcotest.float 0.)) "words per run"
+    (Some 3.) stats.Harness.words
+
+let contains s sub =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s && (String.sub s i n = sub || from (i + 1))
+  in
+  from 0
 
 let sample_stats name mean =
   {
@@ -58,6 +79,7 @@ let sample_stats name mean =
     p99 = mean *. 1.1;
     min = mean *. 0.9;
     max = mean *. 1.2;
+    words = Some (mean /. 10.);
   }
 
 let test_schema_round_trip () =
@@ -71,6 +93,16 @@ let test_schema_round_trip () =
   let json = Json.to_string (Bench_file.to_json file) in
   let back = Bench_file.of_json (Json.of_string json) in
   checkb "round-trips exactly" true (back = file);
+  (* A file written before words were recorded lacks the field and
+     still loads. *)
+  let legacy =
+    { file with benchmarks = [ { (sample_stats "a/b" 1.) with Harness.words = None } ] }
+  in
+  let json = Json.to_string (Bench_file.to_json legacy) in
+  checkb "no words field" false
+    (contains json "minor_words_per_run");
+  checkb "loads without it" true
+    (Bench_file.of_json (Json.of_string json) = legacy);
   Alcotest.check_raises "wrong schema rejected"
     (Json.Parse_error "bench-micro: unsupported schema nope") (fun () ->
       ignore (Bench_file.of_json (Json.Obj [ ("schema", Json.Str "nope") ])))
@@ -95,6 +127,19 @@ let test_compare_flags_regression () =
   checki "one improvement" 1 (List.length report.Compare.improvements);
   checki "one stable" 1 (List.length report.Compare.stable);
   checkb "overall verdict fails" false (Compare.ok report)
+
+(* The words per run are printed beside the times, and do not move the
+   verdict: the regressed words of a stable time leave it ok. *)
+let test_compare_reports_words () =
+  let report = compare_files [ ("lock", 100.) ] [ ("lock", 101.) ] in
+  let report =
+    { report with
+      Compare.stable =
+        List.map (fun c -> { c with Compare.words = Some (10., 130.) }) report.Compare.stable }
+  in
+  let printed = Format.asprintf "%a" Compare.print report in
+  checkb "words delta printed" true (contains printed "words 10 -> 130 (+120)");
+  checkb "words are not judged" true (Compare.ok report)
 
 let test_compare_ok_within_threshold () =
   let report =
@@ -149,9 +194,11 @@ let suite =
       test_percentile_interpolation;
     Alcotest.test_case "harness runs warmup and samples" `Quick
       test_harness_runs;
+    Alcotest.test_case "harness counts words" `Quick test_harness_counts_words;
     Alcotest.test_case "schema round trip" `Quick test_schema_round_trip;
     Alcotest.test_case "compare flags 25% regression" `Quick
       test_compare_flags_regression;
+    Alcotest.test_case "compare reports words" `Quick test_compare_reports_words;
     Alcotest.test_case "compare passes 10% drift" `Quick
       test_compare_ok_within_threshold;
     Alcotest.test_case "compare tolerates lost bench" `Quick

@@ -154,6 +154,141 @@ let test_executor_work_runs_under_lock () =
   Alcotest.check (Alcotest.list Alcotest.int) "step order then commit"
     [ 1; 2; 99 ] (List.rev !observed)
 
+(* [work] of each step runs Action_Time after its grant, in step order;
+   a step's [cost] replaces Action_Time for that step alone. *)
+let test_executor_work_order_and_cost () =
+  let engine, executor, _ = make_executor () in
+  let gen = Txn_id.Gen.create () in
+  let log = ref [] in
+  let step ?cost i =
+    { (Executor.update_step ~resource:i) with
+      Executor.cost;
+      work = (fun () -> log := (i, Engine.now engine) :: !log) }
+  in
+  Executor.run executor ~owner:(Txn_id.Gen.next gen)
+    ~steps:[ step 0; step ~cost:0.5 1; step 2; step 3 ]
+    ~on_commit:(fun () -> log := (99, Engine.now engine) :: !log)
+    ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock");
+  Engine.run engine;
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 1e-9)))
+    "work in step order; step 1 charged its cost, not Action_Time"
+    [ (0, 0.1); (1, 0.6); (2, 0.7); (3, 0.8); (99, 0.8) ]
+    (List.rev !log)
+
+(* A runs [1; 2], B runs [2; 1]. At 0.1 both finish their first action;
+   A then waits for 2, and B's request for 1 closes the cycle, so B is
+   the victim: its second step's work never runs. A, granted 2 by B's
+   release, resumes at the step it waited on and runs it once. *)
+let test_executor_victim_and_resume () =
+  let engine, executor, _ = make_executor () in
+  let gen = Txn_id.Gen.create () in
+  let log = ref [] in
+  let step tag resource =
+    { (Executor.update_step ~resource) with
+      Executor.work = (fun () -> log := (tag, Engine.now engine) :: !log) }
+  in
+  let victims = ref [] in
+  let submit name steps =
+    Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps
+      ~on_commit:(fun () -> log := (name ^ " commit", Engine.now engine) :: !log)
+      ~on_deadlock:(fun ~cycle:_ -> victims := name :: !victims)
+  in
+  submit "a" [ step "a1" 1; step "a2" 2 ];
+  submit "b" [ step "b1" 2; step "b2" 1 ];
+  Engine.run engine;
+  Alcotest.check (Alcotest.list Alcotest.string) "b is the victim" [ "b" ]
+    !victims;
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
+    "b2 never runs; a resumes at a2"
+    [ ("a1", 0.1); ("b1", 0.1); ("a2", 0.2); ("a commit", 0.2) ]
+    (List.rev !log);
+  checki "nothing left running" 0 (Executor.active executor)
+
+(* A transaction queued on its first step, granted at the holder's
+   commit, runs every step from that one on, one Action_Time apart. *)
+let test_executor_resumes_after_wait () =
+  let engine, executor, waits = make_executor () in
+  let gen = Txn_id.Gen.create () in
+  let log = ref [] in
+  let step i =
+    { (Executor.update_step ~resource:i) with
+      Executor.work = (fun () -> log := (i, Engine.now engine) :: !log) }
+  in
+  let run steps =
+    Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps
+      ~on_commit:ignore
+      ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock")
+  in
+  run [ Executor.update_step ~resource:1; Executor.update_step ~resource:9 ];
+  run [ step 1; step 2; step 3 ];
+  Engine.run engine;
+  checki "one wait" 1 !waits;
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 1e-9)))
+    "granted at 0.2, then one step per Action_Time"
+    [ (1, 0.3); (2, 0.4); (3, 0.5) ]
+    (List.rev !log)
+
+(* Minor words from [Executor.run] of [n] uncontended update steps until
+   the engine drains. *)
+let txn_words engine executor gen n =
+  let steps = List.init n (fun i -> Executor.update_step ~resource:i) in
+  let on_commit () = () in
+  let on_deadlock ~cycle:_ = Alcotest.fail "deadlock" in
+  let owner = Txn_id.Gen.next gen in
+  let w0 = Gc.minor_words () in
+  Executor.run executor ~owner ~steps ~on_commit ~on_deadlock;
+  Engine.run engine;
+  Gc.minor_words () -. w0
+
+(* Minor words per event of a bare engine: a chain of [n] events, each
+   at a later time, firing one preallocated closure. *)
+let engine_words_per_event n =
+  let engine = Engine.create () in
+  let left = ref n in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      ignore (Engine.schedule engine ~delay:0.1 tick)
+    end
+  in
+  tick ();
+  Engine.run engine;
+  left := n;
+  let w0 = Gc.minor_words () in
+  tick ();
+  Engine.run engine;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A step allocates what the engine allocates per event, and nothing
+   else: the event record (header, action, cancelled: 3 words) and the
+   box of the advanced clock (header and a double: 2 words). The rest is
+   one per-transaction set: the [remaining] ref (2 words) and one block
+   holding the three mutually recursive closures (3 x 2 words of code
+   pointer and arity, 2 infix headers, 6 captured values, 1 header: 15
+   words). Lock requests and the waiter-free release allocate nothing
+   once the table's pools are warm. [DANGERS_LOCK_DEBUG]'s self-check
+   after every lock-table mutation allocates, so the transaction counts
+   are asserted only without it. *)
+let test_executor_words_per_step () =
+  let per_event = engine_words_per_event 1_000 in
+  checkf "engine words per event: event record + clock box" 5. per_event;
+  let engine, executor, _ = make_executor () in
+  let gen = Txn_id.Gen.create () in
+  (* Warm the lock table's pools and the engine's arrays. *)
+  for _ = 1 to 3 do
+    ignore (txn_words engine executor gen 8)
+  done;
+  let w4 = txn_words engine executor gen 4 in
+  let w8 = txn_words engine executor gen 8 in
+  if not Dangers_lock.Lock_table.debug then begin
+    checkf "words per step = the engine's per event" per_event
+      ((w8 -. w4) /. 4.);
+    checkf "4-step transaction: 17 + 4 x 5 words" 37. w4
+  end
+
 let suite =
   [
     Alcotest.test_case "op apply" `Quick test_op_apply;
@@ -166,4 +301,8 @@ let suite =
     Alcotest.test_case "executor serializes conflicts" `Quick test_executor_serializes_conflicts;
     Alcotest.test_case "executor deadlock and restart" `Quick test_executor_deadlock_and_restart;
     Alcotest.test_case "executor work under lock" `Quick test_executor_work_runs_under_lock;
+    Alcotest.test_case "executor work order and cost" `Quick test_executor_work_order_and_cost;
+    Alcotest.test_case "executor victim and resume" `Quick test_executor_victim_and_resume;
+    Alcotest.test_case "executor resumes after wait" `Quick test_executor_resumes_after_wait;
+    Alcotest.test_case "executor words per step" `Quick test_executor_words_per_step;
   ]
