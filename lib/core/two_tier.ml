@@ -7,7 +7,6 @@ module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
-module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Clock = Dangers_runtime.Clock
@@ -34,7 +33,6 @@ type t = {
   owner : int array; (* node mastering each object *)
   base_executor : Executor.t; (* the shared base-tier lock space *)
   mobiles : mobile_state array; (* node id = base_count + index *)
-  retry_rng : Rng.t;
   mutable network : slave_update list Network.t option;
   mutable fleet : Connectivity.fleet option;
   mutable rejections_rev : (Tentative.t * string) list;
@@ -136,75 +134,63 @@ let replay_committed t ops =
 let run_base_transaction t ?(acceptance = Acceptance.Always)
     ?(tentative_results = []) ~ops ~on_done () =
   let common = t.common in
-  let stats = common.Common.stats in
   let steps = Executor.steps_of_ops ops in
-  let rec attempt () =
-    let owner_id = Txn_id.Gen.next common.Common.txn_gen in
-    let started = Clock.now common.Common.clock in
-    Executor.run t.base_executor ~owner:owner_id ~steps
-      ~on_commit:(fun () ->
-        let results = prospective_results t ops in
-        (* Deliberate fault for the scheme fuzzer: trust the mobile's
-           tentative results blindly instead of the base re-execution —
-           exactly the delusion §7's acceptance test exists to prevent.
-           The invariant checker must catch this. *)
-        let results =
-          if not t.unsafe_skip_acceptance then results
-          else
-            List.map
-              (fun (oid, base_value) ->
-                match
-                  List.find_opt (fun (o, _) -> Oid.equal o oid) tentative_results
-                with
-                | Some (_, tentative) -> (oid, tentative)
-                | None -> (oid, base_value))
-              results
-        in
-        let outcomes =
+  Executor.run t.base_executor ~steps:(fun () -> steps)
+    ~on_commit:(fun ~started ->
+      let results = prospective_results t ops in
+      (* Deliberate fault for the scheme fuzzer: trust the mobile's
+         tentative results blindly instead of the base re-execution —
+         exactly the delusion §7's acceptance test exists to prevent.
+         The invariant checker must catch this. *)
+      let results =
+        if not t.unsafe_skip_acceptance then results
+        else
           List.map
             (fun (oid, base_value) ->
-              let tentative =
-                match
-                  List.find_opt (fun (o, _) -> Oid.equal o oid) tentative_results
-                with
-                | Some (_, v) -> v
-                | None -> base_value
-              in
-              { Acceptance.oid; tentative; base = base_value })
+              match
+                List.find_opt (fun (o, _) -> Oid.equal o oid) tentative_results
+              with
+              | Some (_, tentative) -> (oid, tentative)
+              | None -> (oid, base_value))
             results
-        in
-        match
-          (if t.unsafe_skip_acceptance then None
-           else Acceptance.explain acceptance outcomes)
-        with
-        | None ->
-            let updates =
-              List.map
-                (fun (oid, value) ->
-                  let owner = owner_of t oid in
-                  let stamp = Timestamp.Clock.tick common.Common.clocks.(owner) in
-                  Fstore.write (master_store t oid) oid value stamp;
-                  { su_oid = oid; su_value = value; su_stamp = stamp })
-                results
+      in
+      let outcomes =
+        List.map
+          (fun (oid, base_value) ->
+            let tentative =
+              match
+                List.find_opt (fun (o, _) -> Oid.equal o oid) tentative_results
+              with
+              | Some (_, v) -> v
+              | None -> base_value
             in
-            (match updates with
-            | [] -> ()
-            | first :: _ ->
-                propagate_batch t ~src:(owner_of t first.su_oid) updates);
-            replay_committed t ops;
-            Common.commit_duration common ~started;
-            on_done (`Committed results)
-        | Some reason ->
-            (* The base transaction aborts: no master copy changes. *)
-            on_done (`Rejected reason))
-      ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr stats.Repl_stats.deadlocks;
-        Metrics.incr stats.Repl_stats.restarts;
-        Clock.schedule_unit common.Common.clock
-          ~delay:(Common.backoff_delay common t.retry_rng)
-          attempt)
-  in
-  attempt ()
+            { Acceptance.oid; tentative; base = base_value })
+          results
+      in
+      match
+        (if t.unsafe_skip_acceptance then None
+         else Acceptance.explain acceptance outcomes)
+      with
+      | None ->
+          let updates =
+            List.map
+              (fun (oid, value) ->
+                let owner = owner_of t oid in
+                let stamp = Timestamp.Clock.tick common.Common.clocks.(owner) in
+                Fstore.write (master_store t oid) oid value stamp;
+                { su_oid = oid; su_value = value; su_stamp = stamp })
+              results
+          in
+          (match updates with
+          | [] -> ()
+          | first :: _ ->
+              propagate_batch t ~src:(owner_of t first.su_oid) updates);
+          replay_committed t ops;
+          Common.commit_duration common ~started;
+          on_done (`Committed results)
+      | Some reason ->
+          (* The base transaction aborts: no master copy changes. *)
+          on_done (`Rejected reason))
 
 let host_of t mobile_index = mobile_index mod t.base_count
 
@@ -350,11 +336,9 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
         else base_nodes + ((i - tail) / mobile_owned_per_node))
   in
   let base_executor =
-    Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
-      ~clock:common.Common.clock
+    Common.executor common
       ~locks:(Lock_manager.create ?obs ())
-      ~action_time:params.Params.action_time ()
+      ~retry_rng:(Rng.split common.Common.rng)
   in
   let mobiles =
     Array.init mobile_total (fun i ->
@@ -375,7 +359,6 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
       owner;
       base_executor;
       mobiles;
-      retry_rng = Rng.split common.Common.rng;
       network = None;
       fleet = None;
       rejections_rev = [];

@@ -44,12 +44,18 @@
    allocates nothing.
 
    [release_all] drops the owner's grants in place, in held order,
-   pumping each queue; a pump that grants nothing allocates nothing, so
-   a release that wakes nobody allocates nothing. The grant callbacks
-   run once the state has settled, grouped by lock in ascending resource
-   order, so the fire order does not depend on the held order. Lock
-   records retire into the pool in held order; a reused record keeps
-   counting its [version] up, so that order is harmless.
+   pumping each queue. A pump pushes the waiters it grants on the
+   table's wake stack, with their resources; once the state has settled
+   the release sorts what it pushed by resource and runs the callbacks,
+   so they fire in ascending resource order, each lock's in queue order,
+   and a release allocates nothing, whether it wakes anyone or not.
+   Lock records retire into the pool in held order; a reused record
+   keeps counting its [version] up, so that order is harmless.
+
+   A blocker list is built by sorted insertion, with no sort call and
+   its closures. The deadlock search keeps its visit marks and
+   search-tree links in the owner records and reads the path back only
+   for a cycle.
 
    The scans on these paths are top-level functions over explicit
    arguments: a local closure would be allocated on every call. With
@@ -84,6 +90,7 @@ and owner = {
   mutable w_version : int;
   mutable w_blockers : owner list; (* ascending id *)
   mutable mark : int; (* = [search_gen]: visited by the current search *)
+  mutable parent : owner; (* the owner the current search reached it from *)
   mutable next_owner : owner; (* in the owner pool: the next, or [nobody] *)
 }
 
@@ -98,6 +105,11 @@ type t = {
   mutable grants : int;
   mutable search_gen : int;
   mutable search_visits : int;
+  (* The wake stack: granted waiters whose callbacks have not run yet,
+     with their resources. Each release runs and pops what it pushed. *)
+  mutable woken : waiter array;
+  mutable woken_resource : int array;
+  mutable woken_n : int;
   (* Per-table sentinels, so no mutable record is shared across domains:
      [idle] is the [w_lock] of an owner that is not waiting, the end of
      the spare pool and the filler of [locks], and is never mutated;
@@ -122,13 +134,15 @@ let create () =
   in
   let rec nobody =
     { id = min_int; held = [||]; h_n = 0; w_lock = idle; w_version = 0;
-      w_blockers = []; mark = 0; next_owner = nobody }
+      w_blockers = []; mark = 0; parent = nobody; next_owner = nobody }
   in
+  let vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } in
   { locks = Int_table.create ~filler:idle 64;
     owners = Int_table.create ~filler:nobody 64; spare = idle;
     spare_owners = nobody;
     live_locks_high_water = 0; grants = 0; search_gen = 0; search_visits = 0;
-    idle; vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } }
+    woken = Array.make 4 vacant; woken_resource = Array.make 4 0;
+    woken_n = 0; idle; vacant }
 
 let nobody t = t.vacant.w_owner
 
@@ -175,7 +189,8 @@ let owner_for t id =
     let o =
       if t.spare_owners == nobody t then
         { id; held = [||]; h_n = 0; w_lock = t.idle; w_version = 0;
-          w_blockers = []; mark = 0; next_owner = nobody t }
+          w_blockers = []; mark = 0; parent = nobody t;
+          next_owner = nobody t }
       else begin
         let o = t.spare_owners in
         t.spare_owners <- o.next_owner;
@@ -305,13 +320,17 @@ let q_pop_front t lock =
   lock.q_n <- lock.q_n - 1;
   w
 
-(* Remove the owner's (unique) queue entry, preserving the order of the
-   rest. O(queue), but only deadlock victims and aborts take this path. *)
+(* The position of [o]'s (unique) queue entry, or [q_n] if it has none. *)
+let rec q_index lock o i =
+  if i >= lock.q_n || (q_get lock i).w_owner == o then i
+  else q_index lock o (i + 1)
+
+(* Remove the owner's queue entry, preserving the order of the rest.
+   O(queue), but only deadlock victims and aborts take this path. *)
 let q_remove_owner t lock o =
   let mask = Array.length lock.q_buf - 1 in
-  let rec find i = if i >= lock.q_n then -1 else if (q_get lock i).w_owner == o then i else find (i + 1) in
-  let i = find 0 in
-  if i >= 0 then begin
+  let i = q_index lock o 0 in
+  if i < lock.q_n then begin
     for j = i to lock.q_n - 2 do
       lock.q_buf.((lock.q_head + j) land mask) <- q_get lock (j + 1)
     done;
@@ -338,21 +357,64 @@ let grant_waiter t lock waiter =
   | _ -> lock.g_mode <- waiter.w_mode);
   stop_wait t o
 
+(* --- the wake stack --- *)
+
+let wake_push t resource waiter =
+  let n = t.woken_n in
+  if n = Array.length t.woken then begin
+    let woken = Array.make (2 * n) t.vacant in
+    let woken_resource = Array.make (2 * n) 0 in
+    Array.blit t.woken 0 woken 0 n;
+    Array.blit t.woken_resource 0 woken_resource 0 n;
+    t.woken <- woken;
+    t.woken_resource <- woken_resource
+  end;
+  t.woken.(n) <- waiter;
+  t.woken_resource.(n) <- resource;
+  t.woken_n <- n + 1
+
+(* Stable insertion sort of the stack from [base] up by resource: the
+   callbacks of one release run in ascending resource order, each lock's
+   in its queue's order. A release wakes few waiters; sorting the held
+   locks instead, a commit's dozens on eager, cost more than it saved. *)
+let sort_woken t base =
+  for i = base + 1 to t.woken_n - 1 do
+    let waiter = t.woken.(i) and resource = t.woken_resource.(i) in
+    let j = ref i in
+    while !j > base && t.woken_resource.(!j - 1) > resource do
+      t.woken.(!j) <- t.woken.(!j - 1);
+      t.woken_resource.(!j) <- t.woken_resource.(!j - 1);
+      decr j
+    done;
+    t.woken.(!j) <- waiter;
+    t.woken_resource.(!j) <- resource
+  done
+
+(* Run and pop the callbacks pushed from [base] up, bottom first. A
+   callback that releases locks pushes above ours and pops back before
+   it returns, and may grow the array, so each slot is read afresh. *)
+let run_woken t base =
+  for i = base to t.woken_n - 1 do
+    let waiter = t.woken.(i) in
+    t.woken.(i) <- t.vacant;
+    waiter.on_grant ()
+  done;
+  t.woken_n <- base
+
 (* Strict FIFO pump: grant from the front until the first waiter that still
-   conflicts. Returns the grant callbacks to run once state is settled. *)
-let rec pump_onto t lock acc =
-  if lock.q_n = 0 then List.rev acc
-  else
+   conflicts. Each granted waiter goes on the wake stack, for its callback
+   to run once the state is settled. *)
+let rec pump t lock =
+  if lock.q_n > 0 then begin
     let waiter = q_get lock 0 in
     if admits lock waiter.w_owner waiter.w_mode then begin
       ignore (q_pop_front t lock);
       grant_waiter t lock waiter;
       bump lock;
-      pump_onto t lock (waiter.on_grant :: acc)
+      wake_push t lock.resource waiter;
+      pump t lock
     end
-    else List.rev acc
-
-let pump t lock = pump_onto t lock []
+  end
 
 let acquire_in t ~owner ~resource ~mode ~on_grant =
   let o = owner_for t owner in
@@ -414,30 +476,45 @@ let missing_waiter ~owner ~resource =
        owner resource);
   Mode.X
 
-let by_id a b = Int.compare a.id b.id
+(* [o] inserted into [owners], ascending by id without duplicates; the
+   cells before [o] are copied. *)
+let rec insert_by_id o = function
+  | [] -> [ o ]
+  | x :: rest as owners ->
+      if x == o then owners
+      else if x.id > o.id then o :: owners
+      else x :: insert_by_id o rest
+
+(* Add the holders of [lock] other than [o], from [i] on. *)
+let rec add_holders lock o i acc =
+  if i >= lock.g_n then acc
+  else
+    let holder = lock.g_owner.(i) in
+    add_holders lock o (i + 1)
+      (if holder != o then insert_by_id holder acc else acc)
+
+(* Add the waiters in [lock]'s queue before position [i] whose mode
+   conflicts with [mode], the latest first: ids mostly grow along a
+   queue, so nearly every insertion lands at the head and copies
+   nothing. *)
+let rec add_waiters lock mode i acc =
+  if i = 0 then acc
+  else
+    let w = q_get lock (i - 1) in
+    add_waiters lock mode (i - 1)
+      (if Mode.compatible w.w_mode mode then acc else insert_by_id w.w_owner acc)
 
 let recompute_blockers o =
   let lock = o.w_lock in
   (* Position and mode of the owner's own queue entry. *)
-  let rec find i =
-    if i >= lock.q_n then
-      (lock.q_n, missing_waiter ~owner:o.id ~resource:lock.resource)
-    else
-      let w = q_get lock i in
-      if w.w_owner == o then (i, w.w_mode) else find (i + 1)
+  let ahead = q_index lock o 0 in
+  let my_mode =
+    if ahead < lock.q_n then (q_get lock ahead).w_mode
+    else missing_waiter ~owner:o.id ~resource:lock.resource
   in
-  let ahead, my_mode = find 0 in
-  let acc = ref [] in
-  if not (Mode.compatible lock.g_mode my_mode) then
-    for i = 0 to lock.g_n - 1 do
-      let holder = lock.g_owner.(i) in
-      if holder != o then acc := holder :: !acc
-    done;
-  for i = 0 to ahead - 1 do
-    let w = q_get lock i in
-    if not (Mode.compatible w.w_mode my_mode) then acc := w.w_owner :: !acc
-  done;
-  List.sort_uniq by_id !acc
+  let waiters = add_waiters lock my_mode ahead [] in
+  if Mode.compatible lock.g_mode my_mode then waiters
+  else add_holders lock o 0 waiters
 
 (* The memoized blockers of [o]; empty when it is not waiting. *)
 let blocker_owners t o =
@@ -460,31 +537,36 @@ let blockers_fresh t ~owner =
 
 (* Same traversal as [Waits_for.find_cycle] — successors explored in
    ascending id order, visited nodes pruned, the start node itself never
-   marked — but over the memoized blocker lists, with the visit mark kept
-   in each owner's record: a visit costs no lookup and no allocation
-   beyond the path list. *)
+   marked — but over the memoized blocker lists, with the visit mark and
+   the owner it was reached from kept in each owner's record. A visit
+   costs no lookup and allocates nothing: the path is read back through
+   the [parent] links only once a cycle is found, so with warm blocker
+   memos a search that finds none allocates nothing. *)
+let rec path_back root o acc =
+  if o == root then root.id :: acc else path_back root o.parent (o.id :: acc)
+
+let rec visit t gen root o =
+  t.search_visits <- t.search_visits + 1;
+  explore t gen root o (blocker_owners t o)
+
+and explore t gen root o = function
+  | [] -> None
+  | successor :: rest ->
+      if successor == root then Some (path_back root o [])
+      else if successor.mark = gen then explore t gen root o rest
+      else begin
+        successor.mark <- gen;
+        successor.parent <- o;
+        match visit t gen root successor with
+        | Some _ as found -> found
+        | None -> explore t gen root o rest
+      end
+
 let find_cycle t ~start =
   t.search_gen <- t.search_gen + 1;
-  let gen = t.search_gen in
-  let rec dfs o path =
-    t.search_visits <- t.search_visits + 1;
-    let rec explore = function
-      | [] -> None
-      | successor :: rest ->
-          if successor.id = start then Some (List.rev path)
-          else if successor.mark = gen then explore rest
-          else begin
-            successor.mark <- gen;
-            match dfs successor (successor.id :: path) with
-            | Some _ as found -> found
-            | None -> explore rest
-          end
-    in
-    explore (blocker_owners t o)
-  in
-  let o = Int_table.get t.owners start in
+  let root = Int_table.get t.owners start in
   (* An owner that neither holds nor waits has no blockers. *)
-  if o == nobody t then None else dfs o [ start ]
+  if root == nobody t then None else visit t t.search_gen root root
 
 let search_visits t = t.search_visits
 let is_waiting t ~owner = waiting t (Int_table.get t.owners owner)
@@ -499,9 +581,10 @@ let cancel_wait_of t o =
     q_remove_owner t lock o;
     bump lock;
     stop_wait t o;
-    let callbacks = pump t lock in
+    let base = t.woken_n in
+    pump t lock;
     retire_lock_if_idle t lock;
-    List.iter (fun callback -> callback ()) callbacks
+    run_woken t base
   end
 
 let cancel_wait t ~owner =
@@ -519,34 +602,26 @@ let drop_grant t lock o =
 
 (* Drop [o]'s grants on [held.(i)] onwards, pumping each queue. A pump
    touches only its lock and the waiters it grants, and a waiter waits on
-   one lock, so the held order is as good as any. Returns the non-empty
-   callback lists, each tagged with its resource. *)
-let rec release_from t o i groups =
-  if i >= o.h_n then groups
-  else begin
+   one lock, so the held order is as good as any. *)
+let rec release_from t o i =
+  if i < o.h_n then begin
     let lock = o.held.(i) in
     drop_grant t lock o;
-    let resource = lock.resource in
-    let callbacks = pump t lock in
+    pump t lock;
     retire_lock_if_idle t lock;
     release_from t o (i + 1)
-      (match callbacks with [] -> groups | _ -> (resource, callbacks) :: groups)
   end
-
-let by_resource (a, _) (b, _) = Int.compare a b
-let run_group (_, callbacks) = List.iter (fun callback -> callback ()) callbacks
 
 let release_all t ~owner =
   let o = Int_table.get t.owners owner in
   if o != nobody t then begin
     cancel_wait_of t o;
-    let groups = release_from t o 0 [] in
+    let base = t.woken_n in
+    release_from t o 0;
     o.h_n <- 0;
     retire_if_idle t o;
-    (* [List.sort] allocates its local closures even on an empty list *)
-    (match groups with
-    | [] -> ()
-    | _ -> List.iter run_group (List.sort by_resource groups));
+    sort_woken t base;
+    run_woken t base;
     if debug then self_check t
   end
 

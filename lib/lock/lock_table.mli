@@ -17,7 +17,8 @@
     both kinds are kept for reuse, so the table's size is bounded by the
     owners and locks live at once, never by the largest owner id or the
     resources ever locked, and once those pools are warm an uncontended
-    acquire and a release that wakes nobody allocate nothing.
+    acquire and a release allocate nothing, and neither does a deadlock
+    search that finds no cycle while the blocker lists are memoized.
 
     With [DANGERS_LOCK_DEBUG] set, every mutation ends with a check of the
     table's invariants: no idle record is mapped, and
@@ -66,7 +67,8 @@ val find_cycle : t -> start:int -> int list option
     traversal as {!Waits_for.find_cycle} over {!blockers} (successors in
     ascending id order, visited owners pruned), run over the memoized
     blocker lists with the visit marks kept in the owner records: a visit
-    does no table lookup. *)
+    does no table lookup and allocates nothing; only a cycle found is
+    built as a list. *)
 
 val search_visits : t -> int
 (** Owners expanded by {!find_cycle} since creation. *)

@@ -116,30 +116,62 @@ let txn_replica_apply () =
   let state =
     lazy
       (let engine = Engine.create () in
+       let ids = Txn_id.Gen.create () in
+       let backoff () = failwith "Suite.txn_replica_apply: deadlock" in
        let executors =
          Array.init nodes (fun _ ->
              Executor.create ~clock:engine ~locks:(Lock_manager.create ())
-               ~action_time:0.01 ())
+               ~action_time:0.01 ~ids ~backoff ())
        in
-       (engine, executors, Txn_id.Gen.create (), ref 0))
+       (engine, executors, ref 0))
   in
-  let on_commit () = () in
-  let on_deadlock ~cycle:_ = failwith "Suite.txn_replica_apply: deadlock" in
+  let on_commit ~started:_ = () in
   fun () ->
-    let engine, executors, ids, cursor = Lazy.force state in
+    let engine, executors, cursor = Lazy.force state in
     for _ = 1 to 25 do
       cursor := (!cursor + 1_237) mod resources;
       let steps =
         List.init 4 (fun r ->
             Executor.update_step ~resource:((!cursor + (r * 1_009)) mod resources))
       in
-      Array.iter
-        (fun executor ->
-          Executor.run executor ~owner:(Txn_id.Gen.next ids) ~steps ~on_commit
-            ~on_deadlock)
-        executors
+      let steps () = steps in
+      Array.iter (fun executor -> Executor.run executor ~steps ~on_commit) executors
     done;
     Engine.run engine
+
+(* The eager deadlock storm's victim path, whole: 100 times over, two
+   transactions take objects 1 and 2 in opposite orders; the second
+   closes the cycle, is killed, releases its lock (granting the first),
+   backs off and restarts through the executor, then both commit. Each
+   run makes 100 deadlocks and 100 restarts; its words explain what a
+   restart allocates. *)
+let txn_deadlock_restart () =
+  let state =
+    lazy
+      (let engine = Engine.create () in
+       let restarts = ref 0 in
+       let executor =
+         Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+           ~action_time:0.01 ~ids:(Txn_id.Gen.create ())
+           ~backoff:(fun () -> 0.05)
+           ~on_restart:(fun () -> incr restarts)
+           ()
+       in
+       let forward = [ Executor.update_step ~resource:1; Executor.update_step ~resource:2 ]
+       and backward = [ Executor.update_step ~resource:2; Executor.update_step ~resource:1 ] in
+       (engine, executor, restarts, (fun () -> forward), fun () -> backward))
+  in
+  let on_commit ~started:_ = () in
+  fun () ->
+    let engine, executor, restarts, forward, backward = Lazy.force state in
+    let before = !restarts in
+    for _ = 1 to 100 do
+      Executor.run executor ~steps:forward ~on_commit;
+      Executor.run executor ~steps:backward ~on_commit;
+      Engine.run engine
+    done;
+    if !restarts - before <> 100 then
+      failwith "Suite.txn_deadlock_restart: expected one restart per pair"
 
 (* Raw event throughput: 8 interleaved self-rescheduling chains firing
    100k events — the schedule/step cycle with no simulation payload. *)
@@ -226,6 +258,7 @@ let cases ~quick =
     case 20 "lock/wide-tables" "sim.step_ns.p50" (lock_wide_tables ());
     case 20 "txn/replica-apply" "gc.minor_words_per_event"
       (txn_replica_apply ());
+    case 20 "txn/deadlock-restart" "lock.deadlocks" (txn_deadlock_restart ());
     case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
     case 10 "engine/random-delay" "sim.step_ns.p50" engine_random_delay;
     case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"

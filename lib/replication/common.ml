@@ -98,6 +98,23 @@ let backoff_delay base rng =
   in
   (0.5 +. Rng.float rng 1.0) *. duration
 
+let executor ?on_restart base ~locks ~retry_rng =
+  let stats = base.stats in
+  let on_restart =
+    match on_restart with
+    | Some on_restart -> on_restart
+    | None ->
+        fun () ->
+          Metrics.incr stats.Repl_stats.deadlocks;
+          Metrics.incr stats.Repl_stats.restarts
+  in
+  Dangers_txn.Executor.create
+    ~on_wait:(fun () -> Metrics.incr stats.Repl_stats.waits)
+    ~on_restart ~clock:base.clock ~locks
+    ~action_time:base.params.Params.action_time ~ids:base.txn_gen
+    ~backoff:(fun () -> backoff_delay base retry_rng)
+    ()
+
 let commit_duration base ~started =
   Metrics.incr base.stats.Repl_stats.commits;
   let duration = Clock.now base.clock -. started in

@@ -56,11 +56,20 @@ val start_generators : base -> submit:(node:int -> Dangers_txn.Op.t list -> unit
 
 val stop_generators : base -> unit
 
-val backoff_delay : base -> Rng.t -> float
-(** Restart delay for a deadlock victim: uniform in [0.5, 1.5] x the
-    scheme-free transaction duration (Actions x Action_Time) — long enough
-    to let the conflicting transaction finish, short enough not to distort
-    the load. *)
+val executor :
+  ?on_restart:(unit -> unit) ->
+  base ->
+  locks:Dangers_lock.Lock_manager.t ->
+  retry_rng:Rng.t ->
+  Dangers_txn.Executor.t
+(** An executor over [locks] with the schemes' retry policy. Every wait
+    counts in [stats.waits]; a deadlock victim fires [on_restart]
+    (default: count [stats.deadlocks] and [stats.restarts]) and restarts
+    with an owner id from [txn_gen] after a delay drawn from
+    [retry_rng]: uniform in [0.5, 1.5] x the scheme-free transaction
+    duration (Actions x Action_Time) — long enough to let the
+    conflicting transaction finish, short enough not to distort the
+    load. *)
 
 val commit_duration : base -> started:float -> unit
 (** Record a committed transaction's duration sample and bump the commit

@@ -3,11 +3,8 @@ module Profile = Dangers_workload.Profile
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
-module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Rng = Dangers_util.Rng
@@ -17,7 +14,6 @@ type ownership = Group | Master
 type t = {
   common : Common.base;
   executor : Executor.t;
-  retry_rng : Rng.t;
   delay_rng : Rng.t;
   delay : Dangers_runtime.Delay.t;
   ownership : ownership;
@@ -34,20 +30,16 @@ let create ?obs ?profile ?initial_value ?(delay = Dangers_runtime.Delay.Zero)
     ?on_commit ownership params ~seed =
   Dangers_runtime.Delay.validate delay;
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
-  let obs = common.Common.obs in
-  let locks = Lock_manager.create ?obs () in
+  let locks = Lock_manager.create ?obs:common.Common.obs () in
+  let delay_rng = Rng.split common.Common.rng in
   let executor =
-    Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
-      ~clock:common.Common.clock ~locks
-      ~action_time:params.Params.action_time ()
+    Common.executor common ~locks ~retry_rng:(Rng.split common.Common.rng)
   in
   let nodes = params.Params.nodes in
   {
     common;
     executor;
-    retry_rng = Rng.split common.Common.rng;
-    delay_rng = Rng.split common.Common.rng;
+    delay_rng;
     delay;
     ownership;
     on_commit;
@@ -86,7 +78,6 @@ let apply_everywhere t ~origin ops =
 
 let submit t ~node ops =
   let common = t.common in
-  let stats = common.Common.stats in
   let build_steps () =
     List.concat_map
       (fun op ->
@@ -124,32 +115,18 @@ let submit t ~node ops =
      list instead of rebuilding it — the dominant allocation of a contended
      run, where one submission can restart thousands of times. Randomized
      delay models must keep resampling per attempt. *)
-  let fixed_steps =
+  let steps =
     match t.delay with
     | Dangers_runtime.Delay.Zero | Dangers_runtime.Delay.Constant _ ->
-        Some (build_steps ())
-    | Dangers_runtime.Delay.Uniform _ | Dangers_runtime.Delay.Exponential _ -> None
+        let steps = build_steps () in
+        fun () -> steps
+    | Dangers_runtime.Delay.Uniform _ | Dangers_runtime.Delay.Exponential _ ->
+        build_steps
   in
-  let rec attempt () =
-    let owner = Txn_id.Gen.next common.Common.txn_gen in
-    let started = Clock.now common.Common.clock in
-    let steps =
-      match fixed_steps with Some steps -> steps | None -> build_steps ()
-    in
-    Executor.run t.executor ~owner ~steps
-      ~on_commit:(fun () ->
-        apply_everywhere t ~origin:node ops;
-        Common.commit_duration common ~started;
-        match t.on_commit with Some f -> f ~node ops | None -> ())
-      ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr stats.Repl_stats.deadlocks;
-        Metrics.incr stats.Repl_stats.restarts;
-        ignore
-          (Clock.schedule common.Common.clock
-             ~delay:(Common.backoff_delay common t.retry_rng)
-             attempt))
-  in
-  attempt ()
+  Executor.run t.executor ~steps ~on_commit:(fun ~started ->
+      apply_everywhere t ~origin:node ops;
+      Common.commit_duration common ~started;
+      match t.on_commit with Some f -> f ~node ops | None -> ())
 
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common

@@ -6,11 +6,9 @@ module Connectivity = Dangers_net.Connectivity
 module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
-module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Rng = Dangers_util.Rng
@@ -18,14 +16,20 @@ module Rng = Dangers_util.Rng
 (* What a root commit sends each peer: its updates and the lock steps of
    the replica transaction that applies them, built once at the root and
    shared by every receiver and every retry (steps are immutable). *)
-type replica_txn = { updates : Reconcile.update list; steps : Executor.step list }
+type replica_txn = {
+  updates : Reconcile.update list;
+  steps : unit -> Executor.step list;
+}
 
 type t = {
   common : Common.base;
-  executors : Executor.t array; (* one local lock space per node *)
+  (* One local lock space per node, with two executors over it: one for
+     root transactions, one for replica transactions, whose restarts are
+     counted apart. *)
+  executors : Executor.t array;
+  replica_executors : Executor.t array;
   mutable network : replica_txn Network.t option;
   rule : Reconcile.rule;
-  retry_rng : Rng.t;
   expected : float array; (* initial_value + committed increment deltas *)
   mutable fleet : Connectivity.fleet option;
 }
@@ -88,21 +92,9 @@ let apply_update t ~dst (u : Reconcile.update) =
    Action_Time work as the root (equation 7's lazy accounting). Local
    deadlocks restart it without user impact. *)
 let deliver t ~src:_ ~dst { updates; steps } =
-  let common = t.common in
-  let rec attempt () =
-    let owner = Txn_id.Gen.next common.Common.txn_gen in
-    Executor.run t.executors.(dst) ~owner ~steps
-      ~on_commit:(fun () ->
-        Metrics.incr common.Common.stats.Repl_stats.replica_txns;
-        List.iter (apply_update t ~dst) updates)
-      ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.stats.Repl_stats.replica_restarts;
-        ignore
-          (Clock.schedule common.Common.clock
-             ~delay:(Common.backoff_delay common t.retry_rng)
-             attempt))
-  in
-  attempt ()
+  Executor.run t.replica_executors.(dst) ~steps ~on_commit:(fun ~started:_ ->
+      Metrics.incr t.common.Common.stats.Repl_stats.replica_txns;
+      List.iter (apply_update t ~dst) updates)
 
 let root_commit t ~node ops =
   let common = t.common in
@@ -145,49 +137,38 @@ let root_commit t ~node ops =
           Executor.update_step ~resource:(Oid.to_int u.Reconcile.oid))
         updates
     in
-    Network.broadcast (network t) ~src:node { updates; steps }
+    Network.broadcast (network t) ~src:node
+      { updates; steps = (fun () -> steps) }
   end
 
 let submit t ~node ops =
   let common = t.common in
   let steps = Executor.steps_of_ops ops in
-  let rec attempt () =
-    let owner = Txn_id.Gen.next common.Common.txn_gen in
-    let started = Clock.now common.Common.clock in
-    Executor.run t.executors.(node) ~owner ~steps
-      ~on_commit:(fun () ->
-        root_commit t ~node ops;
-        Common.commit_duration common ~started)
-      ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.stats.Repl_stats.deadlocks;
-        Metrics.incr common.Common.stats.Repl_stats.restarts;
-        ignore
-          (Clock.schedule common.Common.clock
-             ~delay:(Common.backoff_delay common t.retry_rng)
-             attempt))
-  in
-  attempt ()
+  Executor.run t.executors.(node) ~steps:(fun () -> steps)
+    ~on_commit:(fun ~started ->
+      root_commit t ~node ops;
+      Common.commit_duration common ~started)
 
 let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
     ?(delay = Delay.Zero) ?faults ?mobility ?mobile_nodes params ~seed =
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
   let obs = common.Common.obs in
-  let executors =
-    Array.init params.Params.nodes (fun _ ->
-        Executor.create
-          ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
-          ~clock:common.Common.clock
-          ~locks:(Lock_manager.create ?obs ())
-          ~action_time:params.Params.action_time ())
-  in
+  let stats = common.Common.stats in
+  let locks = Array.init params.Params.nodes (fun _ -> Lock_manager.create ?obs ()) in
+  let retry_rng = Rng.split common.Common.rng in
   let init_value = match initial_value with Some v -> v | None -> 0. in
   let t =
     {
       common;
-      executors;
+      executors = Array.map (fun locks -> Common.executor common ~locks ~retry_rng) locks;
+      replica_executors =
+        Array.map
+          (fun locks ->
+            Common.executor common ~locks ~retry_rng ~on_restart:(fun () ->
+                Metrics.incr stats.Repl_stats.replica_restarts))
+          locks;
       network = None;
       rule;
-      retry_rng = Rng.split common.Common.rng;
       expected = Array.make params.Params.db_size init_value;
       fleet = None;
     }

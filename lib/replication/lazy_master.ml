@@ -5,11 +5,9 @@ module Oid = Dangers_storage.Oid
 module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
-module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
-module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Rng = Dangers_util.Rng
@@ -22,7 +20,6 @@ type t = {
   common : Common.base;
   master_executor : Executor.t; (* the shared master lock space *)
   mutable network : slave_update list Network.t option;
-  retry_rng : Rng.t;
   assignment : master_assignment;
 }
 
@@ -88,22 +85,10 @@ let submit t ~node ops =
   let common = t.common in
   (* Reads take S locks: the read-lock RPCs to the master. *)
   let steps = Executor.steps_of_ops ops in
-  let rec attempt () =
-    let owner = Txn_id.Gen.next common.Common.txn_gen in
-    let started = Clock.now common.Common.clock in
-    Executor.run t.master_executor ~owner ~steps
-      ~on_commit:(fun () ->
-        master_commit t ~origin:node ops;
-        Common.commit_duration common ~started)
-      ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.stats.Repl_stats.deadlocks;
-        Metrics.incr common.Common.stats.Repl_stats.restarts;
-        ignore
-          (Clock.schedule common.Common.clock
-             ~delay:(Common.backoff_delay common t.retry_rng)
-             attempt))
-  in
-  attempt ()
+  Executor.run t.master_executor ~steps:(fun () -> steps)
+    ~on_commit:(fun ~started ->
+      master_commit t ~origin:node ops;
+      Common.commit_duration common ~started)
 
 let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
     ?(master_assignment = Round_robin) params ~seed =
@@ -114,21 +99,11 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
   let obs = common.Common.obs in
   let master_executor =
-    Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.stats.Repl_stats.waits)
-      ~clock:common.Common.clock
+    Common.executor common
       ~locks:(Lock_manager.create ?obs ())
-      ~action_time:params.Params.action_time ()
+      ~retry_rng:(Rng.split common.Common.rng)
   in
-  let t =
-    {
-      common;
-      master_executor;
-      network = None;
-      retry_rng = Rng.split common.Common.rng;
-      assignment = master_assignment;
-    }
-  in
+  let t = { common; master_executor; network = None; assignment = master_assignment } in
   t.network <-
     Some
       (Network.create ?obs ~clock:common.Common.clock

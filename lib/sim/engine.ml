@@ -198,7 +198,7 @@ let grow t =
   t.seqs <- seqs;
   t.evs <- evs
 
-let push t time seq ev =
+let[@inline] push t time seq ev =
   if t.size = Array.length t.times then grow t;
   t.size <- t.size + 1;
   (* bubble a hole up from the new slot, then drop the event in *)
@@ -302,19 +302,29 @@ let lane_for t delay =
   end;
   !found
 
-let schedule_at t ~time action =
-  if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+(* Inlined, with [push], so that a time the caller computes is never
+   boxed to be passed on. *)
+let[@inline] push_heap t time action =
   let event = { action; cancelled = false } in
   push t time t.next_seq event;
   queued_in t heap time;
   event
 
+let schedule_at t ~time action =
+  if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
+  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  push_heap t time action
+
 let schedule t ~delay action =
   if not (Float.is_finite delay && delay >= 0.) then
     invalid_arg "Engine.schedule: delay must be finite and non-negative";
   let k = lane_for t delay in
-  if k = none then schedule_at t ~time:(t.clock +. delay) action
+  if k = none then begin
+    let time = t.clock +. delay in
+    if not (Float.is_finite time) then
+      invalid_arg "Engine.schedule_at: non-finite time";
+    push_heap t time action
+  end
   else begin
     let event = { action; cancelled = false } in
     let l = t.lanes.(k) in

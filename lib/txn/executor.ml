@@ -7,6 +7,9 @@ type t = {
   locks : Lock_manager.t;
   action_time : float;
   on_wait : unit -> unit;
+  ids : Txn_id.Gen.t;
+  backoff : unit -> float;
+  on_restart : unit -> unit;
   mutable active : int;
 }
 
@@ -22,60 +25,78 @@ let steps_of_ops ops =
       if Op.is_update op then update_step ~resource else read_step ~resource)
     ops
 
-let create ?(on_wait = fun () -> ()) ~clock ~locks ~action_time () =
+let create ?(on_wait = fun () -> ()) ?(on_restart = fun () -> ()) ~clock ~locks
+    ~action_time ~ids ~backoff () =
   if action_time < 0. then invalid_arg "Executor.create: negative action time";
-  { clock; locks; action_time; on_wait; active = 0 }
+  { clock; locks; action_time; on_wait; ids; backoff; on_restart; active = 0 }
 
-(* One closure set per transaction: [proceed] is also the callback a
-   queued request is granted through, and [worked] is the action every
-   step schedules, so a step allocates only the engine's event. The
-   steps left, the current one first, live in [remaining]. *)
-let run t ~owner ~steps ~on_commit ~on_deadlock =
-  let owner_id = Txn_id.to_int owner in
+(* One submission's state, carried across its attempts. *)
+type submission = {
+  mutable owner : int;
+  mutable remaining : step list; (* the steps left, the current one first *)
+  mutable started : float;
+}
+
+(* One closure set per submission, reused by every attempt: [proceed] is
+   also the callback a queued request is granted through, [worked] is
+   the action every step schedules and [attempt] the one a restart
+   schedules. So a step allocates only the engine's event, and a restart
+   nothing of the executor's own: only the engine's event and what the
+   lock table records for the killed request (its waiter record, its
+   blocker list and the cycle). *)
+let run t ~steps ~on_commit =
   (* Trace events are allocated only when a tracer is attached; the
      untraced hot path must not build a record per lock grant. *)
   let traced = Clock.tracing t.clock in
-  t.active <- t.active + 1;
-  if traced then
-    Clock.trace t.clock (Dangers_sim.Trace.Txn_started { owner = owner_id });
-  let remaining = ref steps in
-  let rec request () =
-    match !remaining with
+  let sub = { owner = 0; remaining = []; started = 0. } in
+  let rec attempt () =
+    sub.owner <- Txn_id.to_int (Txn_id.Gen.next t.ids);
+    sub.started <- Clock.now t.clock;
+    sub.remaining <- steps ();
+    t.active <- t.active + 1;
+    if traced then
+      Clock.trace t.clock (Dangers_sim.Trace.Txn_started { owner = sub.owner });
+    request ()
+  and request () =
+    match sub.remaining with
     | [] ->
-        on_commit ();
-        Lock_manager.release_all t.locks ~owner:owner_id;
+        on_commit ~started:sub.started;
+        Lock_manager.release_all t.locks ~owner:sub.owner;
         t.active <- t.active - 1;
         if traced then
           Clock.trace t.clock
-            (Dangers_sim.Trace.Txn_committed { owner = owner_id })
+            (Dangers_sim.Trace.Txn_committed { owner = sub.owner })
     | step :: _ -> (
         match
-          Lock_manager.request t.locks ~owner:owner_id ~resource:step.resource
+          Lock_manager.request t.locks ~owner:sub.owner ~resource:step.resource
             ~mode:step.mode ~on_grant:proceed
         with
         | Lock_manager.Granted ->
             if traced then
               Clock.trace t.clock
                 (Dangers_sim.Trace.Lock_granted
-                   { owner = owner_id; resource = step.resource });
+                   { owner = sub.owner; resource = step.resource });
             proceed ()
         | Lock_manager.Waiting ->
             if traced then
               Clock.trace t.clock
                 (Dangers_sim.Trace.Lock_waited
-                   { owner = owner_id; resource = step.resource });
+                   { owner = sub.owner; resource = step.resource });
             t.on_wait ()
         | Lock_manager.Deadlock cycle ->
+            (* The victim is the requester (equation 3): it releases
+               everything and is resubmitted as a new transaction. *)
             if traced then
               Clock.trace t.clock
-                (Dangers_sim.Trace.Deadlock_victim { owner = owner_id; cycle });
+                (Dangers_sim.Trace.Deadlock_victim { owner = sub.owner; cycle });
             t.on_wait ();
-            Lock_manager.release_all t.locks ~owner:owner_id;
+            Lock_manager.release_all t.locks ~owner:sub.owner;
             t.active <- t.active - 1;
-            on_deadlock ~cycle)
+            t.on_restart ();
+            Clock.schedule_unit t.clock ~delay:(t.backoff ()) attempt)
   (* The current step's lock is held: occupy its action time. *)
   and proceed () =
-    match !remaining with
+    match sub.remaining with
     | [] -> ()
     | step :: _ ->
         let cost =
@@ -84,14 +105,14 @@ let run t ~owner ~steps ~on_commit ~on_deadlock =
         Clock.schedule_unit t.clock ~delay:cost worked
   (* The action is done: its work, then the next step's request. *)
   and worked () =
-    match !remaining with
+    match sub.remaining with
     | [] -> ()
     | step :: rest ->
-        remaining := rest;
+        sub.remaining <- rest;
         step.work ();
         request ()
   in
-  request ()
+  attempt ()
 
 let active t = t.active
 let locks t = t.locks

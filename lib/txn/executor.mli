@@ -4,34 +4,50 @@
     of which first acquires a lock on its resource and then occupies
     Action_Time of simulated time. Waits stretch the transaction; a request
     that closes a waits-for cycle kills it (victim = requester, matching the
-    derivation of equation (3)).
+    derivation of equation (3)), and the executor resubmits it: the victim
+    releases its locks, waits a backoff and starts over as a new
+    transaction with a fresh owner id (§7's "resubmitted and reprocessed
+    until it succeeds"). Every scheme's retries run here; callers only
+    count them.
 
     The executor is scheme-agnostic: callers provide the step list (a
     single-node transaction has [Actions] steps; an eager-replicated one has
-    [Actions x Nodes] steps over per-node resources) and the commit/deadlock
-    continuations.
+    [Actions x Nodes] steps over per-node resources) and the commit
+    continuation.
 
     Lazy-group turns every commit into Nodes - 1 replica transactions, so
-    the cost of a step is paid Nodes times over. {!run} therefore builds
-    one set of closures per transaction: the steps left live in one
-    mutable cell, the same closure is the lock's grant callback for every
-    step, and the same closure is every step's scheduled action. A step
-    allocates only the engine's event. Steps are immutable values, so
-    callers build a transaction's list once and share it across retries
-    and, for replica transactions, across receivers. *)
+    the cost of a step is paid Nodes times over, and an eager deadlock
+    storm restarts a victim every few events. {!run} therefore builds one
+    set of closures per submission and reuses it on every attempt: the
+    attempt's state lives in one mutable record, the same closure is the
+    lock's grant callback for every step, the same closure is every
+    step's scheduled action, and the same closure is the restart the
+    backoff schedules. A step allocates only the engine's event; a
+    restart allocates only the engine's event and what the lock table
+    records for the killed request: its waiter record, its blocker list
+    and the cycle it closed. Steps are immutable values,
+    so callers build a transaction's list once and share it across
+    retries and, for replica transactions, across receivers. *)
 
 type t
 
 val create :
   ?on_wait:(unit -> unit) ->
+  ?on_restart:(unit -> unit) ->
   clock:Dangers_runtime.Clock.t ->
   locks:Dangers_lock.Lock_manager.t ->
   action_time:float ->
+  ids:Txn_id.Gen.t ->
+  backoff:(unit -> float) ->
   unit ->
   t
 (** [on_wait] fires every time a request blocks (whether or not it then
-    deadlocks) — the paper's wait events. @raise Invalid_argument on a
-    negative action time. *)
+    deadlocks) — the paper's wait events. The retry policy: every attempt
+    takes its owner id from [ids]; when one is killed, the victim's locks
+    are released, [on_restart] fires, and [backoff] is drawn for the
+    delay after which the submission starts over. Executors over one lock
+    space may share [ids]. @raise Invalid_argument on a negative action
+    time. *)
 
 type step = {
   resource : int;  (** lock to take *)
@@ -60,20 +76,19 @@ val steps_of_ops : Op.t list -> step list
     once per submission and reuses them on every retry. *)
 
 val run :
-  t ->
-  owner:Txn_id.t ->
-  steps:step list ->
-  on_commit:(unit -> unit) ->
-  on_deadlock:(cycle:int list -> unit) ->
-  unit
-(** Start the transaction now. [on_commit] runs after the last step's work
-    with all locks still held (publish writes / trigger propagation there);
-    the locks are released immediately afterwards. On deadlock the victim's
-    locks are released first, then [on_deadlock] runs — resubmit from there
-    if desired. An empty step list commits immediately. *)
+  t -> steps:(unit -> step list) -> on_commit:(started:float -> unit) -> unit
+(** Submit a transaction: its first attempt starts now, and deadlock
+    victims restart under the executor's retry policy until one attempt
+    commits. [steps] is called at the start of every attempt; return the
+    same list each time unless the steps must be drawn afresh (eager's
+    random transport delays). [on_commit] runs after the last step's work
+    with all locks still held (publish writes / trigger propagation
+    there), given the time the committing attempt started; the locks are
+    released immediately afterwards. An empty step list commits
+    immediately. *)
 
 val active : t -> int
-(** Transactions started but not yet committed or killed. *)
+(** Attempts started but not yet committed or killed. *)
 
 val locks : t -> Dangers_lock.Lock_manager.t
 val action_time : t -> float

@@ -71,14 +71,17 @@ let test_profile_reads () =
 let test_readers_share () =
   let engine = Engine.create () in
   let locks = Lock_manager.create () in
-  let executor = Executor.create ~clock:engine ~locks ~action_time:0.1 () in
-  let gen = Txn_id.Gen.create () in
+  let executor =
+    Executor.create ~clock:engine ~locks ~action_time:0.1
+      ~ids:(Txn_id.Gen.create ())
+      ~backoff:(fun () -> Alcotest.fail "readers cannot deadlock")
+      ()
+  in
   let done_at = ref [] in
   let submit () =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen)
-      ~steps:[ Executor.read_step ~resource:7 ]
-      ~on_commit:(fun () -> done_at := Engine.now engine :: !done_at)
-      ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "readers cannot deadlock")
+    Executor.run executor
+      ~steps:(fun () -> [ Executor.read_step ~resource:7 ])
+      ~on_commit:(fun ~started:_ -> done_at := Engine.now engine :: !done_at)
   in
   submit ();
   submit ();
@@ -91,13 +94,16 @@ let test_readers_share () =
 let test_writer_waits_for_reader () =
   let engine = Engine.create () in
   let locks = Lock_manager.create () in
-  let executor = Executor.create ~clock:engine ~locks ~action_time:0.1 () in
-  let gen = Txn_id.Gen.create () in
+  let executor =
+    Executor.create ~clock:engine ~locks ~action_time:0.1
+      ~ids:(Txn_id.Gen.create ())
+      ~backoff:(fun () -> Alcotest.fail "deadlock")
+      ()
+  in
   let times = ref [] in
   let submit step tag =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps:[ step ]
-      ~on_commit:(fun () -> times := (tag, Engine.now engine) :: !times)
-      ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock")
+    Executor.run executor ~steps:(fun () -> [ step ])
+      ~on_commit:(fun ~started:_ -> times := (tag, Engine.now engine) :: !times)
   in
   submit (Executor.read_step ~resource:1) "r";
   submit (Executor.update_step ~resource:1) "w";

@@ -651,6 +651,103 @@ let test_steady_state_allocates_nothing () =
       0. words;
   checki "all released" 0 (Lock_table.live_locks t)
 
+(* With every blocker list memoized, a deadlock search that finds no
+   cycle allocates nothing: a visit keeps its mark and the owner it was
+   reached from in the owner's record, and the path is read back only
+   for a cycle. Owner i holds i and waits for i + 1; the search from 0
+   walks the whole chain to 31, which waits for nothing. *)
+let test_acyclic_search_allocates_nothing () =
+  let n = 32 in
+  let t = Lock_table.create () in
+  for i = 0 to n - 1 do
+    ignore (Lock_table.acquire t ~owner:i ~resource:i ~mode:Mode.X ~on_grant:noop)
+  done;
+  for i = 0 to n - 2 do
+    ignore
+      (Lock_table.acquire t ~owner:i ~resource:(i + 1) ~mode:Mode.X ~on_grant:noop)
+  done;
+  checkb "no cycle" true (Lock_table.find_cycle t ~start:0 = None);
+  let visits = Lock_table.search_visits t in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Lock_table.find_cycle t ~start:0)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checki "each search visits the chain" (1_000 * n)
+    (Lock_table.search_visits t - visits);
+  if not Lock_table.debug then
+    Alcotest.check (Alcotest.float 0.) "minor words over 1,000 searches" 0.
+      words
+
+(* A release that wakes waiters allocates nothing either, with the wake
+   stack warm: the granted waiters wait on a stack in the table, not in
+   lists, until their callbacks run in ascending resource order. Owner 0
+   holds 4 locks, each with one waiter queued, in descending resource
+   order. *)
+let test_waking_release_allocates_nothing () =
+  let t = Lock_table.create () in
+  let fired = Array.make 4 (-1) and n = ref 0 in
+  let callbacks =
+    Array.init 4 (fun r () ->
+        fired.(!n) <- r;
+        incr n)
+  in
+  let round () =
+    for r = 3 downto 0 do
+      ignore (Lock_table.acquire t ~owner:0 ~resource:r ~mode:Mode.X ~on_grant:noop)
+    done;
+    for r = 3 downto 0 do
+      ignore
+        (Lock_table.acquire t ~owner:(r + 1) ~resource:r ~mode:Mode.X
+           ~on_grant:callbacks.(r))
+    done;
+    let w0 = Gc.minor_words () in
+    Lock_table.release_all t ~owner:0;
+    let words = Gc.minor_words () -. w0 in
+    for r = 0 to 3 do
+      Lock_table.release_all t ~owner:(r + 1)
+    done;
+    words
+  in
+  ignore (round ());
+  n := 0;
+  let words = round () in
+  Alcotest.check (Alcotest.array Alcotest.int) "woken in ascending resource order"
+    [| 0; 1; 2; 3 |] fired;
+  if not Lock_table.debug then
+    Alcotest.check (Alcotest.float 0.) "minor words of the release" 0. words
+
+(* A grant callback may release locks itself. Owner 0 holds 1 and 2,
+   owner 1 waits for 1 and owner 4 for 2; owner 2 holds 3, and owner 3
+   waits for it. Owner 1's callback releases owner 2, whose release runs
+   owner 3's callback before returning; owner 4's runs last. *)
+let test_nested_release_in_callback () =
+  let t = Lock_table.create () in
+  let fired = ref [] in
+  let note owner () = fired := owner :: !fired in
+  let acquire owner resource on_grant =
+    ignore (Lock_table.acquire t ~owner ~resource ~mode:Mode.X ~on_grant)
+  in
+  acquire 0 2 noop;
+  acquire 0 1 noop;
+  acquire 2 3 noop;
+  acquire 1 1 (fun () ->
+      note 1 ();
+      Lock_table.release_all t ~owner:2);
+  acquire 3 3 (note 3);
+  acquire 4 2 (note 4);
+  Lock_table.release_all t ~owner:0;
+  Alcotest.check (Alcotest.list Alcotest.int) "callback order" [ 1; 3; 4 ]
+    (List.rev !fired);
+  List.iter (fun owner -> Lock_table.release_all t ~owner) [ 1; 3; 4 ];
+  checki "all released" 0 (Lock_table.live_locks t);
+  (* The wake stack is empty again: a later release wakes just its own. *)
+  fired := [];
+  acquire 5 7 noop;
+  acquire 6 7 (note 6);
+  Lock_table.release_all t ~owner:5;
+  Alcotest.check (Alcotest.list Alcotest.int) "later release" [ 6 ] !fired
+
 (* A lock record leaves the table when its resource has no holder and no
    waiter, and the next resource reuses it, arrays and all: a table that
    has locked 10,000 distinct resources, each contended once, is the size
@@ -755,6 +852,12 @@ let suite =
     QCheck_alcotest.to_alcotest lock_table_model_prop;
     Alcotest.test_case "model scripts cover both kinds of release" `Quick
       test_model_scripts_cover_both_kinds_of_release;
+    Alcotest.test_case "nested release in a grant callback" `Quick
+      test_nested_release_in_callback;
+    Alcotest.test_case "acyclic search allocates nothing" `Quick
+      test_acyclic_search_allocates_nothing;
+    Alcotest.test_case "waking release allocates nothing" `Quick
+      test_waking_release_allocates_nothing;
     Alcotest.test_case "steady state allocates nothing" `Quick
       test_steady_state_allocates_nothing;
     QCheck_alcotest.to_alcotest lock_manager_incremental_prop;

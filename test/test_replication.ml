@@ -15,6 +15,7 @@ module Connectivity = Dangers_net.Connectivity
 module Common = Dangers_replication.Common
 module Repl_stats = Dangers_replication.Repl_stats
 module Eager_group = Dangers_replication.Eager_group
+module Eager_impl = Dangers_replication.Eager_impl
 module Eager_master = Dangers_replication.Eager_master
 module Lazy_group = Dangers_replication.Lazy_group
 module Lazy_master = Dangers_replication.Lazy_master
@@ -45,6 +46,33 @@ let test_eager_group_replicates () =
   checkb "replicas identical" true (stores_converged stores);
   checki "one commit" 1
     (Metrics.total (Eager_group.base sys).Common.stats.Repl_stats.commits)
+
+(* Eager-group under a random transport delay: every attempt draws its
+   remote steps' extra cost afresh, between the previous deadlock's
+   backoff draw and the next. Summary counts, the mean duration and the
+   store contents are pinned bit for bit. *)
+let test_eager_group_uniform_delay_pinned () =
+  let params = { Params.default with db_size = 60; nodes = 3; actions = 3 } in
+  let sys =
+    Eager_impl.create
+      ~delay:(Dangers_runtime.Delay.Uniform { lo = 0.002; hi = 0.03 })
+      Eager_impl.Group params ~seed:42
+  in
+  let base = Eager_impl.base sys in
+  Eager_impl.start sys;
+  Common.measure base ~warmup:1. ~span:10.;
+  let s = Eager_impl.summary sys in
+  Eager_impl.stop_load sys;
+  let sum = ref 0. in
+  Array.iter
+    (fun store -> Fstore.iter store (fun _ v _ -> sum := !sum +. v))
+    base.Common.stores;
+  Alcotest.check Alcotest.string "outcome"
+    "commits=293 waits=2186 deadlocks=686 restarts=686 \
+     mean=0x1.2c26d21c3a72bp-2 sum=0x1.ecdbd40493dbep+12"
+    (Printf.sprintf "commits=%d waits=%d deadlocks=%d restarts=%d mean=%h sum=%h"
+       s.Repl_stats.commits s.Repl_stats.waits s.Repl_stats.deadlocks
+       s.Repl_stats.restarts s.Repl_stats.mean_duration !sum)
 
 let test_eager_group_under_load () =
   let sys = Eager_group.create small_params ~seed:2 in
@@ -362,6 +390,8 @@ let suite =
     Alcotest.test_case "eager group replicates" `Quick test_eager_group_replicates;
     Alcotest.test_case "eager group under load" `Quick test_eager_group_under_load;
     Alcotest.test_case "eager deadlock forced" `Quick test_eager_deadlock_forced;
+    Alcotest.test_case "eager group uniform delay pinned" `Quick
+      test_eager_group_uniform_delay_pinned;
     Alcotest.test_case "eager duration scales" `Quick test_eager_duration_scales_with_nodes;
     Alcotest.test_case "eager master replicates" `Quick test_eager_master_replicates;
     Alcotest.test_case "lazy group propagates" `Quick test_lazy_group_propagates;

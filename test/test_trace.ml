@@ -50,14 +50,13 @@ let test_executor_emits () =
   let tracer = Trace.create () in
   Engine.set_tracer engine (Some tracer);
   let executor =
-    Executor.create ~clock:engine ~locks:(Lock_manager.create ()) ~action_time:0.01 ()
+    Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+      ~action_time:0.01 ~ids:(Txn_id.Gen.create ())
+      ~backoff:(fun () -> Alcotest.fail "deadlock")
+      ()
   in
-  let gen = Txn_id.Gen.create () in
   let submit steps =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen)
-      ~steps
-      ~on_commit:(fun () -> ())
-      ~on_deadlock:(fun ~cycle:_ -> ())
+    Executor.run executor ~steps:(fun () -> steps) ~on_commit:(fun ~started:_ -> ())
   in
   submit [ Executor.update_step ~resource:1 ];
   submit [ Executor.update_step ~resource:1 ];

@@ -59,51 +59,51 @@ let test_txn_id_gen () =
 
 (* --- Executor --- *)
 
-let make_executor () =
+let make_executor ?(backoff = fun () -> Alcotest.fail "unexpected deadlock")
+    ?(on_restart = fun () -> ()) () =
   let engine = Engine.create () in
   let locks = Lock_manager.create () in
   let waits = ref 0 in
+  let ids = Txn_id.Gen.create () in
   let executor =
     Executor.create
       ~on_wait:(fun () -> incr waits)
-      ~clock:engine ~locks ~action_time:0.1 ()
+      ~on_restart ~clock:engine ~locks ~action_time:0.1 ~ids ~backoff ()
   in
-  (engine, executor, waits)
+  (engine, executor, waits, ids)
+
+let fixed steps () = steps
 
 let test_executor_duration () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, _, _ = make_executor () in
   let committed_at = ref nan in
   let steps =
     List.init 4 (fun i -> Executor.update_step ~resource:i)
   in
-  Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps
-    ~on_commit:(fun () -> committed_at := Engine.now engine)
-    ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "unexpected deadlock");
+  Executor.run executor ~steps:(fixed steps)
+    ~on_commit:(fun ~started ->
+      checkf "started at submission" 0. started;
+      committed_at := Engine.now engine);
   Engine.run engine;
   (* 4 actions x 0.1s, uncontended. *)
   checkf "duration" 0.4 !committed_at;
   checki "done" 0 (Executor.active executor)
 
 let test_executor_empty_commits () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, _, _ = make_executor () in
   let committed = ref false in
-  Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps:[]
-    ~on_commit:(fun () -> committed := true)
-    ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock");
+  Executor.run executor ~steps:(fixed [])
+    ~on_commit:(fun ~started:_ -> committed := true);
   checkb "instant commit" true !committed;
   ignore engine
 
 let test_executor_serializes_conflicts () =
-  let engine, executor, waits = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, waits, _ = make_executor () in
   let order = ref [] in
   let submit tag =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen)
-      ~steps:[ Executor.update_step ~resource:42 ]
-      ~on_commit:(fun () -> order := (tag, Engine.now engine) :: !order)
-      ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock")
+    Executor.run executor
+      ~steps:(fixed [ Executor.update_step ~resource:42 ])
+      ~on_commit:(fun ~started:_ -> order := (tag, Engine.now engine) :: !order)
   in
   submit "a";
   submit "b";
@@ -115,41 +115,40 @@ let test_executor_serializes_conflicts () =
   | _ -> Alcotest.fail "both must commit in order");
   checki "one wait" 1 !waits
 
+(* Two transactions taking resources in opposite order with a step gap
+   force the classic 2-cycle; the executor restarts the victim itself,
+   as a new transaction. *)
 let test_executor_deadlock_and_restart () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
-  let deadlocks = ref 0 and commits = ref 0 in
-  (* Two transactions taking resources in opposite order with a step gap
-     forces the classic 2-cycle. *)
-  let rec submit resources =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen)
-      ~steps:(List.map (fun r -> Executor.update_step ~resource:r) resources)
-      ~on_commit:(fun () -> incr commits)
-      ~on_deadlock:(fun ~cycle:_ ->
-        incr deadlocks;
-        (* Restart after a beat, as the schemes do. *)
-        ignore (Engine.schedule engine ~delay:0.5 (fun () -> submit resources)))
+  let restarts = ref 0 in
+  let engine, executor, _, ids =
+    make_executor ~backoff:(fun () -> 0.5) ~on_restart:(fun () -> incr restarts) ()
+  in
+  let commits = ref 0 in
+  let submit resources =
+    Executor.run executor
+      ~steps:(fixed (List.map (fun r -> Executor.update_step ~resource:r) resources))
+      ~on_commit:(fun ~started:_ -> incr commits)
   in
   submit [ 1; 2 ];
   submit [ 2; 1 ];
   Engine.run engine;
-  checki "exactly one victim" 1 !deadlocks;
-  checki "both eventually commit" 2 !commits
+  checki "exactly one victim" 1 !restarts;
+  checki "both eventually commit" 2 !commits;
+  checki "the restart took a fresh owner id" 3 (Txn_id.Gen.issued ids)
 
 let test_executor_work_runs_under_lock () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, _, _ = make_executor () in
   let observed = ref [] in
-  Executor.run executor ~owner:(Txn_id.Gen.next gen)
+  Executor.run executor
     ~steps:
-      [
-        { Executor.resource = 1; mode = Dangers_lock.Mode.X; cost = None;
-          work = (fun () -> observed := 1 :: !observed) };
-        { Executor.resource = 2; mode = Dangers_lock.Mode.X; cost = None;
-          work = (fun () -> observed := 2 :: !observed) };
-      ]
-    ~on_commit:(fun () -> observed := 99 :: !observed)
-    ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock");
+      (fixed
+         [
+           { Executor.resource = 1; mode = Dangers_lock.Mode.X; cost = None;
+             work = (fun () -> observed := 1 :: !observed) };
+           { Executor.resource = 2; mode = Dangers_lock.Mode.X; cost = None;
+             work = (fun () -> observed := 2 :: !observed) };
+         ])
+    ~on_commit:(fun ~started:_ -> observed := 99 :: !observed);
   Engine.run engine;
   Alcotest.check (Alcotest.list Alcotest.int) "step order then commit"
     [ 1; 2; 99 ] (List.rev !observed)
@@ -157,18 +156,16 @@ let test_executor_work_runs_under_lock () =
 (* [work] of each step runs Action_Time after its grant, in step order;
    a step's [cost] replaces Action_Time for that step alone. *)
 let test_executor_work_order_and_cost () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, _, _ = make_executor () in
   let log = ref [] in
   let step ?cost i =
     { (Executor.update_step ~resource:i) with
       Executor.cost;
       work = (fun () -> log := (i, Engine.now engine) :: !log) }
   in
-  Executor.run executor ~owner:(Txn_id.Gen.next gen)
-    ~steps:[ step 0; step ~cost:0.5 1; step 2; step 3 ]
-    ~on_commit:(fun () -> log := (99, Engine.now engine) :: !log)
-    ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock");
+  Executor.run executor
+    ~steps:(fixed [ step 0; step ~cost:0.5 1; step 2; step 3 ])
+    ~on_commit:(fun ~started:_ -> log := (99, Engine.now engine) :: !log);
   Engine.run engine;
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 1e-9)))
@@ -178,48 +175,49 @@ let test_executor_work_order_and_cost () =
 
 (* A runs [1; 2], B runs [2; 1]. At 0.1 both finish their first action;
    A then waits for 2, and B's request for 1 closes the cycle, so B is
-   the victim: its second step's work never runs. A, granted 2 by B's
-   release, resumes at the step it waited on and runs it once. *)
+   the victim: its second step's work does not run. A, granted 2 by B's
+   release, resumes at the step it waited on and runs it once. B backs
+   off 0.5 and starts over from its first step; its commit is told the
+   restarted attempt's start. *)
 let test_executor_victim_and_resume () =
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let restarts = ref 0 in
+  let engine, executor, _, _ =
+    make_executor ~backoff:(fun () -> 0.5) ~on_restart:(fun () -> incr restarts) ()
+  in
   let log = ref [] in
   let step tag resource =
     { (Executor.update_step ~resource) with
       Executor.work = (fun () -> log := (tag, Engine.now engine) :: !log) }
   in
-  let victims = ref [] in
   let submit name steps =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps
-      ~on_commit:(fun () -> log := (name ^ " commit", Engine.now engine) :: !log)
-      ~on_deadlock:(fun ~cycle:_ -> victims := name :: !victims)
+    Executor.run executor ~steps:(fixed steps) ~on_commit:(fun ~started ->
+        log := (name ^ " commit", Engine.now engine) :: !log;
+        log := (name ^ " started", started) :: !log)
   in
   submit "a" [ step "a1" 1; step "a2" 2 ];
   submit "b" [ step "b1" 2; step "b2" 1 ];
   Engine.run engine;
-  Alcotest.check (Alcotest.list Alcotest.string) "b is the victim" [ "b" ]
-    !victims;
+  checki "one victim" 1 !restarts;
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "b2 never runs; a resumes at a2"
-    [ ("a1", 0.1); ("b1", 0.1); ("a2", 0.2); ("a commit", 0.2) ]
+    "b2 does not run before b restarts; a resumes at a2"
+    [ ("a1", 0.1); ("b1", 0.1); ("a2", 0.2); ("a commit", 0.2);
+      ("a started", 0.); ("b1", 0.7); ("b2", 0.8); ("b commit", 0.8);
+      ("b started", 0.6) ]
     (List.rev !log);
   checki "nothing left running" 0 (Executor.active executor)
 
 (* A transaction queued on its first step, granted at the holder's
    commit, runs every step from that one on, one Action_Time apart. *)
 let test_executor_resumes_after_wait () =
-  let engine, executor, waits = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, waits, _ = make_executor () in
   let log = ref [] in
   let step i =
     { (Executor.update_step ~resource:i) with
       Executor.work = (fun () -> log := (i, Engine.now engine) :: !log) }
   in
   let run steps =
-    Executor.run executor ~owner:(Txn_id.Gen.next gen) ~steps
-      ~on_commit:ignore
-      ~on_deadlock:(fun ~cycle:_ -> Alcotest.fail "deadlock")
+    Executor.run executor ~steps:(fixed steps) ~on_commit:(fun ~started:_ -> ())
   in
   run [ Executor.update_step ~resource:1; Executor.update_step ~resource:9 ];
   run [ step 1; step 2; step 3 ];
@@ -233,13 +231,12 @@ let test_executor_resumes_after_wait () =
 
 (* Minor words from [Executor.run] of [n] uncontended update steps until
    the engine drains. *)
-let txn_words engine executor gen n =
+let txn_words engine executor n =
   let steps = List.init n (fun i -> Executor.update_step ~resource:i) in
-  let on_commit () = () in
-  let on_deadlock ~cycle:_ = Alcotest.fail "deadlock" in
-  let owner = Txn_id.Gen.next gen in
+  let steps () = steps in
+  let on_commit ~started:_ = () in
   let w0 = Gc.minor_words () in
-  Executor.run executor ~owner ~steps ~on_commit ~on_deadlock;
+  Executor.run executor ~steps ~on_commit;
   Engine.run engine;
   Gc.minor_words () -. w0
 
@@ -265,29 +262,93 @@ let engine_words_per_event n =
 (* A step allocates what the engine allocates per event, and nothing
    else: the event record (header, action, cancelled: 3 words) and the
    box of the advanced clock (header and a double: 2 words). The rest is
-   one per-transaction set: the [remaining] ref (2 words) and one block
-   holding the three mutually recursive closures (3 x 2 words of code
-   pointer and arity, 2 infix headers, 6 captured values, 1 header: 15
-   words). Lock requests and the waiter-free release allocate nothing
-   once the table's pools are warm. [DANGERS_LOCK_DEBUG]'s self-check
-   after every lock-table mutation allocates, so the transaction counts
-   are asserted only without it. *)
+   one per-submission set: the submission record (header, owner,
+   remaining, started: 4 words) and one block holding the four mutually
+   recursive closures (4 x 2 words of code pointer and arity, 3 infix
+   headers, 5 captured values, 1 header: 17 words). Lock requests and
+   the release allocate nothing once the table's pools are warm.
+   [DANGERS_LOCK_DEBUG]'s self-check after every lock-table mutation
+   allocates, so the transaction counts are asserted only without it. *)
 let test_executor_words_per_step () =
   let per_event = engine_words_per_event 1_000 in
   checkf "engine words per event: event record + clock box" 5. per_event;
-  let engine, executor, _ = make_executor () in
-  let gen = Txn_id.Gen.create () in
+  let engine, executor, _, _ = make_executor () in
   (* Warm the lock table's pools and the engine's arrays. *)
   for _ = 1 to 3 do
-    ignore (txn_words engine executor gen 8)
+    ignore (txn_words engine executor 8)
   done;
-  let w4 = txn_words engine executor gen 4 in
-  let w8 = txn_words engine executor gen 8 in
+  let w4 = txn_words engine executor 4 in
+  let w8 = txn_words engine executor 8 in
   if not Dangers_lock.Lock_table.debug then begin
     checkf "words per step = the engine's per event" per_event
       ((w8 -. w4) /. 4.);
-    checkf "4-step transaction: 17 + 4 x 5 words" 37. w4
+    checkf "4-step transaction: 21 + 4 x 5 words" 41. w4
   end
+
+(* Minor words of one submission of steps [2; 1] that is killed by
+   deadlock [k] times, then commits. Each round an adversary, outside
+   the executor, takes lock 1 and queues for lock 2 while the submission
+   holds 2, so the submission's request for 1 closes the cycle; the
+   adversary releases both locks half a second after the kill, and the
+   backoff of 1 s restarts the submission past that. *)
+let restart_words engine executor locks restarts k =
+  let steps = [ Executor.update_step ~resource:2; Executor.update_step ~resource:1 ] in
+  let steps () = steps in
+  let on_commit ~started:_ = () in
+  let adversary = ref 0 and rounds = ref k in
+  let on_grant () = () in
+  let setup () =
+    incr adversary;
+    ignore
+      (Lock_manager.request locks ~owner:(- !adversary) ~resource:1
+         ~mode:Dangers_lock.Mode.X ~on_grant);
+    ignore
+      (Lock_manager.request locks ~owner:(- !adversary) ~resource:2
+         ~mode:Dangers_lock.Mode.X ~on_grant)
+  in
+  let release () = Lock_manager.release_all locks ~owner:(- !adversary) in
+  restarts :=
+    (fun () ->
+      decr rounds;
+      ignore (Engine.schedule engine ~delay:0.5 release);
+      if !rounds > 0 then ignore (Engine.schedule engine ~delay:1.05 setup));
+  let w0 = Gc.minor_words () in
+  if k > 0 then ignore (Engine.schedule engine ~delay:0.05 setup);
+  Executor.run executor ~steps ~on_commit;
+  Engine.run engine;
+  let words = Gc.minor_words () -. w0 in
+  checki "rounds played" 0 !rounds;
+  words
+
+(* A restart allocates no per-submission state again: a submission
+   killed k times costs its uncontended words plus a fixed amount per
+   round. Of the 44 words a round adds, the submission's killed attempt
+   accounts for 27: its first step's engine event (5), its waiter record
+   (4), its memoized blocker list [adversary] (3), the cycle (two cells,
+   6, in [Some] and [Deadlock], 4) and the backoff's engine event (5).
+   The adversary accounts for 17: two engine events (10), its waiter
+   record (4) and its blocker list [submission] (3). *)
+let test_executor_restart_words () =
+  let hook = ref (fun () -> ()) in
+  let engine = Engine.create () in
+  let locks = Lock_manager.create () in
+  let executor =
+    Executor.create ~clock:engine ~locks ~action_time:0.1
+      ~ids:(Txn_id.Gen.create ())
+      ~backoff:(fun () -> 1.0)
+      ~on_restart:(fun () -> !hook ())
+      ()
+  in
+  for _ = 1 to 3 do
+    ignore (restart_words engine executor locks hook 3)
+  done;
+  let words = List.map (restart_words engine executor locks hook) [ 0; 1; 2; 3 ] in
+  if not Dangers_lock.Lock_table.debug then
+    Alcotest.check
+      (Alcotest.list (Alcotest.float 0.))
+      "k restarts: uncontended words + 44 k"
+      (List.map (fun k -> List.hd words +. (44. *. float_of_int k)) [ 0; 1; 2; 3 ])
+      words
 
 let suite =
   [
@@ -305,4 +366,5 @@ let suite =
     Alcotest.test_case "executor victim and resume" `Quick test_executor_victim_and_resume;
     Alcotest.test_case "executor resumes after wait" `Quick test_executor_resumes_after_wait;
     Alcotest.test_case "executor words per step" `Quick test_executor_words_per_step;
+    Alcotest.test_case "executor restart words" `Quick test_executor_restart_words;
   ]
