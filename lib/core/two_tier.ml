@@ -8,9 +8,8 @@ module Oid = Dangers_storage.Oid
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Executor = Dangers_txn.Executor
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Metrics = Dangers_sim.Metrics
 module Rng = Dangers_util.Rng
 module Repl_stats = Dangers_replication.Repl_stats
@@ -316,7 +315,7 @@ let on_sync t listener = t.sync_listeners <- listener :: t.sync_listeners
 
 let master_value t oid = Fstore.read (master_store t oid) oid
 
-let create ?obs ?runtime ?profile ?(initial_value = 0.)
+let create ?obs ?clock ?profile ?(initial_value = 0.)
     ?(acceptance = Acceptance.Always) ?(delay = Delay.Zero) ?faults ?mobility
     ?(mobile_owned_per_node = 0) ?(unsafe_skip_acceptance = false) ~base_nodes
     params ~seed =
@@ -327,7 +326,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
     invalid_arg "Two_tier.create: negative mobile_owned_per_node";
   if mobile_owned_per_node * mobile_total >= params.Params.db_size then
     invalid_arg "Two_tier.create: mobile-owned blocks exceed the database";
-  let common = Common.make ?obs ?runtime ?profile ~initial_value params ~seed in
+  let common = Common.make ?obs ?clock ?profile ~initial_value params ~seed in
   let obs = common.Common.obs in
   let owner =
     Array.init params.Params.db_size (fun i ->
@@ -337,7 +336,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
   in
   let base_executor =
     Common.executor common
-      ~locks:(Lock_manager.create ?obs ())
+      ~locks:(Lock_table.create ?obs ())
       ~retry_rng:(Rng.split common.Common.rng)
   in
   let mobiles =

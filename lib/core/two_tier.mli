@@ -44,7 +44,7 @@ type t
 
 val create :
   ?obs:Dangers_obs.Metrics.t ->
-  ?runtime:Dangers_runtime.Runtime.t ->
+  ?clock:Dangers_runtime.Clock.t ->
   ?profile:Profile.t ->
   ?initial_value:float ->
   ?acceptance:Acceptance.t ->
@@ -59,11 +59,11 @@ val create :
   t
 (** Defaults: [Always] acceptance, zero delay, the Table 2 day-cycle
     mobility derived from [params] (fixed phases, staggered starts), no
-    mobile-mastered objects, and a fresh simulator runtime — pass
-    [Dangers_runtime.Runtime.live_wall ()] to run the identical scheme
-    code on wall time (the serving path). @raise Invalid_argument if
-    [base_nodes] is not
-    in [1, params.nodes] or mobile-owned blocks exceed the database.
+    mobile-mastered objects, and a fresh virtual-time engine as the clock
+    — pass [Dangers_runtime.Live_clock.(create Wall)] to run the identical
+    scheme code on wall time (the serving path). @raise Invalid_argument
+    if [base_nodes] is not in [1, params.nodes] or mobile-owned blocks
+    exceed the database.
 
     [faults] plugs a fault injector into the slave-update network.
 

@@ -1,5 +1,4 @@
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Codec = Dangers_runtime.Codec
 module Params = Dangers_analytic.Params
 module Connectivity = Dangers_net.Connectivity
@@ -250,15 +249,14 @@ let write_metrics t =
 let serve config =
   Params.validate config.params;
   let obs = Obs.create () in
-  let runtime = Runtime.live_wall () in
+  let clock = Dangers_runtime.Live_clock.(create Wall) in
   (* Mobility is client-driven over the protocol, not scheduled: the
      base-node spec never cycles, so [Set_connected]/[Sync] are the only
      connectivity levers. *)
   let sys =
-    Two_tier.create ~obs ~runtime ~mobility:Connectivity.base_node
+    Two_tier.create ~obs ~clock ~mobility:Connectivity.base_node
       ~base_nodes:config.base_nodes config.params ~seed:config.seed
   in
-  let clock = (Two_tier.base sys).Common.clock in
   (match Unix.stat config.socket_path with
   | _ -> Unix.unlink config.socket_path
   | exception Unix.Unix_error _ -> ());

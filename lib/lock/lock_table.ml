@@ -105,6 +105,8 @@ type t = {
   mutable grants : int;
   mutable search_gen : int;
   mutable search_visits : int;
+  mutable waits : int; (* [request]s that queued *)
+  mutable deadlocks : int; (* [request]s that closed a cycle *)
   (* The wake stack: granted waiters whose callbacks have not run yet,
      with their resources. Each release runs and pops what it pushed. *)
   mutable woken : waiter array;
@@ -120,6 +122,7 @@ type t = {
   vacant : waiter;
 }
 
+type verdict = Granted | Waiting | Deadlock of int list
 type outcome = Granted | Queued
 
 let debug =
@@ -127,7 +130,7 @@ let debug =
   | Some ("" | "0") | None -> false
   | Some _ -> true
 
-let create () =
+let create ?obs () =
   let rec idle =
     { resource = min_int; g_owner = [||]; g_mode = Mode.X; g_n = 0;
       q_buf = [||]; q_head = 0; q_n = 0; version = 0; next_spare = idle }
@@ -137,12 +140,29 @@ let create () =
       w_blockers = []; mark = 0; parent = nobody; next_owner = nobody }
   in
   let vacant = { w_owner = nobody; w_mode = Mode.X; on_grant = ignore } in
-  { locks = Int_table.create ~filler:idle 64;
-    owners = Int_table.create ~filler:nobody 64; spare = idle;
-    spare_owners = nobody;
-    live_locks_high_water = 0; grants = 0; search_gen = 0; search_visits = 0;
-    woken = Array.make 4 vacant; woken_resource = Array.make 4 0;
-    woken_n = 0; idle; vacant }
+  let t =
+    { locks = Int_table.create ~filler:idle 64;
+      owners = Int_table.create ~filler:nobody 64; spare = idle;
+      spare_owners = nobody;
+      live_locks_high_water = 0; grants = 0; search_gen = 0; search_visits = 0;
+      waits = 0; deadlocks = 0;
+      woken = Array.make 4 vacant; woken_resource = Array.make 4 0;
+      woken_n = 0; idle; vacant }
+  in
+  Option.iter
+    (fun registry ->
+      Dangers_obs.Metrics.register_source registry (fun () ->
+          [
+            Dangers_obs.Metrics.Count ("lock.waits_total", t.waits);
+            Dangers_obs.Metrics.Count ("lock.deadlocks_total", t.deadlocks);
+            Dangers_obs.Metrics.Count
+              ("lock.deadlock_dfs_visits_total", t.search_visits);
+            Dangers_obs.Metrics.Gauge
+              ( "lock.live_locks_high_water",
+                float_of_int t.live_locks_high_water );
+          ]))
+    obs;
+  t
 
 let nobody t = t.vacant.w_owner
 
@@ -569,6 +589,8 @@ let find_cycle t ~start =
   if root == nobody t then None else visit t t.search_gen root root
 
 let search_visits t = t.search_visits
+let waits t = t.waits
+let deadlocks t = t.deadlocks
 let is_waiting t ~owner = waiting t (Int_table.get t.owners owner)
 
 let waiting_resource t ~owner =
@@ -641,6 +663,37 @@ let holds t ~owner ~resource =
 let held_resources t ~owner =
   let o = Int_table.get t.owners owner in
   List.sort Int.compare (List.init o.h_n (fun i -> o.held.(i).resource))
+
+(* The debug cross-check of [request]'s search: the from-scratch DFS
+   over freshly recomputed blockers must find the same cycle. *)
+let cross_check t ~start result =
+  let successors owner = blockers_fresh t ~owner in
+  let reference = Waits_for.find_cycle ~successors ~start in
+  if result <> reference then begin
+    let show = function
+      | None -> "no cycle"
+      | Some c -> String.concat "->" (List.map string_of_int c)
+    in
+    failwith
+      (Printf.sprintf
+         "Lock_table: incremental waits-for diverged from reference DFS for \
+          owner %d (incremental: %s, reference: %s)"
+         start (show result) (show reference))
+  end
+
+let request t ~owner ~resource ~mode ~on_grant : verdict =
+  match acquire t ~owner ~resource ~mode ~on_grant with
+  | Granted -> Granted
+  | Queued -> (
+      t.waits <- t.waits + 1;
+      let result = find_cycle t ~start:owner in
+      if debug then cross_check t ~start:owner result;
+      match result with
+      | None -> Waiting
+      | Some cycle ->
+          t.deadlocks <- t.deadlocks + 1;
+          cancel_wait t ~owner;
+          Deadlock cycle)
 
 let grants_outstanding t = t.grants
 let live_locks t = Int_table.length t.locks

@@ -29,7 +29,24 @@ val debug : bool
 
 type t
 
-val create : unit -> t
+val create : ?obs:Dangers_obs.Metrics.t -> unit -> t
+(** When [obs] is given, the table registers a pull source exposing
+    [lock.waits_total], [lock.deadlocks_total],
+    [lock.deadlock_dfs_visits_total] and the gauge
+    [lock.live_locks_high_water] (the table's size bound) at snapshot
+    time; no lock path changes either way. *)
+
+(** What {!request} decided. Declared before {!outcome}, so an
+    unannotated [Granted] names {!acquire}'s. *)
+type verdict =
+  | Granted
+  | Waiting
+      (** Blocked with no deadlock; [on_grant] will fire when the lock is
+          granted. Counted as a wait. *)
+  | Deadlock of int list
+      (** This request closed a waits-for cycle (the list, starting with the
+          requester). The request has been withdrawn; [on_grant] will never
+          fire. Counted as a wait and a deadlock. *)
 
 type outcome =
   | Granted
@@ -71,7 +88,30 @@ val find_cycle : t -> start:int -> int list option
     built as a list. *)
 
 val search_visits : t -> int
-(** Owners expanded by {!find_cycle} since creation. *)
+(** Owners expanded by {!find_cycle} since creation: the cost driver
+    equation (3) prices. *)
+
+val request :
+  t -> owner:int -> resource:int -> mode:Mode.t -> on_grant:(unit -> unit) ->
+  verdict
+(** {!acquire} with deadlock detection, as the paper's model prices it:
+    detection runs the moment a request queues, and the victim is the
+    {e requester}. Equation (3) derives the deadlock probability per
+    request, so a deadlock costs exactly the requesting transaction. On a
+    cycle the queued request is withdrawn ({!cancel_wait}) before
+    [Deadlock] is returned; the caller must then abort the transaction
+    ({!release_all}) and, per §7, resubmit it.
+
+    With [DANGERS_LOCK_DEBUG] set, every queued request's {!find_cycle}
+    is also checked against the original from-scratch DFS
+    ({!Waits_for.find_cycle} over {!blockers_fresh}); divergence raises
+    [Failure]. *)
+
+val waits : t -> int
+(** {!request}s that queued, including those that then deadlocked. *)
+
+val deadlocks : t -> int
+(** {!request}s that closed a waits-for cycle. *)
 
 val is_waiting : t -> owner:int -> bool
 val waiting_resource : t -> owner:int -> int option

@@ -5,7 +5,7 @@
    full runs stay comparable. *)
 
 module Mode = Dangers_lock.Mode
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Engine = Dangers_sim.Engine
 module Par_engine = Dangers_sim.Par_engine
 module Executor = Dangers_txn.Executor
@@ -14,29 +14,29 @@ module Txn_id = Dangers_txn.Txn_id
 (* Uncontended acquire/release: 100 owners each take 4 private X locks and
    drop them — the fast path of every action that meets no conflict. *)
 let lock_acquire_release () =
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   for owner = 0 to 99 do
     for r = 0 to 3 do
       ignore
-        (Lock_manager.request locks ~owner
+        (Lock_table.request locks ~owner
            ~resource:((owner * 4) + r)
            ~mode:Mode.X ~on_grant:ignore)
     done;
-    Lock_manager.release_all locks ~owner
+    Lock_table.release_all locks ~owner
   done
 
 (* 64 writers pile up on one object: every blocked request probes the
    waits-for graph down the whole queue, then the release cascade pumps
    the FIFO one grant at a time. *)
 let lock_contended_fifo () =
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   for owner = 0 to 63 do
     ignore
-      (Lock_manager.request locks ~owner ~resource:0 ~mode:Mode.X
+      (Lock_table.request locks ~owner ~resource:0 ~mode:Mode.X
          ~on_grant:ignore)
   done;
   for owner = 0 to 63 do
-    Lock_manager.release_all locks ~owner
+    Lock_table.release_all locks ~owner
   done
 
 (* Deadlock detection under contention: owner i holds object i and waits
@@ -44,26 +44,26 @@ let lock_contended_fifo () =
    request closes the cycle and must be detected and withdrawn. *)
 let lock_deadlock_chain () =
   let n = 32 in
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   for i = 0 to n - 1 do
     ignore
-      (Lock_manager.request locks ~owner:i ~resource:i ~mode:Mode.X
+      (Lock_table.request locks ~owner:i ~resource:i ~mode:Mode.X
          ~on_grant:ignore)
   done;
   for i = 0 to n - 2 do
     ignore
-      (Lock_manager.request locks ~owner:i ~resource:(i + 1) ~mode:Mode.X
+      (Lock_table.request locks ~owner:i ~resource:(i + 1) ~mode:Mode.X
          ~on_grant:ignore)
   done;
   (match
-     Lock_manager.request locks ~owner:(n - 1) ~resource:0 ~mode:Mode.X
+     Lock_table.request locks ~owner:(n - 1) ~resource:0 ~mode:Mode.X
        ~on_grant:ignore
    with
-  | Lock_manager.Deadlock _ -> ()
-  | Lock_manager.Granted | Lock_manager.Waiting ->
+  | Lock_table.Deadlock _ -> ()
+  | Lock_table.Granted | Lock_table.Waiting ->
       failwith "Suite.lock_deadlock_chain: cycle not detected");
   for i = 0 to n - 1 do
-    Lock_manager.release_all locks ~owner:i
+    Lock_table.release_all locks ~owner:i
   done
 
 (* The lazy-group shape: a replica apply locks its objects at the
@@ -76,18 +76,18 @@ let lock_wide_tables () =
   let tables = 40 and resources = 4_000 in
   let state =
     lazy
-      (let locks = Array.init tables (fun _ -> Lock_manager.create ()) in
+      (let locks = Array.init tables (fun _ -> Lock_table.create ()) in
        let next_owner = ref 0 and cursor = ref 0 in
        let txn table first =
          let owner = !next_owner in
          incr next_owner;
          for r = 0 to 3 do
            ignore
-             (Lock_manager.request locks.(table) ~owner
+             (Lock_table.request locks.(table) ~owner
                 ~resource:((first + (r * 1_009)) mod resources)
                 ~mode:Mode.X ~on_grant:ignore)
          done;
-         Lock_manager.release_all locks.(table) ~owner
+         Lock_table.release_all locks.(table) ~owner
        in
        for table = 0 to tables - 1 do
          for first = 0 to resources - 1 do
@@ -120,7 +120,7 @@ let txn_replica_apply () =
        let backoff () = failwith "Suite.txn_replica_apply: deadlock" in
        let executors =
          Array.init nodes (fun _ ->
-             Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+             Executor.create ~clock:engine ~locks:(Lock_table.create ())
                ~action_time:0.01 ~ids ~backoff ())
        in
        (engine, executors, ref 0))
@@ -151,7 +151,7 @@ let txn_deadlock_restart () =
       (let engine = Engine.create () in
        let restarts = ref 0 in
        let executor =
-         Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+         Executor.create ~clock:engine ~locks:(Lock_table.create ())
            ~action_time:0.01 ~ids:(Txn_id.Gen.create ())
            ~backoff:(fun () -> 0.05)
            ~on_restart:(fun () -> incr restarts)

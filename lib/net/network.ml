@@ -1,22 +1,25 @@
 module Clock = Dangers_runtime.Clock
 module Delay = Dangers_runtime.Delay
-module Runtime = Dangers_runtime.Runtime
 module Rng = Dangers_util.Rng
 
 type 'msg parked = { p_src : int; p_dst : int; p_msg : 'msg }
 
-type fault_action = Runtime.fault_action =
+type fault_action =
   | Pass
   | Drop
   | Duplicate
   | Delay_extra of float
 
-type faults = Runtime.faults = {
+type faults = {
   blocked : src:int -> dst:int -> bool;
   on_transmit : src:int -> dst:int -> fault_action;
 }
 
-let no_faults = Runtime.no_faults
+let no_faults =
+  {
+    blocked = (fun ~src:_ ~dst:_ -> false);
+    on_transmit = (fun ~src:_ ~dst:_ -> Pass);
+  }
 
 type 'msg t = {
   clock : Clock.t;

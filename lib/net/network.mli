@@ -19,18 +19,15 @@
 
 type 'msg t
 
-(** {1 Fault hooks}
+(** {1 Fault hooks} *)
 
-    The types live in {!Dangers_runtime.Runtime} (any transport can be
-    fault-injected); re-exported here with full equality. *)
-
-type fault_action = Dangers_runtime.Runtime.fault_action =
+type fault_action =
   | Pass  (** deliver normally *)
   | Drop  (** lose the message (counted and traced) *)
   | Duplicate  (** put two copies in flight, each with its own delay *)
   | Delay_extra of float  (** add this much latency (reordering) *)
 
-type faults = Dangers_runtime.Runtime.faults = {
+type faults = {
   blocked : src:int -> dst:int -> bool;
       (** partition test, consulted at transmission time; blocked messages
           park at the sender and are retried by {!flush_node} *)

@@ -132,7 +132,7 @@ let snapshot t =
   (Hashtbl.iter (fun name g -> Hashtbl.replace gauges name g.g_value)
      t.gauges [@lint.allow "D2"]);
   (* Sources registered first run first; same-name counters accumulate
-     (several lock managers report into one [lock_waits]), gauges take the
+     (several lock tables report into one [lock_waits]), gauges take the
      maximum (the interesting high-water across components). *)
   List.iter
     (fun source ->

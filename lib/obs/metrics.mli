@@ -10,7 +10,7 @@
       Components guard the handle behind an [option] exactly like the
       engine's tracer, so a detached run pays nothing.
     - {b Pull}: a component that already keeps plain integer counters
-      (the network, the lock manager, the engine) registers a
+      (the network, the lock table, the engine) registers a
       {!register_source} closure; it is read only when {!snapshot} runs,
       leaving the component's hot path untouched.
 

@@ -1,7 +1,6 @@
 module Params = Dangers_analytic.Params
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
@@ -15,7 +14,6 @@ type base = {
   params : Params.t;
   profile : Profile.t;
   initial_value : float;
-  runtime : Runtime.t;
   clock : Clock.t;
   metrics : Metrics.t;
   stats : Repl_stats.t;
@@ -29,7 +27,7 @@ type base = {
   series : Dangers_obs.Timeseries.t option;
 }
 
-let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
+let make ?obs ?clock ?profile ?(initial_value = 0.) params ~seed =
   Params.validate params;
   let profile =
     match profile with Some p -> p | None -> Profile.of_params params
@@ -46,11 +44,8 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
   let series =
     match obs with None -> None | Some _ -> Dangers_sim.Observe.ambient_series ()
   in
-  let runtime =
-    match runtime with Some r -> r | None -> Runtime.sim ()
-  in
-  let clock = runtime.Runtime.clock in
-  (* Attach the ambient tracer unless the runtime came with one. *)
+  let clock = match clock with Some c -> c | None -> Engine.create () in
+  (* Attach the ambient tracer unless the clock came with one. *)
   (match (Dangers_sim.Observe.ambient_tracer (), Clock.tracer clock) with
   | Some tracer, None -> Clock.set_tracer clock (Some tracer)
   | (None | Some _), _ -> ());
@@ -60,7 +55,6 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
     params;
     profile;
     initial_value;
-    runtime;
     clock;
     metrics;
     stats = Repl_stats.create metrics;
@@ -92,9 +86,9 @@ let stop_generators base =
   List.iter Generator.stop base.generators;
   base.generators <- []
 
-let backoff_delay base rng =
+let backoff_delay params rng =
   let duration =
-    float_of_int base.params.Params.actions *. base.params.Params.action_time
+    float_of_int params.Params.actions *. params.Params.action_time
   in
   (0.5 +. Rng.float rng 1.0) *. duration
 
@@ -112,7 +106,7 @@ let executor ?on_restart base ~locks ~retry_rng =
     ~on_wait:(fun () -> Metrics.incr stats.Repl_stats.waits)
     ~on_restart ~clock:base.clock ~locks
     ~action_time:base.params.Params.action_time ~ids:base.txn_gen
-    ~backoff:(fun () -> backoff_delay base retry_rng)
+    ~backoff:(fun () -> backoff_delay base.params retry_rng)
     ()
 
 let commit_duration base ~started =

@@ -5,7 +5,6 @@
 module Params = Dangers_analytic.Params
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
@@ -18,8 +17,7 @@ type base = {
   params : Params.t;
   profile : Profile.t;
   initial_value : float;
-  runtime : Runtime.t;  (** the execution runtime this system was built on *)
-  clock : Clock.t;  (** = [runtime.clock]; every event the scheme schedules *)
+  clock : Clock.t;  (** every event the scheme schedules *)
   metrics : Metrics.t;  (** the measured window over [stats] *)
   stats : Repl_stats.t;  (** this system's scheme counters *)
   rng : Rng.t;
@@ -40,15 +38,16 @@ type base = {
 
 val make :
   ?obs:Dangers_obs.Metrics.t ->
-  ?runtime:Runtime.t ->
+  ?clock:Clock.t ->
   ?profile:Profile.t -> ?initial_value:float -> Params.t -> seed:int -> base
 (** Validates the parameters. The profile defaults to the model's
     ([Profile.of_params]); every object starts at [initial_value]
-    (default 0). The runtime defaults to a fresh simulator
-    ([Runtime.sim ()]); pass [Runtime.live_wall ()] to run the same
-    scheme on wall time. When [obs] is given, {!Metrics.export} reports
-    the clock and the scheme counters to it, and {!measure} records
-    per-phase wall-clock and allocation profiles. *)
+    (default 0). The clock defaults to a fresh virtual-time engine
+    ([Engine.create ()]); pass [Dangers_runtime.Live_clock.(create Wall)]
+    to run the same scheme on wall time. When [obs] is given,
+    {!Metrics.export} reports the clock and the scheme counters to it,
+    and {!measure} records per-phase wall-clock and allocation
+    profiles. *)
 
 val start_generators : base -> submit:(node:int -> Dangers_txn.Op.t list -> unit) -> unit
 (** One Poisson generator per node at [params.tps], each on its own RNG
@@ -56,20 +55,23 @@ val start_generators : base -> submit:(node:int -> Dangers_txn.Op.t list -> unit
 
 val stop_generators : base -> unit
 
+val backoff_delay : Params.t -> Rng.t -> float
+(** A deadlock victim's restart delay, one draw from the RNG: uniform in
+    [0.5, 1.5] x the scheme-free transaction duration (Actions x
+    Action_Time) — long enough to let the conflicting transaction
+    finish, short enough not to distort the load. *)
+
 val executor :
   ?on_restart:(unit -> unit) ->
   base ->
-  locks:Dangers_lock.Lock_manager.t ->
+  locks:Dangers_lock.Lock_table.t ->
   retry_rng:Rng.t ->
   Dangers_txn.Executor.t
 (** An executor over [locks] with the schemes' retry policy. Every wait
     counts in [stats.waits]; a deadlock victim fires [on_restart]
     (default: count [stats.deadlocks] and [stats.restarts]) and restarts
-    with an owner id from [txn_gen] after a delay drawn from
-    [retry_rng]: uniform in [0.5, 1.5] x the scheme-free transaction
-    duration (Actions x Action_Time) — long enough to let the
-    conflicting transaction finish, short enough not to distort the
-    load. *)
+    with an owner id from [txn_gen] after a {!backoff_delay} drawn from
+    [retry_rng]. *)
 
 val commit_duration : base -> started:float -> unit
 (** Record a committed transaction's duration sample and bump the commit

@@ -6,7 +6,7 @@ module Engine = Dangers_sim.Engine
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Executor = Dangers_txn.Executor
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Rng = Dangers_util.Rng
 
 type ownership = Group | Master
@@ -30,7 +30,7 @@ let create ?obs ?profile ?initial_value ?(delay = Dangers_runtime.Delay.Zero)
     ?on_commit ownership params ~seed =
   Dangers_runtime.Delay.validate delay;
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
-  let locks = Lock_manager.create ?obs:common.Common.obs () in
+  let locks = Lock_table.create ?obs:common.Common.obs () in
   let delay_rng = Rng.split common.Common.rng in
   let executor =
     Common.executor common ~locks ~retry_rng:(Rng.split common.Common.rng)

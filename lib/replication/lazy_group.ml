@@ -10,7 +10,7 @@ module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Executor = Dangers_txn.Executor
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Rng = Dangers_util.Rng
 
 (* What a root commit sends each peer: its updates and the lock steps of
@@ -154,7 +154,7 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
   let common = Common.make ?obs ?profile ?initial_value params ~seed in
   let obs = common.Common.obs in
   let stats = common.Common.stats in
-  let locks = Array.init params.Params.nodes (fun _ -> Lock_manager.create ?obs ()) in
+  let locks = Array.init params.Params.nodes (fun _ -> Lock_table.create ?obs ()) in
   let retry_rng = Rng.split common.Common.rng in
   let init_value = match initial_value with Some v -> v | None -> 0. in
   let t =

@@ -9,7 +9,7 @@ module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Executor = Dangers_txn.Executor
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Rng = Dangers_util.Rng
 
 type master_assignment = Round_robin | Datacycle of int
@@ -100,7 +100,7 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
   let obs = common.Common.obs in
   let master_executor =
     Common.executor common
-      ~locks:(Lock_manager.create ?obs ())
+      ~locks:(Lock_table.create ?obs ())
       ~retry_rng:(Rng.split common.Common.rng)
   in
   let t = { common; master_executor; network = None; assignment = master_assignment } in

@@ -337,12 +337,7 @@ and abort_and_retry t node txn =
   for dst = 0 to node_count t - 1 do
     if dst <> node.id then send t ~src:node.id ~dst (Release { owner = txn.t_owner })
   done;
-  let backoff =
-    let duration =
-      float_of_int t.params.Params.actions *. t.params.Params.action_time
-    in
-    (0.5 +. Rng.float node.retry_rng 1.0) *. duration
-  in
+  let backoff = Common.backoff_delay t.params node.retry_rng in
   ignore
     (Engine.schedule node.engine ~delay:backoff (fun () ->
          start_txn t node txn.t_ops))
@@ -525,7 +520,8 @@ let diagnostics t =
   [
     ("windows", float_of_int (Par_engine.windows t.par));
     ("lookahead_stalls", float_of_int (Par_engine.stalls t.par));
-    ("null_messages", float_of_int (Par_engine.null_messages t.par));
+    (* every stalled partition sends one null message *)
+    ("null_messages", float_of_int (Par_engine.stalls t.par));
     ("channel_posts", float_of_int (Par_engine.posts_total t.par));
     ("deadlock_probes", float_of_int (sum (fun s -> s.Repl_stats.deadlock_probes)));
     ("timeout_aborts", float_of_int (sum (fun s -> s.Repl_stats.timeout_aborts)));

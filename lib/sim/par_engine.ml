@@ -12,8 +12,7 @@ type 'msg t = {
      written and read only at barriers *)
   win_fired : int array;
   mutable windows : int;
-  mutable stalls : int;
-  mutable nulls : int;
+  mutable stalls : int; (* = null messages: a stalled partition sends one *)
 }
 
 let create ?obs ~parts ~lookahead () =
@@ -27,7 +26,6 @@ let create ?obs ~parts ~lookahead () =
       win_fired = Array.make parts 0;
       windows = 0;
       stalls = 0;
-      nulls = 0;
     }
   in
   (match obs with
@@ -38,7 +36,7 @@ let create ?obs ~parts ~lookahead () =
             Obs.Gauge ("parsim.partitions", float_of_int parts);
             Obs.Count ("parsim.windows_total", t.windows);
             Obs.Count ("parsim.lookahead_stalls_total", t.stalls);
-            Obs.Count ("parsim.null_messages_total", t.nulls);
+            Obs.Count ("parsim.null_messages_total", t.stalls);
             Obs.Count ("parsim.channel_posts_total", Partition.posts_total t.router);
             Obs.Count
               ("parsim.channel_delivered_total", Partition.delivered_total t.router);
@@ -184,10 +182,8 @@ let run ?pool ?max_events ?until t =
                 done);
             Array.iteri
               (fun p e ->
-                if Engine.events_fired e = t.win_fired.(p) then begin
-                  t.stalls <- t.stalls + 1;
-                  t.nulls <- t.nulls + 1
-                end)
+                if Engine.events_fired e = t.win_fired.(p) then
+                  t.stalls <- t.stalls + 1)
               t.engines;
             if events_fired t - fired_at_entry > budget then
               raise (Engine.Runaway budget);
@@ -196,6 +192,5 @@ let run ?pool ?max_events ?until t =
 
 let windows t = t.windows
 let stalls t = t.stalls
-let null_messages t = t.nulls
 let posts_total t = Partition.posts_total t.router
 let delivered_total t = Partition.delivered_total t.router

@@ -99,7 +99,10 @@ val events_fired : _ t -> int
     gauge [parsim.partitions]. *)
 
 val windows : _ t -> int
+
 val stalls : _ t -> int
-val null_messages : _ t -> int
+(** Lookahead stalls, which are also the null messages: each stalled
+    partition sends one. Both registry counters report it. *)
+
 val posts_total : _ t -> int
 val delivered_total : _ t -> int

@@ -21,8 +21,9 @@
     set of closures per submission and reuses it on every attempt: the
     attempt's state lives in one mutable record, the same closure is the
     lock's grant callback for every step, the same closure is every
-    step's scheduled action, and the same closure is the restart the
-    backoff schedules. A step allocates only the engine's event; a
+    step's scheduled action, and the closure that requests a step's lock
+    is also the restart the backoff schedules. A step allocates only the
+    engine's event; a
     restart allocates only the engine's event and what the lock table
     records for the killed request: its waiter record, its blocker list
     and the cycle it closed. Steps are immutable values,
@@ -35,7 +36,7 @@ val create :
   ?on_wait:(unit -> unit) ->
   ?on_restart:(unit -> unit) ->
   clock:Dangers_runtime.Clock.t ->
-  locks:Dangers_lock.Lock_manager.t ->
+  locks:Dangers_lock.Lock_table.t ->
   action_time:float ->
   ids:Txn_id.Gen.t ->
   backoff:(unit -> float) ->
@@ -59,16 +60,15 @@ type step = {
       (** duration of this action; [None] = the executor's Action_Time.
           Eager replication uses it to charge message delay on remote
           steps (the "delays make it worse" ablation). *)
-  work : unit -> unit;
-      (** runs when the action completes (cost seconds after the grant);
-          typically buffers a write *)
 }
+(** A step only locks and takes time: schemes publish a transaction's
+    writes in [on_commit]. *)
 
 val update_step : resource:int -> step
-(** An [X]-mode step with no work — the common case. *)
+(** An [X]-mode step at Action_Time — the common case. *)
 
 val read_step : resource:int -> step
-(** An [S]-mode step with no work. *)
+(** An [S]-mode step at Action_Time. *)
 
 val steps_of_ops : Op.t list -> step list
 (** One step per op on the op's object id: {!update_step} for updates,
@@ -81,8 +81,8 @@ val run :
     victims restart under the executor's retry policy until one attempt
     commits. [steps] is called at the start of every attempt; return the
     same list each time unless the steps must be drawn afresh (eager's
-    random transport delays). [on_commit] runs after the last step's work
-    with all locks still held (publish writes / trigger propagation
+    random transport delays). [on_commit] runs once the last step's action
+    time has passed, with all locks still held (publish writes / trigger propagation
     there), given the time the committing attempt started; the locks are
     released immediately afterwards. An empty step list commits
     immediately. *)
@@ -90,5 +90,5 @@ val run :
 val active : t -> int
 (** Attempts started but not yet committed or killed. *)
 
-val locks : t -> Dangers_lock.Lock_manager.t
+val locks : t -> Dangers_lock.Lock_table.t
 val action_time : t -> float

@@ -1,6 +1,6 @@
 (** Transaction identifiers, unique per generator.
 
-    The integer form doubles as the lock-manager owner id. Restarted
+    The integer form doubles as the lock-table owner id. Restarted
     transactions get a fresh id (a resubmitted deadlock victim is a new
     transaction, as in §7's "resubmitted and reprocessed until it
     succeeds"). *)

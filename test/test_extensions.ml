@@ -12,7 +12,7 @@ module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 module Stats = Dangers_util.Stats
@@ -70,7 +70,7 @@ let test_profile_reads () =
 
 let test_readers_share () =
   let engine = Engine.create () in
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   let executor =
     Executor.create ~clock:engine ~locks ~action_time:0.1
       ~ids:(Txn_id.Gen.create ())
@@ -93,7 +93,7 @@ let test_readers_share () =
 
 let test_writer_waits_for_reader () =
   let engine = Engine.create () in
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   let executor =
     Executor.create ~clock:engine ~locks ~action_time:0.1
       ~ids:(Txn_id.Gen.create ())

@@ -1,9 +1,9 @@
-(* Lock table, waits-for cycle detection, and lock manager tests. *)
+(* Lock table, waits-for cycle detection, and deadlock-detecting request
+   tests. *)
 
 module Mode = Dangers_lock.Mode
 module Lock_table = Dangers_lock.Lock_table
 module Waits_for = Dangers_lock.Waits_for
-module Lock_manager = Dangers_lock.Lock_manager
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -156,72 +156,64 @@ let test_reachable () =
   Alcotest.check (Alcotest.list Alcotest.int) "reachable set" [ 2; 3; 4 ]
     (Waits_for.reachable ~successors:g ~start:1)
 
-(* --- Lock manager --- *)
+(* --- Deadlock-detecting requests --- *)
 
-let test_manager_deadlock () =
-  let m = Lock_manager.create () in
-  let is_granted = function
-    | Lock_manager.Granted -> true
-    | Lock_manager.Waiting | Lock_manager.Deadlock _ -> false
+let test_request_deadlock () =
+  let m = Lock_table.create () in
+  let is_granted : Lock_table.verdict -> bool = function
+    | Granted -> true
+    | Waiting | Deadlock _ -> false
   in
   checkb "1 gets A" true
-    (is_granted (Lock_manager.request m ~owner:1 ~resource:1 ~mode:Mode.X ~on_grant:noop));
+    (is_granted (Lock_table.request m ~owner:1 ~resource:1 ~mode:Mode.X ~on_grant:noop));
   checkb "2 gets B" true
-    (is_granted (Lock_manager.request m ~owner:2 ~resource:2 ~mode:Mode.X ~on_grant:noop));
-  (match Lock_manager.request m ~owner:1 ~resource:2 ~mode:Mode.X ~on_grant:noop with
-  | Lock_manager.Waiting -> ()
-  | Lock_manager.Granted | Lock_manager.Deadlock _ -> Alcotest.fail "1 should wait");
-  (match Lock_manager.request m ~owner:2 ~resource:1 ~mode:Mode.X ~on_grant:noop with
-  | Lock_manager.Deadlock cycle ->
+    (is_granted (Lock_table.request m ~owner:2 ~resource:2 ~mode:Mode.X ~on_grant:noop));
+  (match Lock_table.request m ~owner:1 ~resource:2 ~mode:Mode.X ~on_grant:noop with
+  | Lock_table.Waiting -> ()
+  | Lock_table.Granted | Lock_table.Deadlock _ -> Alcotest.fail "1 should wait");
+  (match Lock_table.request m ~owner:2 ~resource:1 ~mode:Mode.X ~on_grant:noop with
+  | Lock_table.Deadlock cycle ->
       checkb "cycle starts at requester" true (List.hd cycle = 2);
       checkb "cycle contains 1" true (List.mem 1 cycle)
-  | Lock_manager.Granted | Lock_manager.Waiting -> Alcotest.fail "deadlock missed");
-  checki "one deadlock" 1 (Lock_manager.deadlocks m);
-  checki "two waits" 2 (Lock_manager.waits m);
+  | Lock_table.Granted | Lock_table.Waiting -> Alcotest.fail "deadlock missed");
+  checki "one deadlock" 1 (Lock_table.deadlocks m);
+  checki "two waits" 2 (Lock_table.waits m);
   (* The victim (2) aborts and releases; that grants 1's queued request. *)
-  Lock_manager.release_all m ~owner:2;
+  Lock_table.release_all m ~owner:2;
   checkb "1 unblocked by victim's release" false
-    (Lock_table.is_waiting (Lock_manager.table m) ~owner:1);
+    (Lock_table.is_waiting m ~owner:1);
   checkb "1 now holds B" true
-    (Lock_table.holds (Lock_manager.table m) ~owner:1 ~resource:2 = Some Mode.X)
+    (Lock_table.holds m ~owner:1 ~resource:2 = Some Mode.X)
 
-let test_manager_three_way_cycle () =
-  let m = Lock_manager.create () in
-  ignore (Lock_manager.request m ~owner:1 ~resource:1 ~mode:Mode.X ~on_grant:noop);
-  ignore (Lock_manager.request m ~owner:2 ~resource:2 ~mode:Mode.X ~on_grant:noop);
-  ignore (Lock_manager.request m ~owner:3 ~resource:3 ~mode:Mode.X ~on_grant:noop);
-  ignore (Lock_manager.request m ~owner:1 ~resource:2 ~mode:Mode.X ~on_grant:noop);
-  ignore (Lock_manager.request m ~owner:2 ~resource:3 ~mode:Mode.X ~on_grant:noop);
-  (match Lock_manager.request m ~owner:3 ~resource:1 ~mode:Mode.X ~on_grant:noop with
-  | Lock_manager.Deadlock cycle -> checki "cycle length 3" 3 (List.length cycle)
-  | Lock_manager.Granted | Lock_manager.Waiting -> Alcotest.fail "3-cycle missed")
-
-let test_manager_reset_counters () =
-  let m = Lock_manager.create () in
-  ignore (Lock_manager.request m ~owner:1 ~resource:1 ~mode:Mode.X ~on_grant:noop);
-  ignore (Lock_manager.request m ~owner:2 ~resource:1 ~mode:Mode.X ~on_grant:noop);
-  checki "one wait" 1 (Lock_manager.waits m);
-  Lock_manager.reset_counters m;
-  checki "reset" 0 (Lock_manager.waits m)
+let test_request_three_way_cycle () =
+  let m = Lock_table.create () in
+  ignore (Lock_table.request m ~owner:1 ~resource:1 ~mode:Mode.X ~on_grant:noop);
+  ignore (Lock_table.request m ~owner:2 ~resource:2 ~mode:Mode.X ~on_grant:noop);
+  ignore (Lock_table.request m ~owner:3 ~resource:3 ~mode:Mode.X ~on_grant:noop);
+  ignore (Lock_table.request m ~owner:1 ~resource:2 ~mode:Mode.X ~on_grant:noop);
+  ignore (Lock_table.request m ~owner:2 ~resource:3 ~mode:Mode.X ~on_grant:noop);
+  (match Lock_table.request m ~owner:3 ~resource:1 ~mode:Mode.X ~on_grant:noop with
+  | Lock_table.Deadlock cycle -> checki "cycle length 3" 3 (List.length cycle)
+  | Lock_table.Granted | Lock_table.Waiting -> Alcotest.fail "3-cycle missed")
 
 (* A fixed scenario with branching waits, shared locks and three
    deadlocks. The visit count after each blocked request pins what the
    search expands: a change in the traversal shows up here. *)
-let test_manager_dfs_visits_pinned () =
-  let m = Lock_manager.create () in
+let test_request_dfs_visits_pinned () =
+  let m = Lock_table.create () in
   let trace = ref [] in
   let req owner resource mode =
     let outcome =
-      match Lock_manager.request m ~owner ~resource ~mode ~on_grant:noop with
-      | Lock_manager.Granted -> "granted"
-      | Lock_manager.Waiting -> "waiting"
-      | Lock_manager.Deadlock cycle ->
-          Lock_manager.release_all m ~owner;
+      match Lock_table.request m ~owner ~resource ~mode ~on_grant:noop with
+      | Lock_table.Granted -> "granted"
+      | Lock_table.Waiting -> "waiting"
+      | Lock_table.Deadlock cycle ->
+          Lock_table.release_all m ~owner;
           "deadlock " ^ String.concat "-" (List.map string_of_int cycle)
     in
     trace :=
       Printf.sprintf "%d@%d %s %d" owner resource outcome
-        (Lock_manager.dfs_visits m)
+        (Lock_table.search_visits m)
       :: !trace
   in
   List.iter (fun o -> req o o Mode.X) [ 1; 2; 3; 4 ];
@@ -246,23 +238,23 @@ let test_manager_dfs_visits_pinned () =
       "7@8 waiting 22"; "8@4 waiting 28"; "5@7 deadlock 5-7-8-4-1-2 34";
       "6@2 deadlock 6-1-2 37" ]
     (List.rev !trace);
-  checki "total visits" 37 (Lock_manager.dfs_visits m)
+  checki "total visits" 37 (Lock_table.search_visits m)
 
-(* The manager's state is bounded by the owners live at once: 200 000
+(* The table's state is bounded by the owners live at once: 200 000
    owners, in pairs that wait, deadlock and release, leave it no larger
    than a handful do. *)
-let test_manager_bounded_by_live_owners () =
-  let m = Lock_manager.create () in
+let test_request_bounded_by_live_owners () =
+  let m = Lock_table.create () in
   let deadlocks = ref 0 in
   let pair a b =
-    ignore (Lock_manager.request m ~owner:a ~resource:1 ~mode:Mode.X ~on_grant:noop);
-    ignore (Lock_manager.request m ~owner:b ~resource:2 ~mode:Mode.X ~on_grant:noop);
-    ignore (Lock_manager.request m ~owner:a ~resource:2 ~mode:Mode.X ~on_grant:noop);
-    (match Lock_manager.request m ~owner:b ~resource:1 ~mode:Mode.X ~on_grant:noop with
-    | Lock_manager.Deadlock _ -> incr deadlocks
-    | Lock_manager.Granted | Lock_manager.Waiting -> ());
-    Lock_manager.release_all m ~owner:b;
-    Lock_manager.release_all m ~owner:a
+    ignore (Lock_table.request m ~owner:a ~resource:1 ~mode:Mode.X ~on_grant:noop);
+    ignore (Lock_table.request m ~owner:b ~resource:2 ~mode:Mode.X ~on_grant:noop);
+    ignore (Lock_table.request m ~owner:a ~resource:2 ~mode:Mode.X ~on_grant:noop);
+    (match Lock_table.request m ~owner:b ~resource:1 ~mode:Mode.X ~on_grant:noop with
+    | Lock_table.Deadlock _ -> incr deadlocks
+    | Lock_table.Granted | Lock_table.Waiting -> ());
+    Lock_table.release_all m ~owner:b;
+    Lock_table.release_all m ~owner:a
   in
   let words () = Obj.reachable_words (Obj.repr m) in
   for i = 0 to 99 do
@@ -274,7 +266,7 @@ let test_manager_bounded_by_live_owners () =
   done;
   checki "every pair deadlocked" 100_000 !deadlocks;
   checki "no grants left" 0
-    (Lock_table.grants_outstanding (Lock_manager.table m));
+    (Lock_table.grants_outstanding m);
   let late = words () in
   checkb (Printf.sprintf "%d words after 200k owners, bound 4096" late) true
     (late <= 4096);
@@ -778,53 +770,70 @@ let test_bounded_by_live_locks () =
   checki "one lock live at a time" 1 (Lock_table.live_locks_high_water t);
   checki "same size as after 100 resources" early (words ())
 
-(* The manager reports its table's bound as a gauge. *)
-let test_manager_live_locks_gauge () =
+(* The table reports its bound as a gauge. *)
+let test_live_locks_gauge () =
   let registry = Dangers_obs.Metrics.create () in
-  let m = Lock_manager.create ~obs:registry () in
+  let m = Lock_table.create ~obs:registry () in
   for resource = 0 to 2 do
-    ignore (Lock_manager.request m ~owner:1 ~resource ~mode:Mode.X ~on_grant:noop)
+    ignore (Lock_table.request m ~owner:1 ~resource ~mode:Mode.X ~on_grant:noop)
   done;
-  Lock_manager.release_all m ~owner:1;
-  ignore (Lock_manager.request m ~owner:2 ~resource:7 ~mode:Mode.X ~on_grant:noop);
+  Lock_table.release_all m ~owner:1;
+  ignore (Lock_table.request m ~owner:2 ~resource:7 ~mode:Mode.X ~on_grant:noop);
   let snapshot = Dangers_obs.Metrics.snapshot registry in
   Alcotest.check
     (Alcotest.option (Alcotest.float 0.))
     "high water of live locks" (Some 3.)
     (Dangers_obs.Metrics.snapshot_gauge snapshot "lock.live_locks_high_water");
-  checki "live now" 1 (Lock_table.live_locks (Lock_manager.table m))
+  checki "live now" 1 (Lock_table.live_locks m)
 
-let lock_manager_incremental_prop =
+(* [request]'s verdicts match a reference replay of the same script on a
+   second table through [acquire], with every queued request's cycle
+   found by the from-scratch [Waits_for.find_cycle] over freshly
+   recomputed blockers. *)
+let lock_request_incremental_prop =
   QCheck.Test.make
     ~name:"lock manager: incremental cycles match the reference DFS"
     ~count:200 script_arb
     (fun script ->
-      (* [debug_check] makes the manager itself fail on any divergence
-         between the incremental detector and Waits_for.find_cycle over
-         freshly recomputed blockers. *)
-      let m = Lock_manager.create ~debug_check:true () in
+      let m = Lock_table.create () and reference = Lock_table.create () in
+      let waits = ref 0 and deadlocks = ref 0 in
+      let expected ~owner ~resource ~mode : Lock_table.verdict =
+        match Lock_table.acquire reference ~owner ~resource ~mode ~on_grant:noop with
+        | Granted -> Granted
+        | Queued -> (
+            incr waits;
+            let successors owner = Lock_table.blockers_fresh reference ~owner in
+            match Waits_for.find_cycle ~successors ~start:owner with
+            | None -> Waiting
+            | Some cycle ->
+                incr deadlocks;
+                Lock_table.cancel_wait reference ~owner;
+                Deadlock cycle)
+      in
+      let show : Lock_table.verdict -> string = function
+        | Granted -> "granted"
+        | Waiting -> "waiting"
+        | Deadlock cycle -> String.concat "->" (List.map string_of_int cycle)
+      in
+      let both f = f m; f reference in
       List.iter
         (fun op ->
           match op with
           | Op_acquire (owner, resource, mode) ->
-              if
-                not (Lock_table.is_waiting (Lock_manager.table m) ~owner)
-              then begin
-                match
-                  Lock_manager.request m ~owner ~resource ~mode
-                    ~on_grant:noop
-                with
-                | Lock_manager.Deadlock cycle ->
-                    checkb "victim heads its cycle" true
-                      (List.hd cycle = owner);
-                    Lock_manager.release_all m ~owner
-                | Lock_manager.Granted | Lock_manager.Waiting -> ()
+              if not (Lock_table.is_waiting m ~owner) then begin
+                let want = expected ~owner ~resource ~mode in
+                let got = Lock_table.request m ~owner ~resource ~mode ~on_grant:noop in
+                if got <> want then
+                  QCheck.Test.fail_reportf "owner %d on %d: request %s, reference %s"
+                    owner resource (show got) (show want);
+                match got with
+                | Deadlock _ -> both (fun t -> Lock_table.release_all t ~owner)
+                | Granted | Waiting -> ()
               end
-          | Op_cancel owner ->
-              Lock_table.cancel_wait (Lock_manager.table m) ~owner
-          | Op_release owner -> Lock_manager.release_all m ~owner)
+          | Op_cancel owner -> both (fun t -> Lock_table.cancel_wait t ~owner)
+          | Op_release owner -> both (fun t -> Lock_table.release_all t ~owner))
         script;
-      true)
+      Lock_table.waits m = !waits && Lock_table.deadlocks m = !deadlocks)
 
 let suite =
   [
@@ -841,13 +850,12 @@ let suite =
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "foreign cycle ignored" `Quick test_cycle_not_through_start;
     Alcotest.test_case "reachable" `Quick test_reachable;
-    Alcotest.test_case "manager two-way deadlock" `Quick test_manager_deadlock;
-    Alcotest.test_case "manager three-way cycle" `Quick test_manager_three_way_cycle;
-    Alcotest.test_case "manager reset counters" `Quick test_manager_reset_counters;
-    Alcotest.test_case "manager dfs visits pinned" `Quick test_manager_dfs_visits_pinned;
-    Alcotest.test_case "manager bounded by live owners" `Quick test_manager_bounded_by_live_owners;
+    Alcotest.test_case "manager two-way deadlock" `Quick test_request_deadlock;
+    Alcotest.test_case "manager three-way cycle" `Quick test_request_three_way_cycle;
+    Alcotest.test_case "manager dfs visits pinned" `Quick test_request_dfs_visits_pinned;
+    Alcotest.test_case "manager bounded by live owners" `Quick test_request_bounded_by_live_owners;
     Alcotest.test_case "table bounded by live locks" `Quick test_bounded_by_live_locks;
-    Alcotest.test_case "manager live locks gauge" `Quick test_manager_live_locks_gauge;
+    Alcotest.test_case "manager live locks gauge" `Quick test_live_locks_gauge;
     QCheck_alcotest.to_alcotest lock_table_safety_prop;
     QCheck_alcotest.to_alcotest lock_table_model_prop;
     Alcotest.test_case "model scripts cover both kinds of release" `Quick
@@ -860,5 +868,5 @@ let suite =
       test_waking_release_allocates_nothing;
     Alcotest.test_case "steady state allocates nothing" `Quick
       test_steady_state_allocates_nothing;
-    QCheck_alcotest.to_alcotest lock_manager_incremental_prop;
+    QCheck_alcotest.to_alcotest lock_request_incremental_prop;
   ]

@@ -5,7 +5,6 @@
    the two-tier scheme is deterministic on the simulator runtime. *)
 
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Live_clock = Dangers_runtime.Live_clock
 module Codec = Dangers_runtime.Codec
 module Params = Dangers_analytic.Params
@@ -146,7 +145,7 @@ type counts = {
 
 (* A fixed-seed churning-mobile workload, driven entirely through the
    Clock interface. *)
-let run_two_tier runtime =
+let run_two_tier clock =
   let params =
     {
       Params.default with
@@ -159,8 +158,7 @@ let run_two_tier runtime =
       disconnected_time = 15.;
     }
   in
-  let sys = Two_tier.create ~runtime ~base_nodes:3 params ~seed:11 in
-  let clock = (Two_tier.base sys).Common.clock in
+  let sys = Two_tier.create ~clock ~base_nodes:3 params ~seed:11 in
   let rng = Rng.create ~seed:99 in
   (* Interleave explicit submissions (numbered nodes, mixed ops) with
      generator load from [start]. *)
@@ -184,8 +182,8 @@ let run_two_tier runtime =
   }
 
 let test_two_tier_sim_determinism () =
-  let a = run_two_tier (Runtime.sim ()) in
-  let b = run_two_tier (Runtime.sim ()) in
+  let a = run_two_tier (Dangers_sim.Engine.create ()) in
+  let b = run_two_tier (Dangers_sim.Engine.create ()) in
   checkb "workload actually exercised the mobile path" true
     (a.tentative_commits > 0 && a.syncs > 0 && a.commits > 0);
   checkb "sim deterministic" true (a = b)

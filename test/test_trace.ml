@@ -7,7 +7,7 @@ module Json = Dangers_obs.Json
 module Engine = Dangers_sim.Engine
 module Executor = Dangers_txn.Executor
 module Txn_id = Dangers_txn.Txn_id
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
 module Network = Dangers_net.Network
 module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
@@ -50,7 +50,7 @@ let test_executor_emits () =
   let tracer = Trace.create () in
   Engine.set_tracer engine (Some tracer);
   let executor =
-    Executor.create ~clock:engine ~locks:(Lock_manager.create ())
+    Executor.create ~clock:engine ~locks:(Lock_table.create ())
       ~action_time:0.01 ~ids:(Txn_id.Gen.create ())
       ~backoff:(fun () -> Alcotest.fail "deadlock")
       ()

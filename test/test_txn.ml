@@ -5,7 +5,8 @@ module Oid = Dangers_storage.Oid
 module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Engine = Dangers_sim.Engine
-module Lock_manager = Dangers_lock.Lock_manager
+module Lock_table = Dangers_lock.Lock_table
+module Trace = Dangers_sim.Trace
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -62,7 +63,7 @@ let test_txn_id_gen () =
 let make_executor ?(backoff = fun () -> Alcotest.fail "unexpected deadlock")
     ?(on_restart = fun () -> ()) () =
   let engine = Engine.create () in
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   let waits = ref 0 in
   let ids = Txn_id.Gen.create () in
   let executor =
@@ -136,74 +137,89 @@ let test_executor_deadlock_and_restart () =
   checki "both eventually commit" 2 !commits;
   checki "the restart took a fresh owner id" 3 (Txn_id.Gen.issued ids)
 
+(* The executor's lock events with their times, from a tracer attached
+   to [engine]: a grant as [+resource], a wait as [~resource], a kill as
+   [x], a commit as [c], tagged with the attempt's owner. *)
+let traced engine =
+  let tracer = Trace.create () in
+  Engine.set_tracer engine (Some tracer);
+  fun () ->
+    List.filter_map
+      (fun { Trace.at; event } ->
+        match event with
+        | Trace.Lock_granted { owner; resource } ->
+            Some (Printf.sprintf "%d+%d" owner resource, at)
+        | Trace.Lock_waited { owner; resource } ->
+            Some (Printf.sprintf "%d~%d" owner resource, at)
+        | Trace.Deadlock_victim { owner; _ } -> Some (Printf.sprintf "%dx" owner, at)
+        | Trace.Txn_committed { owner } -> Some (Printf.sprintf "%dc" owner, at)
+        | _ -> None)
+      (Trace.entries tracer)
+
+let check_events = Alcotest.(check (list (pair string (float 1e-9))))
+
+(* Steps lock in order, each Action_Time after the last, and the commit
+   runs holding them all. *)
 let test_executor_work_runs_under_lock () =
   let engine, executor, _, _ = make_executor () in
-  let observed = ref [] in
+  let events = traced engine in
+  let held = ref [] in
   Executor.run executor
     ~steps:
-      (fixed
-         [
-           { Executor.resource = 1; mode = Dangers_lock.Mode.X; cost = None;
-             work = (fun () -> observed := 1 :: !observed) };
-           { Executor.resource = 2; mode = Dangers_lock.Mode.X; cost = None;
-             work = (fun () -> observed := 2 :: !observed) };
-         ])
-    ~on_commit:(fun ~started:_ -> observed := 99 :: !observed);
+      (fixed [ Executor.update_step ~resource:1; Executor.update_step ~resource:2 ])
+    ~on_commit:(fun ~started:_ ->
+      held := Lock_table.held_resources (Executor.locks executor) ~owner:0);
   Engine.run engine;
-  Alcotest.check (Alcotest.list Alcotest.int) "step order then commit"
-    [ 1; 2; 99 ] (List.rev !observed)
+  check_events "step order then commit"
+    [ ("0+1", 0.); ("0+2", 0.1); ("0c", 0.2) ]
+    (events ());
+  Alcotest.(check (list int)) "commit holds every step's lock" [ 1; 2 ] !held
 
-(* [work] of each step runs Action_Time after its grant, in step order;
-   a step's [cost] replaces Action_Time for that step alone. *)
+(* A step's [cost] replaces Action_Time for that step alone. *)
 let test_executor_work_order_and_cost () =
   let engine, executor, _, _ = make_executor () in
-  let log = ref [] in
-  let step ?cost i =
-    { (Executor.update_step ~resource:i) with
-      Executor.cost;
-      work = (fun () -> log := (i, Engine.now engine) :: !log) }
-  in
+  let events = traced engine in
+  let step ?cost i = { (Executor.update_step ~resource:i) with Executor.cost } in
+  let committed_at = ref nan in
   Executor.run executor
     ~steps:(fixed [ step 0; step ~cost:0.5 1; step 2; step 3 ])
-    ~on_commit:(fun ~started:_ -> log := (99, Engine.now engine) :: !log);
+    ~on_commit:(fun ~started:_ -> committed_at := Engine.now engine);
   Engine.run engine;
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 1e-9)))
-    "work in step order; step 1 charged its cost, not Action_Time"
-    [ (0, 0.1); (1, 0.6); (2, 0.7); (3, 0.8); (99, 0.8) ]
-    (List.rev !log)
+  checkf "0.1 + 0.5 + 0.1 + 0.1" 0.8 !committed_at;
+  check_events "step 1 charged its cost, not Action_Time"
+    [ ("0+0", 0.); ("0+1", 0.1); ("0+2", 0.6); ("0+3", 0.7); ("0c", 0.8) ]
+    (events ())
 
 (* A runs [1; 2], B runs [2; 1]. At 0.1 both finish their first action;
    A then waits for 2, and B's request for 1 closes the cycle, so B is
-   the victim: its second step's work does not run. A, granted 2 by B's
-   release, resumes at the step it waited on and runs it once. B backs
-   off 0.5 and starts over from its first step; its commit is told the
-   restarted attempt's start. *)
+   the victim: it does not commit. A, granted 2 by B's release, resumes
+   at the step it waited on and runs it once. B backs off 0.5 and starts
+   over from its first step as owner 2; its commit is told the restarted
+   attempt's start. *)
 let test_executor_victim_and_resume () =
   let restarts = ref 0 in
   let engine, executor, _, _ =
     make_executor ~backoff:(fun () -> 0.5) ~on_restart:(fun () -> incr restarts) ()
   in
+  let events = traced engine in
   let log = ref [] in
-  let step tag resource =
-    { (Executor.update_step ~resource) with
-      Executor.work = (fun () -> log := (tag, Engine.now engine) :: !log) }
-  in
-  let submit name steps =
-    Executor.run executor ~steps:(fixed steps) ~on_commit:(fun ~started ->
+  let submit name resources =
+    Executor.run executor
+      ~steps:(fixed (List.map (fun resource -> Executor.update_step ~resource) resources))
+      ~on_commit:(fun ~started ->
         log := (name ^ " commit", Engine.now engine) :: !log;
         log := (name ^ " started", started) :: !log)
   in
-  submit "a" [ step "a1" 1; step "a2" 2 ];
-  submit "b" [ step "b1" 2; step "b2" 1 ];
+  submit "a" [ 1; 2 ];
+  submit "b" [ 2; 1 ];
   Engine.run engine;
   checki "one victim" 1 !restarts;
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "b2 does not run before b restarts; a resumes at a2"
-    [ ("a1", 0.1); ("b1", 0.1); ("a2", 0.2); ("a commit", 0.2);
-      ("a started", 0.); ("b1", 0.7); ("b2", 0.8); ("b commit", 0.8);
-      ("b started", 0.6) ]
+  check_events "b is killed at 0.1; a resumes at 2 and commits"
+    [ ("0+1", 0.); ("1+2", 0.); ("0~2", 0.1); ("1x", 0.1); ("0c", 0.2);
+      ("2+2", 0.6); ("2+1", 0.7); ("2c", 0.8) ]
+    (events ());
+  check_events "one commit each, b's from its restart"
+    [ ("a commit", 0.2); ("a started", 0.); ("b commit", 0.8); ("b started", 0.6) ]
     (List.rev !log);
   checki "nothing left running" 0 (Executor.active executor)
 
@@ -211,23 +227,20 @@ let test_executor_victim_and_resume () =
    commit, runs every step from that one on, one Action_Time apart. *)
 let test_executor_resumes_after_wait () =
   let engine, executor, waits, _ = make_executor () in
-  let log = ref [] in
-  let step i =
-    { (Executor.update_step ~resource:i) with
-      Executor.work = (fun () -> log := (i, Engine.now engine) :: !log) }
-  in
+  let events = traced engine in
   let run steps =
-    Executor.run executor ~steps:(fixed steps) ~on_commit:(fun ~started:_ -> ())
+    Executor.run executor
+      ~steps:(fixed (List.map (fun resource -> Executor.update_step ~resource) steps))
+      ~on_commit:(fun ~started:_ -> ())
   in
-  run [ Executor.update_step ~resource:1; Executor.update_step ~resource:9 ];
-  run [ step 1; step 2; step 3 ];
+  run [ 1; 9 ];
+  run [ 1; 2; 3 ];
   Engine.run engine;
   checki "one wait" 1 !waits;
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 1e-9)))
-    "granted at 0.2, then one step per Action_Time"
-    [ (1, 0.3); (2, 0.4); (3, 0.5) ]
-    (List.rev !log)
+  check_events "granted 1 at 0.2, then one step per Action_Time"
+    [ ("0+1", 0.); ("1~1", 0.); ("0+9", 0.1); ("0c", 0.2); ("1+2", 0.3);
+      ("1+3", 0.4); ("1c", 0.5) ]
+    (events ())
 
 (* Minor words from [Executor.run] of [n] uncontended update steps until
    the engine drains. *)
@@ -263,9 +276,9 @@ let engine_words_per_event n =
    else: the event record (header, action, cancelled: 3 words) and the
    box of the advanced clock (header and a double: 2 words). The rest is
    one per-submission set: the submission record (header, owner,
-   remaining, started: 4 words) and one block holding the four mutually
-   recursive closures (4 x 2 words of code pointer and arity, 3 infix
-   headers, 5 captured values, 1 header: 17 words). Lock requests and
+   remaining, started: 4 words) and one block holding the three mutually
+   recursive closures (3 x 2 words of code pointer and arity, 2 infix
+   headers, 5 captured values, 1 header: 14 words). Lock requests and
    the release allocate nothing once the table's pools are warm.
    [DANGERS_LOCK_DEBUG]'s self-check after every lock-table mutation
    allocates, so the transaction counts are asserted only without it. *)
@@ -282,7 +295,7 @@ let test_executor_words_per_step () =
   if not Dangers_lock.Lock_table.debug then begin
     checkf "words per step = the engine's per event" per_event
       ((w8 -. w4) /. 4.);
-    checkf "4-step transaction: 21 + 4 x 5 words" 41. w4
+    checkf "4-step transaction: 18 + 4 x 5 words" 38. w4
   end
 
 (* Minor words of one submission of steps [2; 1] that is killed by
@@ -300,13 +313,13 @@ let restart_words engine executor locks restarts k =
   let setup () =
     incr adversary;
     ignore
-      (Lock_manager.request locks ~owner:(- !adversary) ~resource:1
+      (Lock_table.request locks ~owner:(- !adversary) ~resource:1
          ~mode:Dangers_lock.Mode.X ~on_grant);
     ignore
-      (Lock_manager.request locks ~owner:(- !adversary) ~resource:2
+      (Lock_table.request locks ~owner:(- !adversary) ~resource:2
          ~mode:Dangers_lock.Mode.X ~on_grant)
   in
-  let release () = Lock_manager.release_all locks ~owner:(- !adversary) in
+  let release () = Lock_table.release_all locks ~owner:(- !adversary) in
   restarts :=
     (fun () ->
       decr rounds;
@@ -331,7 +344,7 @@ let restart_words engine executor locks restarts k =
 let test_executor_restart_words () =
   let hook = ref (fun () -> ()) in
   let engine = Engine.create () in
-  let locks = Lock_manager.create () in
+  let locks = Lock_table.create () in
   let executor =
     Executor.create ~clock:engine ~locks ~action_time:0.1
       ~ids:(Txn_id.Gen.create ())
@@ -343,12 +356,14 @@ let test_executor_restart_words () =
     ignore (restart_words engine executor locks hook 3)
   done;
   let words = List.map (restart_words engine executor locks hook) [ 0; 1; 2; 3 ] in
-  if not Dangers_lock.Lock_table.debug then
+  if not Dangers_lock.Lock_table.debug then begin
+    checkf "uncontended 2-step submission: 18 + 2 x 5 words" 28. (List.hd words);
     Alcotest.check
       (Alcotest.list (Alcotest.float 0.))
       "k restarts: uncontended words + 44 k"
       (List.map (fun k -> List.hd words +. (44. *. float_of_int k)) [ 0; 1; 2; 3 ])
       words
+  end
 
 let suite =
   [
