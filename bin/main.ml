@@ -1072,7 +1072,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the component micro-benchmarks (lock table, deadlock \
-          detection, event engine, parallel-engine windows) and write \
+          detection, transaction path, replica stores, event engine, \
+          parallel-engine windows) and write \
           BENCH_micro.json; optionally diff against a baseline. \
           End-to-end numbers come from bench/e2e.")
     Term.(const run $ quick $ out $ input $ baseline $ threshold)

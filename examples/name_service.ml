@@ -37,7 +37,7 @@ type site = {
 let make_site index name =
   {
     name;
-    store = Directory.create ~db_size:(Array.length hosts) ~init:(fun _ -> "unbound");
+    store = Directory.create ~db_size:(Array.length hosts) ~init:"unbound";
     clock = Timestamp.Clock.create ~node:index;
     outbound = [];
   }

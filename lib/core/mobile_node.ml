@@ -17,8 +17,8 @@ type t = {
 let create ~node ~db_size ~initial_value =
   {
     node;
-    master = Fstore.create ~db_size ~init:(fun _ -> initial_value);
-    tentative = Fstore.create ~db_size ~init:(fun _ -> initial_value);
+    master = Fstore.create ~db_size ~init:initial_value;
+    tentative = Fstore.create ~db_size ~init:initial_value;
     clock = Timestamp.Clock.create ~node;
     queue_rev = [];
     requeued = [];

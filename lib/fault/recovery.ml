@@ -50,8 +50,7 @@ let record t fmt = Format.kasprintf (fun msg ->
 let crash t =
   t.crash_count <- t.crash_count + 1;
   let shadow =
-    Fstore.create ~db_size:(Fstore.db_size t.store)
-      ~init:(fun _ -> t.initial_value)
+    Fstore.create ~db_size:(Fstore.db_size t.store) ~init:t.initial_value
   in
   replay_onto t shadow;
   (match Fstore.divergent_oids shadow t.store with

@@ -1,6 +1,5 @@
 (* The component benchmark suite: one entry per hot path the paper's
-   cubic laws lean on, each naming the bench/e2e per-layer metric it
-   explains. End-to-end numbers come from bench/e2e alone. Workloads are
+   cubic laws lean on, each naming the bench/e2e metric it explains. End-to-end numbers come from bench/e2e alone. Workloads are
    fixed — quick mode only trims sample counts, so numbers from quick and
    full runs stay comparable. *)
 
@@ -10,6 +9,9 @@ module Engine = Dangers_sim.Engine
 module Par_engine = Dangers_sim.Par_engine
 module Executor = Dangers_txn.Executor
 module Txn_id = Dangers_txn.Txn_id
+module Oid = Dangers_storage.Oid
+module Timestamp = Dangers_storage.Timestamp
+module Fstore = Dangers_storage.Store.Fstore
 
 (* Uncontended acquire/release: 100 owners each take 4 private X locks and
    drop them — the fast path of every action that meets no conflict. *)
@@ -173,6 +175,34 @@ let txn_deadlock_restart () =
     if !restarts - before <> 100 then
       failwith "Suite.txn_deadlock_restart: expected one restart per pair"
 
+(* The replicas of [sim-par-eager]: 64 nodes, each a full store of 20,000
+   objects (Table 2), built as one run of [Par_eager.create] builds them.
+   Their columns go straight to the major heap, so this is most of that
+   workload's [setup_s]. *)
+let store_replicas () =
+  ignore
+    (Sys.opaque_identity
+       (Array.init 64 (fun _ -> Fstore.create ~db_size:20_000 ~init:0.)))
+
+(* The lazy-master slave rule at one replica of 4,000 objects: 1,000
+   updates a fixed stride apart, each newer than the replica's stamp, so
+   every one is applied. A stamp is an immediate and both columns are
+   flat, so a run allocates nothing. *)
+let store_apply () =
+  let store = Fstore.create ~db_size:4_000 ~init:0. in
+  let clock = Timestamp.Clock.create ~node:1 in
+  let cursor = ref 0 in
+  fun () ->
+    for _ = 1 to 1_000 do
+      cursor := (!cursor + 1_237) mod 4_000;
+      match
+        Fstore.apply_if_newer store (Oid.of_int !cursor) 1.5
+          (Timestamp.Clock.tick clock)
+      with
+      | `Applied -> ()
+      | `Stale -> failwith "Suite.store_apply: a fresh stamp was stale"
+    done
+
 (* Raw event throughput: 8 interleaved self-rescheduling chains firing
    100k events — the schedule/step cycle with no simulation payload. *)
 let engine_event_throughput () =
@@ -259,6 +289,9 @@ let cases ~quick =
     case 20 "txn/replica-apply" "gc.minor_words_per_event"
       (txn_replica_apply ());
     case 20 "txn/deadlock-restart" "lock.deadlocks" (txn_deadlock_restart ());
+    case 10 "store/replicas-64x20000" "setup_s" store_replicas;
+    case ~runs:10 20 "store/apply" "replication.replica_applied_per_commit"
+      (store_apply ());
     case 10 "engine/event-throughput" "sim.step_ns.p50" engine_event_throughput;
     case 10 "engine/random-delay" "sim.step_ns.p50" engine_random_delay;
     case ~runs:10 20 "engine/cancel-churn" "sim.queue_high_water"

@@ -61,7 +61,7 @@ let make ?obs ?clock ?profile ?(initial_value = 0.) params ~seed =
     rng = Rng.create ~seed;
     stores =
       Array.init params.Params.nodes (fun _ ->
-          Fstore.create ~db_size:params.Params.db_size ~init:(fun _ -> initial_value));
+          Fstore.create ~db_size:params.Params.db_size ~init:initial_value);
     clocks =
       Array.init params.Params.nodes (fun node -> Timestamp.Clock.create ~node);
     txn_gen = Txn_id.Gen.create ();

@@ -408,8 +408,7 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
             metrics;
             stats = Repl_stats.create metrics;
             store =
-              Fstore.create ~db_size:params.Params.db_size ~init:(fun _ ->
-                  initial_value);
+              Fstore.create ~db_size:params.Params.db_size ~init:initial_value;
             lamport = Timestamp.Clock.create ~node:id;
             locks = Lock_table.create ();
             active = Int_table.create ~filler:(done_filler ()) 16;
@@ -537,7 +536,7 @@ let store_fingerprint t idx =
     invalid_arg "Par_eager.store_fingerprint: bad node index";
   let store = t.nodes.(idx).store in
   Fstore.fold store ~init:[] ~f:(fun acc _ value stamp ->
-      (value, stamp.Timestamp.counter) :: acc)
+      (value, Timestamp.counter stamp) :: acc)
   |> List.rev
 
 let lookahead t = t.lookahead

@@ -39,7 +39,7 @@ let resolve rule ~current_value ~current_stamp incoming =
   | Timestamp_priority -> by_timestamp ~current_stamp incoming
   | Site_priority priorities ->
       (* The current value's provenance is its stamp's node. *)
-      let current_site = current_stamp.Timestamp.node in
+      let current_site = Timestamp.node current_stamp in
       let incoming_rank = site_rank priorities incoming.origin in
       let current_rank = site_rank priorities current_site in
       if incoming_rank < current_rank then Take_incoming

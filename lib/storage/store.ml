@@ -8,31 +8,25 @@ end
 module Make (Value : VALUE) = struct
   type value = Value.t
 
-  (* One column per field: with [Value.t = float] every column is a flat
-     array, so a store is three blocks whatever its size. *)
+  (* One column per field: with [Value.t = float] both columns are flat
+     arrays, so a store is two blocks whatever its size. *)
   type t = {
     values : value array;
-    counters : int array;
-    nodes : int array;
+    stamps : Timestamp.t array;
     mutable observers : (Oid.t -> value -> Timestamp.t -> unit) list;
   }
 
   let create ~db_size ~init =
     if db_size <= 0 then invalid_arg "Store.create: db_size must be positive";
     {
-      values = Array.init db_size (fun i -> init (Oid.of_int i));
-      counters = Array.make db_size Timestamp.zero.counter;
-      nodes = Array.make db_size Timestamp.zero.node;
+      values = Array.make db_size init;
+      stamps = Array.make db_size Timestamp.zero;
       observers = [];
     }
 
   let db_size t = Array.length t.values
   let read t oid = t.values.(Oid.to_int oid)
-
-  let stamp_at t i =
-    { Timestamp.counter = t.counters.(i); node = t.nodes.(i) }
-
-  let stamp t oid = stamp_at t (Oid.to_int oid)
+  let stamp t oid = t.stamps.(Oid.to_int oid)
   let on_write t f = t.observers <- f :: t.observers
 
   let notify t oid value ts =
@@ -40,39 +34,22 @@ module Make (Value : VALUE) = struct
     | [] -> ()
     | observers -> List.iter (fun f -> f oid value ts) observers
 
-  let set t i value (ts : Timestamp.t) =
-    t.values.(i) <- value;
-    t.counters.(i) <- ts.counter;
-    t.nodes.(i) <- ts.node
-
   let write t oid value ts =
-    set t (Oid.to_int oid) value ts;
+    let i = Oid.to_int oid in
+    t.values.(i) <- value;
+    t.stamps.(i) <- ts;
     notify t oid value ts
 
-  let apply_if_current t oid ~(old_stamp : Timestamp.t) value ts =
-    let i = Oid.to_int oid in
-    if t.counters.(i) = old_stamp.counter && t.nodes.(i) = old_stamp.node
-    then begin
-      set t i value ts;
-      notify t oid value ts;
-      `Applied
-    end
-    else `Dangerous
-
-  let apply_if_newer t oid value (ts : Timestamp.t) =
-    let i = Oid.to_int oid in
-    let counter = t.counters.(i) in
-    if ts.counter > counter || (ts.counter = counter && ts.node > t.nodes.(i))
-    then begin
-      set t i value ts;
-      notify t oid value ts;
+  let apply_if_newer t oid value ts =
+    if Timestamp.newer ts ~than:t.stamps.(Oid.to_int oid) then begin
+      write t oid value ts;
       `Applied
     end
     else `Stale
 
   let iter t f =
     for i = 0 to db_size t - 1 do
-      f (Oid.of_int i) t.values.(i) (stamp_at t i)
+      f (Oid.of_int i) t.values.(i) t.stamps.(i)
     done
 
   let fold t ~init ~f =
@@ -90,9 +67,8 @@ module Make (Value : VALUE) = struct
     for i = db_size a - 1 downto 0 do
       if
         not
-          (Value.equal a.values.(i) b.values.(i)
-          && a.counters.(i) = b.counters.(i)
-          && a.nodes.(i) = b.nodes.(i))
+          (Timestamp.equal a.stamps.(i) b.stamps.(i)
+          && Value.equal a.values.(i) b.values.(i))
       then diffs := Oid.of_int i :: !diffs
     done;
     !diffs
@@ -101,24 +77,18 @@ module Make (Value : VALUE) = struct
     db_size a = db_size b && divergent_oids a b = []
 
   let copy t =
-    {
-      values = Array.copy t.values;
-      counters = Array.copy t.counters;
-      nodes = Array.copy t.nodes;
-      observers = [];
-    }
+    { values = Array.copy t.values; stamps = Array.copy t.stamps; observers = [] }
 
   let overwrite_from t ~src =
     check_same_size t src "Store.overwrite_from";
     let n = db_size t in
     Array.blit src.values 0 t.values 0 n;
-    Array.blit src.counters 0 t.counters 0 n;
-    Array.blit src.nodes 0 t.nodes 0 n;
+    Array.blit src.stamps 0 t.stamps 0 n;
     match t.observers with
     | [] -> ()
     | _ ->
         for i = 0 to n - 1 do
-          notify t (Oid.of_int i) t.values.(i) (stamp_at t i)
+          notify t (Oid.of_int i) t.values.(i) t.stamps.(i)
         done
 end
 

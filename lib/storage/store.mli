@@ -7,12 +7,11 @@
     the [float] instance below; richer example applications can instantiate
     their own.
 
-    The layout is columnar: one array of values, and the timestamps split
-    into an [int] array of counters and one of node ids. With the [float]
-    instance all three are flat, so a replica of [DB_Size] objects is three
-    heap blocks with no per-object pointer for the major GC to mark or
-    sweep, and a write allocates nothing. [stamp] builds its
-    {!Timestamp.t} on read. *)
+    The layout is columnar: one array of values and one of
+    {!Timestamp.t}, an immediate [int]. With the [float] instance both
+    are flat, so a replica of [DB_Size] objects is two heap blocks with no
+    per-object pointer for the major GC to mark or sweep, and neither a
+    write nor a stamp read allocates. *)
 
 module type VALUE = sig
   type t
@@ -25,8 +24,9 @@ module Make (Value : VALUE) : sig
   type value = Value.t
   type t
 
-  val create : db_size:int -> init:(Oid.t -> value) -> t
-  (** @raise Invalid_argument if [db_size <= 0]. *)
+  val create : db_size:int -> init:value -> t
+  (** Every object starts at [init], stamped {!Timestamp.zero}.
+      @raise Invalid_argument if [db_size <= 0]. *)
 
   val db_size : t -> int
 
@@ -38,16 +38,10 @@ module Make (Value : VALUE) : sig
 
   val on_write : t -> (Oid.t -> value -> Timestamp.t -> unit) -> unit
   (** Register an observer fired after every state change ([write], a
-      successful [apply_if_current]/[apply_if_newer], and each object of an
+      successful [apply_if_newer], and each object of an
       [overwrite_from]). The fault-injection recovery journal uses this to
       capture a node's durable write history; a store without observers
       pays nothing. Observers do not survive [copy]. *)
-
-  val apply_if_current : t -> Oid.t -> old_stamp:Timestamp.t -> value ->
-    Timestamp.t -> [ `Applied | `Dangerous ]
-  (** The lazy-group rule: apply only when the replica's timestamp equals the
-      update's [old_stamp]; otherwise the update is dangerous and must be
-      reconciled. *)
 
   val apply_if_newer : t -> Oid.t -> value -> Timestamp.t ->
     [ `Applied | `Stale ]

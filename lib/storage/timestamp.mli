@@ -5,12 +5,32 @@
     updates older than the record timestamp (§5). Both need a total order
     that respects causality at the issuing node, so we use Lamport clocks:
     a counter advanced on every local update and on every timestamp
-    witnessed, tie-broken by node id. *)
+    witnessed, tie-broken by node id.
 
-type t = { counter : int; node : int }
+    A timestamp is one immediate [int]: the counter in the high bits and
+    [node + 1] in the low {!node_bits}, so that [Int.compare] on the packed
+    words is the lexicographic order on [(counter, node)]. Ticking a clock,
+    reading a store's stamp and carrying a stamp in an update allocate
+    nothing, and a store's stamp column is a flat [int] array. *)
+
+type t = private int
+
+val node_bits : int
+(** Width of the node field. *)
+
+val node_bound : int
+(** Node ids lie in [[0, node_bound)]; {!zero} alone carries node [-1]. *)
+
+val make : counter:int -> node:int -> t
+(** @raise Invalid_argument unless [0 <= counter] (and the counter fits
+    the remaining bits) and [-1 <= node < node_bound]. *)
+
+val counter : t -> int
+val node : t -> int
 
 val zero : t
-(** Initial timestamp of every replica of every object. *)
+(** Initial timestamp of every replica of every object: counter 0, node
+    [-1], older than every timestamp a clock produces. *)
 
 val compare : t -> t -> int
 (** Lexicographic on [(counter, node)]: a total order. *)
@@ -25,7 +45,8 @@ module Clock : sig
   type t
 
   val create : node:int -> t
-  (** @raise Invalid_argument on a negative node id. *)
+  (** @raise Invalid_argument on a negative node id or one at or above
+      {!node_bound}. *)
 
   val node : t -> int
 

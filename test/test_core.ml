@@ -144,8 +144,8 @@ let test_mobile_node_refresh_discards () =
   ignore
     (Mobile_node.run_tentative m ~ops:[ Op.Assign (o 0, 42.) ]
        ~acceptance:Acceptance.Always ~now:0.);
-  let base = Fstore.create ~db_size:2 ~init:(fun _ -> 7.) in
-  Fstore.write base (o 0) 9. { Timestamp.counter = 3; node = 0 };
+  let base = Fstore.create ~db_size:2 ~init:7. in
+  Fstore.write base (o 0) 9. (Timestamp.make ~counter:3 ~node:0);
   Mobile_node.refresh_from m base;
   checkf "tentative discarded" 9. (Fstore.read (Mobile_node.tentative_store m) (o 0));
   checkf "master refreshed" 9. (Fstore.read (Mobile_node.master_store m) (o 0));

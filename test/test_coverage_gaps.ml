@@ -37,14 +37,14 @@ end
 module Pstore = Store.Make (Pair_value)
 
 let test_store_functor_generic () =
-  let s = Pstore.create ~db_size:3 ~init:(fun _ -> (0, "init")) in
-  let stamp = { Timestamp.counter = 1; node = 0 } in
+  let s = Pstore.create ~db_size:3 ~init:(0, "init") in
+  let stamp = Timestamp.make ~counter:1 ~node:0 in
   Pstore.write s (o 1) (7, "seven") stamp;
   checkb "read back" true (Pair_value.equal (7, "seven") (Pstore.read s (o 1)));
   let t = Pstore.copy s in
   checkb "copies equal" true (Pstore.content_equal s t);
   (match
-     Pstore.apply_if_newer s (o 1) (9, "nine") { Timestamp.counter = 0; node = 0 }
+     Pstore.apply_if_newer s (o 1) (9, "nine") (Timestamp.make ~counter:0 ~node:0)
    with
   | `Stale -> ()
   | `Applied -> Alcotest.fail "older stamp must be stale");
@@ -97,7 +97,7 @@ let test_two_tier_with_delay () =
 (* --- Custom reconcile rule and custom acceptance --- *)
 
 let test_custom_rule_and_acceptance () =
-  let stamp = { Timestamp.counter = 4; node = 1 } in
+  let stamp = Timestamp.make ~counter:4 ~node:1 in
   let incoming =
     { Reconcile.oid = o 0; old_stamp = Timestamp.zero; value = 10.;
       delta = None; stamp; origin = 1 }
@@ -109,7 +109,7 @@ let test_custom_rule_and_acceptance () =
   in
   (match
      Reconcile.resolve average ~current_value:20.
-       ~current_stamp:{ Timestamp.counter = 1; node = 0 } incoming
+       ~current_stamp:(Timestamp.make ~counter:1 ~node:0) incoming
    with
   | Reconcile.Merge v -> checkf "average merge" 15. v
   | _ -> Alcotest.fail "merge expected");

@@ -225,10 +225,10 @@ let test_injector_traces_faults () =
 
 (* --- Recovery --- *)
 
-let stamp counter = { Timestamp.counter; node = 0 }
+let stamp counter = Timestamp.make ~counter ~node:0
 
 let test_recovery_round_trip () =
-  let store = Fstore.create ~db_size:4 ~init:(fun _ -> 0.) in
+  let store = Fstore.create ~db_size:4 ~init:0. in
   let recovery = Recovery.attach ~node:0 ~initial_value:0. store in
   Fstore.write store (Oid.of_int 0) 10. (stamp 1);
   Fstore.write store (Oid.of_int 2) 5. (stamp 2);
@@ -247,7 +247,7 @@ let test_recovery_round_trip () =
   checki "journal untouched by recovery" 3 (Recovery.journal_length recovery)
 
 let test_recovery_detects_unjournaled_writes () =
-  let store = Fstore.create ~db_size:4 ~init:(fun _ -> 0.) in
+  let store = Fstore.create ~db_size:4 ~init:0. in
   (* A mutation before attach escapes the journal: completeness must fail. *)
   Fstore.write store (Oid.of_int 1) 99. (stamp 1);
   let recovery = Recovery.attach ~node:3 ~initial_value:0. store in
@@ -259,16 +259,15 @@ let test_recovery_detects_unjournaled_writes () =
     (String.length (List.hd (Recovery.violations recovery)) > 0)
 
 let test_recovery_journals_all_mutation_paths () =
-  let store = Fstore.create ~db_size:2 ~init:(fun _ -> 0.) in
+  let store = Fstore.create ~db_size:2 ~init:0. in
   let recovery = Recovery.attach ~node:0 ~initial_value:0. store in
-  ignore
-    (Fstore.apply_if_newer store (Oid.of_int 0) 7. (stamp 1));
-  ignore
-    (Fstore.apply_if_current store (Oid.of_int 1) ~old_stamp:Timestamp.zero 3.
-       (stamp 2));
-  let src = Fstore.create ~db_size:2 ~init:(fun _ -> 42.) in
+  Fstore.write store (Oid.of_int 1) 3. (stamp 1);
+  (match Fstore.apply_if_newer store (Oid.of_int 0) 7. (stamp 2) with
+  | `Applied -> ()
+  | `Stale -> Alcotest.fail "newer must apply");
+  let src = Fstore.create ~db_size:2 ~init:42. in
   Fstore.overwrite_from store ~src;
-  (* 2 conditional applies + 2 overwrite entries. *)
+  (* A write, a conditional apply and 2 overwrite entries. *)
   checki "all paths journaled" 4 (Recovery.journal_length recovery);
   Recovery.crash recovery;
   Alcotest.check (Alcotest.list Alcotest.string) "complete" []

@@ -232,7 +232,7 @@ let test_lazy_master_under_load () =
 
 (* --- Reconcile rules --- *)
 
-let stamp c n = { Timestamp.counter = c; node = n }
+let stamp c n = Timestamp.make ~counter:c ~node:n
 
 let update ?(delta = None) ~value ~stamp:s ~origin () =
   {
