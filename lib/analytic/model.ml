@@ -88,15 +88,3 @@ let growth_ratio f p ~scale =
   let base = f p in
   if Float.equal base 0. then invalid_arg "Model.growth_ratio: zero base rate";
   f (scale p) /. base
-
-let nodes_exponent scheme rate =
-  match (scheme, rate) with
-  | (Eager_group | Eager_master), `Deadlock -> 3.
-  | (Eager_group | Eager_master), `Wait -> 3.
-  | (Eager_group | Eager_master), `Reconciliation -> 0.
-  | Lazy_group, `Reconciliation -> 3.
-  | Lazy_group, `Wait -> 3.
-  | Lazy_group, `Deadlock -> 0.
-  | (Lazy_master | Two_tier), `Deadlock -> 2.
-  | (Lazy_master | Two_tier), `Wait -> 3.
-  | (Lazy_master | Two_tier), `Reconciliation -> 0.

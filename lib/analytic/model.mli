@@ -36,8 +36,3 @@ val growth_ratio :
     1000x-deadlocks claim is
     [growth_ratio Eager.total_deadlock_rate p
        ~scale:(fun p -> { p with nodes = 10 * p.nodes })] = 1000. *)
-
-val nodes_exponent : scheme -> [ `Deadlock | `Reconciliation | `Wait ] -> float
-(** The predicted power of Nodes in each rate: eager deadlock 3, lazy-group
-    reconciliation 3, lazy-master / two-tier deadlock 2, mobile collision 2,
-    etc. 0 for rates the scheme does not exhibit. *)

@@ -15,7 +15,6 @@ module Reconcile = Dangers_replication.Reconcile
 module Lazy_group = Dangers_replication.Lazy_group
 module Common = Dangers_replication.Common
 module Clock = Dangers_runtime.Clock
-module Experiment_ = Experiment
 
 (* Notes: [sites] replicas each replace every one of [registers] keys once,
    concurrently, then exchange all-pairs until converged. Every register
@@ -140,43 +139,22 @@ let experiment =
           [ "timestamp-priority (lost updates)"; Table.cell_float ~digits:1 ts_loss ];
         Table.add_row table_rules
           [ "additive (commutative)"; Table.cell_float ~digits:1 additive_loss ];
-        {
-          Experiment.id = "E9";
-          title = "Section 6: convergence schemes and the lost-update problem";
-          tables = [ table_notes; table_access; table_rules ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "Notes replace: lost = issued - registers (one winner each)";
-                expected = float_of_int (issued - registers);
-                actual = float_of_int lost;
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "Notes appends kept";
-                expected = float_of_int (sites * registers);
-                actual = float_of_int appends_kept;
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "timestamp rule loses increments (>0)";
-                expected = 1.;
-                actual = (if ts_loss > 0. then 1. else 0.);
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "additive rule is exact (deviation = 0)";
-                expected = 0.;
-                actual = additive_loss;
-                tolerance = 1e-6;
-              };
-            ];
-          notes =
-            [
-              "Convergence alone is not enough: the converged state should \
-               reflect all committed transactions, which only the \
-               commutative discipline achieves.";
-            ];
-        });
+        ( [ table_notes; table_access; table_rules ],
+          [
+            Experiment.near
+              "Notes replace: lost = issued - registers (one winner each)"
+              ~expected:(float_of_int (issued - registers))
+              ~tolerance:0. (float_of_int lost);
+            Experiment.near "Notes appends kept"
+              ~expected:(float_of_int (sites * registers))
+              ~tolerance:0. (float_of_int appends_kept);
+            Experiment.holds "timestamp rule loses increments (>0)" (ts_loss > 0.);
+            Experiment.near "additive rule is exact (deviation = 0)"
+              ~expected:0. ~tolerance:1e-6 additive_loss;
+          ],
+          [
+            "Convergence alone is not enough: the converged state should \
+             reflect all committed transactions, which only the \
+             commutative discipline achieves.";
+          ] ));
   }

@@ -9,7 +9,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Delay = Dangers_runtime.Delay
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 400; nodes = 3; tps = 5.; actions = 4 }
 
@@ -74,33 +73,18 @@ let experiment =
         in
         let _, w0, r0 = Experiment.first_point points in
         let _, w_last, r_last = Experiment.last_point points in
-        {
-          Experiment.id = "E11";
-          title = "Ablation: message delays make every rate worse";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "delays raise the eager wait rate (1 = yes)";
-                expected = 1.;
-                actual = (if w_last > w0 then 1. else 0.);
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label =
-                  "delays raise lazy-group's dangerous-update rate (1 = yes)";
-                expected = 1.;
-                actual = (if r_last > r0 then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "The zero-delay rows are the model's assumption; every added \
-               millisecond stretches lock hold times (eager) and the window \
-               in which a replica is stale (lazy), so the zero-delay \
-               equations are a lower bound.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.holds "delays raise the eager wait rate (1 = yes)"
+              (w_last > w0);
+            Experiment.holds
+              "delays raise lazy-group's dangerous-update rate (1 = yes)"
+              (r_last > r0);
+          ],
+          [
+            "The zero-delay rows are the model's assumption; every added \
+             millisecond stretches lock hold times (eager) and the window \
+             in which a replica is stale (lazy), so the zero-delay \
+             equations are a lower bound.";
+          ] ));
   }

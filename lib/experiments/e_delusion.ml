@@ -18,7 +18,6 @@ module Common = Dangers_replication.Common
 module Connectivity = Dangers_net.Connectivity
 module Two_tier = Dangers_core.Two_tier
 module Clock = Dangers_runtime.Clock
-module Experiment_ = Experiment
 
 let params =
   { Params.default with db_size = 100; nodes = 4; tps = 5.; actions = 2 }
@@ -77,40 +76,21 @@ let experiment =
         Two_tier.quiesce_and_sync tt;
         let _, d_first, _ = Experiment.first_point points in
         let _, d_last, lww_last = Experiment.last_point points in
-        {
-          Experiment.id = "E16";
-          title = "System delusion: failed reconciliation diverges without bound";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "failed reconciliation: divergence grows with runtime \
-                   (1 = yes)";
-                expected = 1.;
-                actual = (if d_last > d_first && d_first > 0 then 1. else 0.);
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "timestamp rule converges (0 divergence)";
-                expected = 0.;
-                actual = float_of_int lww_last;
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label =
-                  "two-tier at the same load: converged (1 = yes)";
-                expected = 1.;
-                actual = (if Two_tier.converged tt then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "Divergence under failed reconciliation is a ratchet: once a \
-               replica's timestamp chain breaks, every later update in that \
-               lineage is dangerous too, so the inconsistency compounds \
-               instead of healing - the paper's system delusion.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.holds
+              "failed reconciliation: divergence grows with runtime \
+               (1 = yes)"
+              (d_last > d_first && d_first > 0);
+            Experiment.near "timestamp rule converges (0 divergence)"
+              ~expected:0. ~tolerance:0. (float_of_int lww_last);
+            Experiment.holds "two-tier at the same load: converged (1 = yes)"
+              (Two_tier.converged tt);
+          ],
+          [
+            "Divergence under failed reconciliation is a ratchet: once a \
+             replica's timestamp chain breaks, every later update in that \
+             lineage is dangerous too, so the inconsistency compounds \
+             instead of healing - the paper's system delusion.";
+          ] ));
   }

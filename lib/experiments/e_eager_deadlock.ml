@@ -6,7 +6,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Eager = Dangers_analytic.Eager
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 400; tps = 5.; actions = 4 }
 
@@ -42,32 +41,21 @@ let sweep ?(scale_db = false) ~nodes_values ~seeds ~span () =
           if scale_db then Params.scale_db_with_nodes p else p
         in
         let waits, deadlocks = measure params ~seeds ~span in
-        let model_deadlock =
-          if scale_db then
-            (* The paper's eq (13) is eq (12) evaluated at the *unscaled*
-               db_size with a single power of N; equivalently eq (12) at the
-               scaled size. *)
-            Eager.total_deadlock_rate params
-          else Eager.total_deadlock_rate params
-        in
         Table.add_row table
           [
             Table.cell_int nodes;
             Table.cell_rate (Eager.total_wait_rate params);
             Table.cell_rate waits;
-            Table.cell_rate model_deadlock;
+            (* At the scaled db_size, eq (12) is the paper's eq (13). *)
+            Table.cell_rate (Eager.total_deadlock_rate params);
             Table.cell_rate deadlocks;
           ];
-        (float_of_int nodes, waits, deadlocks))
+        let n = float_of_int nodes in
+        ((n, waits), (n, deadlocks)))
       nodes_values
   in
-  (table, points)
-
-let wait_exponent points =
-  Experiment.fitted_exponent (List.map (fun (n, w, _) -> (n, w)) points)
-
-let deadlock_exponent points =
-  Experiment.fitted_exponent (List.map (fun (n, _, d) -> (n, d)) points)
+  let waits, deadlocks = List.split points in
+  (table, waits, deadlocks)
 
 let experiment =
   {
@@ -79,47 +67,25 @@ let experiment =
         let seeds = Scheme.seeds ~quick ~base:seed in
         let span = if quick then 80. else 300. in
         let nodes_values = if quick then [ 2; 4 ] else [ 2; 3; 4; 6 ] in
-        let table, points = sweep ~nodes_values ~seeds ~span () in
-        let first = Experiment.first_point points in
-        let last = Experiment.last_point points in
-        let n1, _, d1 = first and n2, _, d2 = last in
+        let table, waits, deadlocks = sweep ~nodes_values ~seeds ~span () in
+        let n1, d1 = Experiment.first_point deadlocks in
+        let n2, d2 = Experiment.last_point deadlocks in
         let growth_model = (n2 /. n1) ** 3. in
-        let findings =
+        ( [ table ],
           [
-            {
-              Experiment_.label = "wait-rate exponent in Nodes (model: 3)";
-              expected = 3.;
-              actual = wait_exponent points;
-              tolerance = 0.8;
-            };
-            {
-              Experiment_.label =
-                Printf.sprintf
-                  "deadlock growth %gx nodes (model: %gx, cubic)" (n2 /. n1)
-                  growth_model;
-              expected = growth_model;
-              actual = (if d1 > 0. then d2 /. d1 else Float.nan);
-              tolerance = growth_model *. 1.5;
-            };
-            {
-              Experiment_.label = "deadlock-rate exponent in Nodes (model: 3)";
-              expected = 3.;
-              actual = deadlock_exponent points;
-              tolerance = 1.5;
-            };
-          ]
-        in
-        {
-          Experiment.id = "E3";
-          title = "Equations (9)-(12): eager deadlocks rise as Nodes^3";
-          tables = [ table ];
-          findings;
-          notes =
-            [
-              "The paper's headline: a ten-fold increase in nodes gives a \
-               thousand-fold increase in deadlocks. The measured wait \
-               exponent carries the statistical weight; deadlocks are rare \
-               events with matching growth.";
-            ];
-        });
+            Experiment.exponent "wait-rate exponent in Nodes (model: 3)"
+              ~expected:3. ~tolerance:0.8 waits;
+            Experiment.ratio
+              (Printf.sprintf "deadlock growth %gx nodes (model: %gx, cubic)"
+                 (n2 /. n1) growth_model)
+              ~expected:growth_model ~tolerance:(growth_model *. 1.5) d2 d1;
+            Experiment.exponent "deadlock-rate exponent in Nodes (model: 3)"
+              ~expected:3. ~tolerance:1.5 deadlocks;
+          ],
+          [
+            "The paper's headline: a ten-fold increase in nodes gives a \
+             thousand-fold increase in deadlocks. The measured wait \
+             exponent carries the statistical weight; deadlocks are rare \
+             events with matching growth.";
+          ] ));
   }

@@ -52,23 +52,13 @@ let experiment =
             nodes_values
         in
         let d1 = List.assoc 1 points and d4 = List.assoc 4 points in
-        {
-          Experiment.id = "E2";
-          title = "Equations (6)-(8): eager transaction growth with nodes";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment.label = "duration grows linearly: 4 nodes / 1 node";
-                expected = 4.;
-                actual = d4 /. d1;
-                tolerance = 0.5;
-              };
-            ];
-          notes =
-            [
-              "Commit rate stays at Nodes x TPS while each commit does Nodes \
-               x Actions work: the update rate grows as N^2 (equation 8).";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.ratio "duration grows linearly: 4 nodes / 1 node"
+              ~expected:4. ~tolerance:0.5 d4 d1;
+          ],
+          [
+            "Commit rate stays at Nodes x TPS while each commit does Nodes \
+             x Actions work: the update rate grows as N^2 (equation 8).";
+          ] ));
   }

@@ -54,7 +54,6 @@ let experiment =
               Table.column "transactions run";
             ]
         in
-        let findings = ref [] in
         let add_eager nodes =
           let p = params_for nodes in
           let measured = eager_duration ~nodes ~seed in
@@ -67,18 +66,12 @@ let experiment =
               Table.cell_float ~digits:3 measured;
               "1";
             ];
-          findings :=
-            {
-              Experiment.label =
-                Printf.sprintf "eager duration at %d nodes" nodes;
-              expected = model;
-              actual = measured;
-              tolerance = 0.001;
-            }
-            :: !findings
+          Experiment.near
+            (Printf.sprintf "eager duration at %d nodes" nodes)
+            ~expected:model ~tolerance:0.001 measured
         in
-        add_eager 1;
-        add_eager 3;
+        let eager_1 = add_eager 1 in
+        let eager_3 = add_eager 3 in
         let root_duration, replica_txns = lazy_counts ~nodes:3 ~seed in
         Table.add_row table
           [
@@ -88,30 +81,18 @@ let experiment =
             Table.cell_float ~digits:3 root_duration;
             Printf.sprintf "%d (1 root + %d lazy)" (1 + replica_txns) replica_txns;
           ];
-        findings :=
-          {
-            Experiment.label = "lazy replica-update transactions at 3 nodes";
-            expected = 2.;
-            actual = float_of_int replica_txns;
-            tolerance = 0.;
-          }
-          :: {
-               Experiment.label = "lazy root duration";
-               expected = 0.03;
-               actual = root_duration;
-               tolerance = 0.001;
-             }
-          :: !findings;
-        {
-          Experiment.id = "F1";
-          title = "Figure 1: eager vs lazy work per replicated transaction";
-          tables = [ table ];
-          findings = List.rev !findings;
-          notes =
-            [
-              "Eager: one transaction, N times the size and duration. Lazy: \
-               same total work split into 1 root + (N-1) asynchronous \
-               replica-update transactions.";
-            ];
-        });
+        ( [ table ],
+          [
+            eager_1;
+            eager_3;
+            Experiment.near "lazy root duration" ~expected:0.03 ~tolerance:0.001
+              root_duration;
+            Experiment.near "lazy replica-update transactions at 3 nodes"
+              ~expected:2. ~tolerance:0. (float_of_int replica_txns);
+          ],
+          [
+            "Eager: one transaction, N times the size and duration. Lazy: \
+             same total work split into 1 root + (N-1) asynchronous \
+             replica-update transactions.";
+          ] ));
   }

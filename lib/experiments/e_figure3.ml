@@ -84,24 +84,14 @@ let experiment =
         let _, _, base_measured = base in
         let _, _, replication_measured = replication in
         ignore scaleup;
-        {
-          Experiment.id = "F3";
-          title = "Figure 3: scaleup, partitioning, replication";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment.label =
-                  "replication doubles users but quadruples work (ratio)";
-                expected = 4.;
-                actual = replication_measured /. base_measured;
-                tolerance = 0.4;
-              };
-            ];
-          notes =
-            [
-              "Partitioning doubles throughput linearly; replication makes \
-               each node do its own work plus every peer's (N^2).";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.ratio
+              "replication doubles users but quadruples work (ratio)"
+              ~expected:4. ~tolerance:0.4 replication_measured base_measured;
+          ],
+          [
+            "Partitioning doubles throughput linearly; replication makes \
+             each node do its own work plus every peer's (N^2).";
+          ] ));
   }

@@ -9,7 +9,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 1000; nodes = 1; tps = 20.; actions = 4 }
 
@@ -65,27 +64,17 @@ let experiment =
         in
         let _, w_uniform = Experiment.first_point points in
         let _, w_hot = Experiment.last_point points in
-        {
-          Experiment.id = "E12";
-          title = "Ablation: hotspots break the no-hotspot assumption";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "hotspot contention exceeds the uniform assumption \
-                   (hot/uniform wait ratio > 2)";
-                expected = 1.;
-                actual = (if w_hot > 2. *. w_uniform then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "With theta ~ 1 the effective database is a handful of hot \
-               objects: the equations' DB_Size must be read as the *hot set* \
-               size, which makes the instability thresholds far closer than \
-               the uniform numbers suggest.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.holds
+              "hotspot contention exceeds the uniform assumption \
+               (hot/uniform wait ratio > 2)"
+              (w_hot > 2. *. w_uniform);
+          ],
+          [
+            "With theta ~ 1 the effective database is a handful of hot \
+             objects: the equations' DB_Size must be read as the *hot set* \
+             size, which makes the instability thresholds far closer than \
+             the uniform numbers suggest.";
+          ] ));
   }

@@ -10,7 +10,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Lazy_group_eq = Dangers_analytic.Lazy_group
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 400; tps = 5.; actions = 4 }
 
@@ -60,41 +59,23 @@ let experiment =
                   Table.cell_rate dangerous;
                   Table.cell_rate deadlocks;
                 ];
-              (float_of_int nodes, waits, dangerous))
+              let n = float_of_int nodes in
+              ((n, waits), (n, dangerous)))
             nodes_values
         in
-        let wait_exp =
-          Experiment.fitted_exponent (List.map (fun (n, w, _) -> (n, w)) points)
-        in
-        let dangerous_exp =
-          Experiment.fitted_exponent (List.map (fun (n, _, d) -> (n, d)) points)
-        in
-        {
-          Experiment.id = "E5";
-          title = "Equation (14): lazy-group reconciliation rises as Nodes^3";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "lazy wait-rate exponent in Nodes (eq 14 model: 3)";
-                expected = 3.;
-                actual = wait_exp;
-                tolerance = 0.8;
-              };
-              {
-                Experiment_.label =
-                  "dangerous-update rate exponent in Nodes (eq 14 shape: 3)";
-                expected = 3.;
-                actual = dangerous_exp;
-                tolerance = 1.2;
-              };
-            ];
-          notes =
-            [
-              "Equation (14) reads the lazy system's wait rate as its \
-               reconciliation hazard; the operational timestamp-mismatch \
-               rate is lower but grows with the same instability.";
-            ];
-        });
+        let waits, dangerous = List.split points in
+        ( [ table ],
+          [
+            Experiment.exponent
+              "lazy wait-rate exponent in Nodes (eq 14 model: 3)"
+              ~expected:3. ~tolerance:0.8 waits;
+            Experiment.exponent
+              "dangerous-update rate exponent in Nodes (eq 14 shape: 3)"
+              ~expected:3. ~tolerance:1.2 dangerous;
+          ],
+          [
+            "Equation (14) reads the lazy system's wait rate as its \
+             reconciliation hazard; the operational timestamp-mismatch \
+             rate is lower but grows with the same instability.";
+          ] ));
   }

@@ -10,7 +10,6 @@ module Params = Dangers_analytic.Params
 module Eager_eq = Dangers_analytic.Eager
 module Lazy_master_eq = Dangers_analytic.Lazy_master
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let hot = { Params.default with db_size = 200; tps = 10.; actions = 4 }
 let mild = { Params.default with db_size = 400; tps = 5.; actions = 4 }
@@ -65,9 +64,11 @@ let experiment =
                   Table.cell_rate wait_model;
                   Table.cell_rate waits;
                 ];
-              (float_of_int nodes, deadlocks, waits))
+              let n = float_of_int nodes in
+              ((n, deadlocks), (n, waits)))
             nodes_values
         in
+        let deadlocks, waits = List.split points in
         (* Ordering vs eager at the milder point, largest N. *)
         let big = Experiment.last_point nodes_values in
         let mild_params = { mild with nodes = big } in
@@ -103,46 +104,21 @@ let experiment =
             Table.cell_rate (Lazy_master_eq.deadlock_rate mild_params);
             Table.cell_rate lm_mild_deadlocks;
           ];
-        let wait_exp =
-          Experiment.fitted_exponent (List.map (fun (n, _, w) -> (n, w)) points)
-        in
-        let deadlock_exp =
-          Experiment.fitted_exponent (List.map (fun (n, d, _) -> (n, d)) points)
-        in
-        {
-          Experiment.id = "E7";
-          title = "Equation (19): lazy-master deadlocks rise as Nodes^2";
-          tables = [ table; table_order ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "lazy-master deadlock exponent in Nodes (model: 2)";
-                expected = 2.;
-                actual = deadlock_exp;
-                tolerance = 1.2;
-              };
-              {
-                Experiment_.label =
-                  "lazy-master wait exponent in Nodes (model: 2)";
-                expected = 2.;
-                actual = wait_exp;
-                tolerance = 0.8;
-              };
-              {
-                Experiment_.label =
-                  "eager deadlocks exceed lazy-master at the same load \
-                   (1 = yes; model ratio is N)";
-                expected = 1.;
-                actual = (if eager_deadlocks > lm_mild_deadlocks then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "Shorter transactions are the whole advantage: lazy-master \
-               holds each lock for Actions x Action_Time instead of eager's \
-               Nodes x Actions x Action_Time.";
-            ];
-        });
+        ( [ table; table_order ],
+          [
+            Experiment.exponent
+              "lazy-master deadlock exponent in Nodes (model: 2)"
+              ~expected:2. ~tolerance:1.2 deadlocks;
+            Experiment.exponent "lazy-master wait exponent in Nodes (model: 2)"
+              ~expected:2. ~tolerance:0.8 waits;
+            Experiment.holds
+              "eager deadlocks exceed lazy-master at the same load \
+               (1 = yes; model ratio is N)"
+              (eager_deadlocks > lm_mild_deadlocks);
+          ],
+          [
+            "Shorter transactions are the whole advantage: lazy-master \
+             holds each lock for Actions x Action_Time instead of eager's \
+             Nodes x Actions x Action_Time.";
+          ] ));
   }

@@ -14,7 +14,6 @@ module Params = Dangers_analytic.Params
 module Lazy_group_eq = Dangers_analytic.Lazy_group
 module Repl_stats = Dangers_replication.Repl_stats
 module Connectivity = Dangers_net.Connectivity
-module Experiment_ = Experiment
 
 let connected_time = 10.
 
@@ -93,41 +92,22 @@ let experiment =
                   Table.cell_rate model_rate;
                   Table.cell_rate rate;
                 ];
-              (dt, per_cycle, rate))
+              ((dt, per_cycle), (dt, rate)))
             disconnect_values
         in
-        let per_cycle_exponent =
-          Experiment.fitted_exponent (List.map (fun (dt, p, _) -> (dt, p)) points)
-        in
-        let rate_exponent =
-          Experiment.fitted_exponent (List.map (fun (dt, _, r) -> (dt, r)) points)
-        in
-        {
-          Experiment.id = "E6";
-          title = "Equations (15)-(18): mobile reconciliation vs disconnect time";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "collisions-per-cycle exponent in Disconnected_Time (model: 2)";
-                expected = 2.;
-                actual = per_cycle_exponent;
-                tolerance = 0.9;
-              };
-              {
-                Experiment_.label =
-                  "reconciliation-rate exponent in Disconnected_Time (model: 1)";
-                expected = 1.;
-                actual = rate_exponent;
-                tolerance = 0.9;
-              };
-            ];
-          notes =
-            [
-              "Each doubling of the disconnected period quadruples the \
-               collisions per sync: overnight batches survive where weekly \
-               ones drown.";
-            ];
-        });
+        let per_cycle, rates = List.split points in
+        ( [ table ],
+          [
+            Experiment.exponent
+              "collisions-per-cycle exponent in Disconnected_Time (model: 2)"
+              ~expected:2. ~tolerance:0.9 per_cycle;
+            Experiment.exponent
+              "reconciliation-rate exponent in Disconnected_Time (model: 1)"
+              ~expected:1. ~tolerance:0.9 rates;
+          ],
+          [
+            "Each doubling of the disconnected period quadruples the \
+             collisions per sync: overnight batches survive where weekly \
+             ones drown.";
+          ] ));
   }

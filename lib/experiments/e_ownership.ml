@@ -9,7 +9,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Eager_impl = Dangers_replication.Eager_impl
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with nodes = 4; tps = 5.; actions = 2 }
 
@@ -59,28 +58,18 @@ let experiment =
             db_sizes
         in
         let _, g_small, m_small = Experiment.first_point points in
-        {
-          Experiment.id = "E15";
-          title = "Eager group vs master: the second-order race equation (12) drops";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "hot database: group deadlocks exceed master's (1 = yes)";
-                expected = 1.;
-                actual = (if g_small > m_small then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "Group ownership lets two transactions start locking the same \
-               object's replicas from different ends; master ownership \
-               serializes same-object access at the owner first. Both rates \
-               fall as DB_Size grows and the absolute gap vanishes - the \
-               DB_Size >> Nodes regime where equation (12) can afford to \
-               ignore the difference.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.holds
+              "hot database: group deadlocks exceed master's (1 = yes)"
+              (g_small > m_small);
+          ],
+          [
+            "Group ownership lets two transactions start locking the same \
+             object's replicas from different ends; master ownership \
+             serializes same-object access at the owner first. Both rates \
+             fall as DB_Size grows and the absolute gap vanishes - the \
+             DB_Size >> Nodes regime where equation (12) can afford to \
+             ignore the difference.";
+          ] ));
   }

@@ -39,15 +39,10 @@ let experiment =
           (Table.cell_float ~digits:3 p.Params.message_delay);
         row "Message_CPU" "per-message processing (ignored by the model)"
           (Table.cell_float ~digits:3 p.Params.message_cpu);
-        {
-          Experiment.id = "T2";
-          title = "Table 2: model variables and defaults";
-          tables = [ table ];
-          findings = [];
-          notes =
-            [
-              "Input table: these defaults seed every other experiment; \
-               sweeps override individual fields.";
-            ];
-        });
+        ( [ table ],
+          [],
+          [
+            "Input table: these defaults seed every other experiment; \
+             sweeps override individual fields.";
+          ] ));
   }

@@ -5,7 +5,6 @@
 
 module Table = Dangers_util.Table
 module Quorum = Dangers_replication.Quorum
-module Experiment_ = Experiment
 
 let experiment =
   {
@@ -44,32 +43,19 @@ let experiment =
             [ 1; 3; 5; 7 ]
         in
         let m99_3 = List.assoc 3 rows and m99_7 = List.assoc 7 rows in
-        {
-          Experiment.id = "E10";
-          title = "Quorum availability (Gifford weighted voting)";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "majority availability improves with replicas at p=0.99 \
-                   (7 vs 3 replicas, difference > 0)";
-                expected = 1.;
-                actual = (if m99_7 > m99_3 then 1. else 0.);
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "majority write availability, 3 replicas, p=0.9";
-                expected = 0.972;
-                actual = Quorum.write_availability (Quorum.majority ~n:3) ~p_up:0.9;
-                tolerance = 1e-9;
-              };
-            ];
-          notes =
-            [
-              "Replication helps availability only with quorum-style \
-               update rules; read-one/write-all makes writes *less* \
-               available as replicas are added.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.holds
+              "majority availability improves with replicas at p=0.99 \
+               (7 vs 3 replicas, difference > 0)"
+              (m99_7 > m99_3);
+            Experiment.near "majority write availability, 3 replicas, p=0.9"
+              ~expected:0.972 ~tolerance:1e-9
+              (Quorum.write_availability (Quorum.majority ~n:3) ~p_up:0.9);
+          ],
+          [
+            "Replication helps availability only with quorum-style \
+             update rules; read-one/write-all makes writes *less* \
+             available as replicas are added.";
+          ] ));
   }

@@ -9,7 +9,6 @@ module Params = Dangers_analytic.Params
 module Quorum = Dangers_replication.Quorum
 module Quorum_sim = Dangers_replication.Quorum_sim
 module Common = Dangers_replication.Common
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 200; tps = 2.; actions = 2 }
 
@@ -80,32 +79,17 @@ let experiment =
             0. points
         in
         let all_consistent = List.for_all (fun (_, _, c) -> c) points in
-        {
-          Experiment.id = "E14";
-          title = "Quorum availability under live failures (dynamic E10)";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "worst |measured - closed form| availability gap";
-                expected = 0.;
-                actual = worst_gap;
-                tolerance = 0.05;
-              };
-              {
-                Experiment_.label = "up replicas always consistent (1 = yes)";
-                expected = 1.;
-                actual = (if all_consistent then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "The availability the eager analysis assumes is real but \
-               bought with quorum overlap: every committed update reaches a \
-               majority, so any future quorum contains a current replica \
-               for recovering nodes to catch up from.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.near "worst |measured - closed form| availability gap"
+              ~expected:0. ~tolerance:0.05 worst_gap;
+            Experiment.holds "up replicas always consistent (1 = yes)"
+              all_consistent;
+          ],
+          [
+            "The availability the eager analysis assumes is real but \
+             bought with quorum overlap: every committed update reaches a \
+             majority, so any future quorum contains a current replica \
+             for recovering nodes to catch up from.";
+          ] ));
   }

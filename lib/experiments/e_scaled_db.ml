@@ -2,8 +2,6 @@
    (TPC-style) tames eager replication's cubic deadlock law to linear (and
    the wait law to quadratic). *)
 
-module Experiment_ = Experiment
-
 let experiment =
   {
     Experiment.id = "E4";
@@ -14,31 +12,19 @@ let experiment =
         let seeds = Scheme.seeds ~quick ~base:seed in
         let span = if quick then 80. else 300. in
         let nodes_values = if quick then [ 2; 4 ] else [ 2; 3; 4; 6 ] in
-        let table, points =
+        let table, waits, _ =
           E_eager_deadlock.sweep ~scale_db:true ~nodes_values ~seeds ~span ()
         in
-        let findings =
+        ( [ table ],
           [
-            {
-              Experiment_.label =
-                "wait-rate exponent in Nodes with scaled DB (model: 2)";
-              expected = 2.;
-              actual = E_eager_deadlock.wait_exponent points;
-              tolerance = 0.8;
-            };
-          ]
-        in
-        {
-          Experiment.id = "E4";
-          title = "Equation (13): deadlocks with a database scaled by nodes";
-          tables = [ table ];
-          findings;
-          notes =
-            [
-              "Compare with E3: scaling DB_Size with Nodes removes two powers \
-               of N from the deadlock law (cubic -> linear) and one from the \
-               wait law (cubic -> quadratic). Still growing, but no longer \
-               explosive.";
-            ];
-        });
+            Experiment.exponent
+              "wait-rate exponent in Nodes with scaled DB (model: 2)"
+              ~expected:2. ~tolerance:0.8 waits;
+          ],
+          [
+            "Compare with E3: scaling DB_Size with Nodes removes two powers \
+             of N from the deadlock law (cubic -> linear) and one from the \
+             wait law (cubic -> quadratic). Still growing, but no longer \
+             explosive.";
+          ] ));
   }

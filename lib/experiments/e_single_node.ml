@@ -6,7 +6,6 @@ module Table = Dangers_util.Table
 module Params = Dangers_analytic.Params
 module Single_node = Dangers_analytic.Single_node
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let base = { Params.default with nodes = 1; db_size = 200; tps = 20.; actions = 4 }
 
@@ -48,7 +47,7 @@ let sweep ~caption ~label ~values ~params_of ~seeds ~span =
             Table.cell_rate (Single_node.node_deadlock_rate params);
             Table.cell_rate deadlocks;
           ];
-        (v, waits, deadlocks))
+        (v, waits))
       values
   in
   (table, points)
@@ -83,41 +82,18 @@ let experiment =
             ~params_of:(fun db -> { base with db_size = int_of_float db })
             ~seeds ~span
         in
-        let wait_exponent points =
-          Experiment.fitted_exponent (List.map (fun (v, w, _) -> (v, w)) points)
-        in
-        let findings =
+        ( [ tps_table; action_table; db_table ],
           [
-            {
-              Experiment_.label = "wait rate exponent in TPS (model: 2)";
-              expected = 2.;
-              actual = wait_exponent tps_points;
-              tolerance = 0.6;
-            };
-            {
-              Experiment_.label = "wait rate exponent in Actions (model: 3)";
-              expected = 3.;
-              actual = wait_exponent action_points;
-              tolerance = 0.9;
-            };
-            {
-              Experiment_.label = "wait rate exponent in DB_Size (model: -1)";
-              expected = -1.;
-              actual = wait_exponent db_points;
-              tolerance = 0.5;
-            };
-          ]
-        in
-        {
-          Experiment.id = "E1";
-          title = "Equations (1)-(5): single-node waits and deadlocks";
-          tables = [ tps_table; action_table; db_table ];
-          findings;
-          notes =
-            [
-              "Deadlocks are waits^2-rare; their columns carry wide \
-               statistical error at these run lengths - the wait columns \
-               carry the shape test.";
-            ];
-        });
+            Experiment.exponent "wait rate exponent in TPS (model: 2)"
+              ~expected:2. ~tolerance:0.6 tps_points;
+            Experiment.exponent "wait rate exponent in Actions (model: 3)"
+              ~expected:3. ~tolerance:0.9 action_points;
+            Experiment.exponent "wait rate exponent in DB_Size (model: -1)"
+              ~expected:(-1.) ~tolerance:0.5 db_points;
+          ],
+          [
+            "Deadlocks are waits^2-rare; their columns carry wide \
+             statistical error at these run lengths - the wait columns \
+             carry the shape test.";
+          ] ));
   }

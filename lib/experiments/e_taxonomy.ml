@@ -133,27 +133,15 @@ let experiment =
             add Model.Two_tier (measure_two_tier ~seed);
           ]
         in
-        let findings =
+        ( [ table ],
           List.map
             (fun (name, expected, actual) ->
-              {
-                Experiment.label = name ^ " transactions per user update";
-                expected;
-                actual;
-                tolerance = 0.5;
-              })
-            rows
-        in
-        {
-          Experiment.id = "T1";
-          title = "Table 1: transactions per user update by strategy";
-          tables = [ table ];
-          findings;
-          notes =
-            [
-              "Measured = (user commits + restarts + replica-update \
-               transactions + tentative transactions) / user updates, on a \
-               contention-free batch.";
-            ];
-        });
+              Experiment.near (name ^ " transactions per user update")
+                ~expected ~tolerance:0.5 actual)
+            rows,
+          [
+            "Measured = (user commits + restarts + replica-update \
+             transactions + tentative transactions) / user updates, on a \
+             contention-free batch.";
+          ] ));
   }

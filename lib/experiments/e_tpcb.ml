@@ -15,7 +15,6 @@ module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Single_node = Dangers_analytic.Single_node
 module Repl_stats = Dangers_replication.Repl_stats
-module Experiment_ = Experiment
 
 let tellers_per_branch = 10
 let accounts = 10_000
@@ -97,35 +96,21 @@ let experiment =
             branch_counts
         in
         let _, m_small, h_small, u_small = Experiment.first_point points in
-        {
-          Experiment.id = "E18";
-          title = "TPC-B hierarchy: branch rows set the real contention";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "hotspot-aware model within 2.5x of measurement at the \
-                   hottest point (ratio)";
-                expected = 1.;
-                actual = (if h_small > 0. then m_small /. h_small else Float.nan);
-                tolerance = 1.5;
-              };
-              {
-                Experiment_.label =
-                  "uniform model underestimates the hot configuration \
-                   (measured / uniform > 3)";
-                expected = 1.;
-                actual = (if m_small > 3. *. u_small then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "When the paper scales DB_Size with the fleet it is really \
-               scaling the branch count - the only region whose size \
-               matters. Equation (13) with DB_Size read as the hot-region \
-               size is the honest version of the TPC argument.";
-            ];
-        });
+        ( [ table ],
+          [
+            Experiment.ratio
+              "hotspot-aware model within 2.5x of measurement at the \
+               hottest point (ratio)"
+              ~expected:1. ~tolerance:1.5 m_small h_small;
+            Experiment.holds
+              "uniform model underestimates the hot configuration \
+               (measured / uniform > 3)"
+              (m_small > 3. *. u_small);
+          ],
+          [
+            "When the paper scales DB_Size with the fleet it is really \
+             scaling the branch count - the only region whose size \
+             matters. Equation (13) with DB_Size read as the hot-region \
+             size is the honest version of the TPC argument.";
+          ] ));
   }

@@ -16,7 +16,6 @@ module Acceptance = Dangers_core.Acceptance
 module Two_tier = Dangers_core.Two_tier
 module Metrics = Dangers_sim.Metrics
 module Common = Dangers_replication.Common
-module Experiment_ = Experiment
 
 let base = { Params.default with db_size = 400; tps = 5.; actions = 4 }
 
@@ -188,55 +187,28 @@ let experiment =
         let _, last_fraction, last_converged =
           Experiment.last_point reject_fractions
         in
-        {
-          Experiment.id = "E8";
-          title = "Section 7: two-tier replication";
-          tables = [ table_a; table_b; table_c ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  "connected two-tier deadlock rate matches lazy-master \
-                   (ratio at 4 nodes; eq 19 for both)";
-                expected = 1.;
-                actual = (if lm4 > 0. then tt4 /. lm4 else Float.nan);
-                tolerance = 2.;
-              };
-              {
-                Experiment_.label =
-                  "commutative design: rejected tentative transactions";
-                expected = 0.;
-                actual = diag out_b "tentative_rejected";
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label = "commutative design: converged (1 = yes)";
-                expected = 1.;
-                actual = diag out_b "converged";
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label =
-                  "strict acceptance: reject fraction grows with disconnect \
-                   time (last - first > 0)";
-                expected = 1.;
-                actual = (if last_fraction > first_fraction then 1. else 0.);
-                tolerance = 0.;
-              };
-              {
-                Experiment_.label =
-                  "no system delusion even while rejecting (converged, 1 = yes)";
-                expected = 1.;
-                actual = (if last_converged then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "Base transactions run lazy-master, so their deadlock rate is \
-               equation (19)'s N^2 law; mobiles never block the base, and \
-               rejected tentative work returns to its author with a \
-               diagnostic instead of corrupting the master state.";
-            ];
-        });
+        ( [ table_a; table_b; table_c ],
+          [
+            Experiment.ratio
+              "connected two-tier deadlock rate matches lazy-master \
+               (ratio at 4 nodes; eq 19 for both)"
+              ~expected:1. ~tolerance:2. tt4 lm4;
+            Experiment.near "commutative design: rejected tentative transactions"
+              ~expected:0. ~tolerance:0. (diag out_b "tentative_rejected");
+            Experiment.holds "commutative design: converged (1 = yes)"
+              (diag_flag out_b "converged");
+            Experiment.holds
+              "strict acceptance: reject fraction grows with disconnect \
+               time (last - first > 0)"
+              (last_fraction > first_fraction);
+            Experiment.holds
+              "no system delusion even while rejecting (converged, 1 = yes)"
+              last_converged;
+          ],
+          [
+            "Base transactions run lazy-master, so their deadlock rate is \
+             equation (19)'s N^2 law; mobiles never block the base, and \
+             rejected tentative work returns to its author with a \
+             diagnostic instead of corrupting the master state.";
+          ] ));
   }

@@ -12,7 +12,6 @@ module Connectivity = Dangers_net.Connectivity
 module Lazy_group_undo = Dangers_replication.Lazy_group_undo
 module Common = Dangers_replication.Common
 module Stats = Dangers_util.Stats
-module Experiment_ = Experiment
 
 let connected_time = 10.
 
@@ -78,38 +77,23 @@ let experiment =
            and a transaction then waits half the remaining downtime on
            average, so lag ~ dt^2 / (2 (dt+c)) -> ~dt/2 for dt >> c. *)
         let model dt = dt *. dt /. (2. *. (dt +. connected_time)) in
-        {
-          Experiment.id = "E17";
-          title =
-            "Undo-oriented lazy-group: durability lag tracks the disconnect";
-          tables = [ table ];
-          findings =
-            [
-              {
-                Experiment_.label =
-                  Printf.sprintf
-                    "durability lag grows with the disconnect (lag ratio %g/%g \
-                     vs model %g)"
-                    dt2 dt1
-                    (model dt2 /. model dt1);
-                expected = model dt2 /. model dt1;
-                actual = lag2 /. lag1;
-                tolerance = model dt2 /. model dt1;
-              };
-              {
-                Experiment_.label =
-                  "mean lag at the largest disconnect is minutes-scale (> dt/4)";
-                expected = 1.;
-                actual = (if lag2 > dt2 /. 4. then 1. else 0.);
-                tolerance = 0.;
-              };
-            ];
-          notes =
-            [
-              "Durability held hostage by the least-connected replica is the \
-               reason §7 rejects undo-oriented lazy-group for mobile use; \
-               two-tier moves the durability point to the base transaction \
-               instead.";
-            ];
-        });
+        let growth_model = model dt2 /. model dt1 in
+        ( [ table ],
+          [
+            Experiment.ratio
+              (Printf.sprintf
+                 "durability lag grows with the disconnect (lag ratio %g/%g \
+                  vs model %g)"
+                 dt2 dt1 growth_model)
+              ~expected:growth_model ~tolerance:growth_model lag2 lag1;
+            Experiment.holds
+              "mean lag at the largest disconnect is minutes-scale (> dt/4)"
+              (lag2 > dt2 /. 4.);
+          ],
+          [
+            "Durability held hostage by the least-connected replica is the \
+             reason §7 rejects undo-oriented lazy-group for mobile use; \
+             two-tier moves the durability point to the base transaction \
+             instead.";
+          ] ));
   }

@@ -20,8 +20,12 @@ type t = {
   id : string;
   title : string;
   paper_ref : string;
-  run : quick:bool -> seed:int -> result;
+  run : quick:bool -> seed:int -> Table.t list * finding list * string list;
 }
+
+let run e ~quick ~seed : result =
+  let tables, findings, notes = e.run ~quick ~seed in
+  { id = e.id; title = e.title; tables; findings; notes }
 
 let finding_ok f = Float.abs (f.actual -. f.expected) <= f.tolerance
 
@@ -54,6 +58,15 @@ let rec last_point = function
   | [ p ] -> p
   | _ :: rest -> last_point rest
 
-let fitted_exponent points =
+let near label ~expected ~tolerance actual = { label; expected; actual; tolerance }
+
+let holds label b =
+  near label ~expected:1. ~tolerance:0. (if b then 1. else 0.)
+
+let ratio label ~expected ~tolerance num den =
+  near label ~expected ~tolerance (if den > 0. then num /. den else Float.nan)
+
+let exponent label ~expected ~tolerance points =
   let usable = List.filter (fun (x, y) -> x > 0. && y > 0.) points in
-  if List.length usable < 2 then Float.nan else Stats.loglog_slope usable
+  near label ~expected ~tolerance
+    (if List.length usable < 2 then Float.nan else Stats.loglog_slope usable)

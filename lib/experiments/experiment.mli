@@ -27,13 +27,45 @@ type t = {
   id : string;  (** "T1", "F1", "E3", ... *)
   title : string;
   paper_ref : string;  (** where in the paper this comes from *)
-  run : quick:bool -> seed:int -> result;
-      (** [quick] shrinks sweeps/durations for smoke runs; [seed] drives
+  run : quick:bool -> seed:int -> Table.t list * finding list * string list;
+      (** The experiment's tables, findings and notes, in that order.
+          [quick] shrinks sweeps/durations for smoke runs; [seed] drives
           every random stream, so results are reproducible. *)
 }
 
+val run : t -> quick:bool -> seed:int -> result
+(** [run e ~quick ~seed] runs [e] and labels its output with [e]'s id and
+    title. *)
+
 val finding_ok : finding -> bool
 val pp_result : Format.formatter -> result -> unit
+
+(** {1 Findings}
+
+    Each constructor decides how its kind of finding is measured and
+    encoded; experiments say only what a finding reads. *)
+
+val exponent :
+  string -> expected:float -> tolerance:float -> (float * float) list ->
+  finding
+(** [exponent label ~expected ~tolerance points] is the log-log slope of
+    the (x, rate) [points], skipping non-positive rates; [nan] (so
+    [[off]]) when fewer than two usable points remain, e.g. an event too
+    rare to observe. *)
+
+val ratio :
+  string -> expected:float -> tolerance:float -> float -> float -> finding
+(** [ratio label ~expected ~tolerance num den] measures [num /. den], or
+    [nan] when [den <= 0]: a growth ratio over nothing measured is no
+    ratio at all. *)
+
+val holds : string -> bool -> finding
+(** A yes/no claim, encoded as 1 (holds) or 0 against an expected 1 with
+    tolerance 0. *)
+
+val near : string -> expected:float -> tolerance:float -> float -> finding
+(** A plain measured value against [expected]: exact counts (tolerance 0)
+    and closed forms. *)
 
 (** {1 Measurement helpers} *)
 
@@ -60,8 +92,3 @@ val first_point : 'a list -> 'a
 
 val last_point : 'a list -> 'a
 (** Final point of a sweep; raises [Invalid_argument] when empty. *)
-
-val fitted_exponent : (float * float) list -> float
-(** Log-log slope of (x, rate) points, skipping non-positive rates; [nan]
-    when fewer than two usable points remain (e.g. an event too rare to
-    observe). *)

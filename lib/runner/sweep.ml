@@ -48,7 +48,7 @@ let run_task = function
             (Printf.sprintf "Sweep.run_task: unknown experiment %S (valid: %s)"
                id
                (String.concat ", " (Registry.ids ())))
-      | Some e -> Experiment_item { seed; result = e.Experiment.run ~quick ~seed })
+      | Some e -> Experiment_item { seed; result = Experiment.run e ~quick ~seed })
   | Scheme_task { scheme; spec; seed; warmup; span } ->
       let outcome = Scheme.run_outcome_named scheme spec ~seed ~warmup ~span in
       Scheme_item { scheme; seed; outcome }

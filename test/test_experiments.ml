@@ -36,10 +36,7 @@ let deterministic = [ "T1"; "F1"; "E9"; "E10"; "E13" ]
 let test_quick_runs_all () =
   List.iter
     (fun e ->
-      let result = e.Experiment.run ~quick:true ~seed:5 in
-      Alcotest.check Alcotest.string
-        (e.Experiment.id ^ " result id matches")
-        e.Experiment.id result.Experiment.id;
+      let result = Experiment.run e ~quick:true ~seed:5 in
       checkb (e.Experiment.id ^ " produced tables") true
         (result.Experiment.tables <> []);
       List.iter
@@ -60,7 +57,7 @@ let test_experiment_determinism () =
   (* Same seed, same findings, including the statistical ones. *)
   let run () =
     let e = Option.get (Registry.find "E3") in
-    let result = e.Experiment.run ~quick:true ~seed:9 in
+    let result = Experiment.run e ~quick:true ~seed:9 in
     List.map (fun f -> (f.Experiment.label, f.Experiment.actual))
       result.Experiment.findings
   in
@@ -78,10 +75,24 @@ let test_helpers () =
     (match Experiment.mean float_of_int [] with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  checkb "fitted exponent skips non-positive" true
-    (Float.is_nan (Experiment.fitted_exponent [ (1., 0.); (2., 0.) ]));
+  let exponent points = Experiment.exponent "x" ~expected:2. ~tolerance:0.5 points in
   Alcotest.check (Alcotest.float 1e-6) "fitted exponent" 2.
-    (Experiment.fitted_exponent [ (1., 1.); (2., 4.); (4., 16.) ])
+    (exponent [ (1., 1.); (2., 4.); (4., 16.) ]).actual;
+  let rare = exponent [ (1., 0.); (2., 4.); (4., -1.) ] in
+  checkb "exponent over < 2 positive points is nan" true
+    (Float.is_nan rare.actual);
+  checkb "a nan exponent is off" false (Experiment.finding_ok rare);
+  let yes = Experiment.holds "x" true and no = Experiment.holds "x" false in
+  checkb "holds true is 1 of 1, tolerance 0" true
+    (yes.actual = 1. && yes.expected = 1. && yes.tolerance = 0.);
+  checkb "holds false is 0, tolerance 0" true
+    (no.actual = 0. && no.tolerance = 0. && not (Experiment.finding_ok no));
+  Alcotest.check (Alcotest.float 1e-9) "ratio" 2.
+    (Experiment.ratio "x" ~expected:2. ~tolerance:0. 6. 3.).actual;
+  checkb "ratio over a zero denominator is nan, not inf" true
+    (Float.is_nan (Experiment.ratio "x" ~expected:1. ~tolerance:1. 5. 0.).actual);
+  checkb "near keeps the value" true
+    (Experiment.finding_ok (Experiment.near "x" ~expected:0.972 ~tolerance:1e-9 0.972))
 
 (* An invalid connectivity spec must fail before any system is built,
    not from inside the event loop once a stagger offset fires (or, on a
