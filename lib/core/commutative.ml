@@ -20,14 +20,6 @@ let transfer ~from_ ~to_ amount =
 
 let adjust_stock oid delta = [ Op.Increment (oid, delta) ]
 
-let transaction_commutes ops =
-  List.for_all
-    (fun op ->
-      match op with
-      | Op.Increment _ | Op.Read _ -> true
-      | Op.Assign _ | Op.Assign_from _ -> false)
-    ops
-
 let pairwise_commute txns =
   let rec check = function
     | [] -> true

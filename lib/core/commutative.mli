@@ -30,10 +30,6 @@ val adjust_stock : Oid.t -> float -> Op.t list
 
 (** {1 Checks} *)
 
-val transaction_commutes : Op.t list -> bool
-(** The transaction commutes with any transaction built from increments and
-    reads — i.e. it contains no assignments. *)
-
 val pairwise_commute : Op.t list list -> bool
 (** Every pair of transactions in the set commutes. *)
 
@@ -44,7 +40,3 @@ val converges :
     fresh database in [trials] random orders (default 8) and compare final
     states. [pairwise_commute] implies [converges]; the converse is the
     empirical check used in tests. *)
-
-val final_state :
-  db_size:int -> init:float -> Op.t list list -> float array
-(** The database after applying the transactions in the given order. *)

@@ -45,7 +45,6 @@ type t = {
 
 let base t = t.common
 let base_count t = t.base_count
-let mobile_count t = Array.length t.mobiles
 let owner_of t oid = t.owner.(Oid.to_int oid)
 
 let mobile t ~node =

@@ -75,7 +75,6 @@ val create :
 
 val base : t -> Common.base
 val base_count : t -> int
-val mobile_count : t -> int
 val owner_of : t -> Oid.t -> int
 val mobile : t -> node:int -> Mobile_node.t
 (** @raise Invalid_argument for a base-node id. *)
@@ -130,10 +129,6 @@ val rejection_log : t -> (Tentative.t * string) list
 (** Every rejected tentative transaction with its §7 diagnostic, oldest
     first. *)
 
-val connect_all : t -> unit
-(** Stop the mobility schedules and reconnect every mobile (triggering
-    their syncs). *)
-
 val set_node_connected : t -> node:int -> bool -> unit
 (** Drive one node's connectivity directly (the fault injector's crash /
     restart lever). Disconnecting a mobile sends it tentative; reconnecting
@@ -152,9 +147,10 @@ val base_history_serializable : t -> bool
 
 val converged : t -> bool
 (** All base replicas identical and every mobile's stores equal to them.
-    Meaningful after [stop_load], [connect_all], and draining the engine. *)
+    Meaningful after {!quiesce_and_sync}. *)
 
 val quiesce_and_sync : t -> unit
-(** [stop_load], [connect_all], then drain the engine — after this
+(** [stop_load], stop the mobility schedules and reconnect every mobile
+    (triggering their syncs), then drain the engine — after this
     [converged] must hold; used by experiments to verify the paper's
     "master database is always converged" claim. *)

@@ -124,14 +124,19 @@ let experiment =
             ];
           (Model.scheme_name scheme, p.Model.transactions_per_user_update, measured)
         in
+        (* Sequential lets, not a list literal (whose elements OCaml
+           evaluates right to left), so the rows follow Table 1's order. *)
+        let eager_group =
+          add Model.Eager_group (measure_eager Eager_impl.Group ~seed)
+        in
+        let eager_master =
+          add Model.Eager_master (measure_eager Eager_impl.Master ~seed)
+        in
+        let lazy_group = add Model.Lazy_group (measure_lazy_group ~seed) in
+        let lazy_master = add Model.Lazy_master (measure_lazy_master ~seed) in
+        let two_tier = add Model.Two_tier (measure_two_tier ~seed) in
         let rows =
-          [
-            add Model.Eager_group (measure_eager Eager_impl.Group ~seed);
-            add Model.Eager_master (measure_eager Eager_impl.Master ~seed);
-            add Model.Lazy_group (measure_lazy_group ~seed);
-            add Model.Lazy_master (measure_lazy_master ~seed);
-            add Model.Two_tier (measure_two_tier ~seed);
-          ]
+          [ eager_group; eager_master; lazy_group; lazy_master; two_tier ]
         in
         ( [ table ],
           List.map

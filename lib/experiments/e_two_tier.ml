@@ -105,7 +105,7 @@ let experiment =
         let tt4, lm4 =
           match connected_points with
           | _ :: (_, _, tt4, lm4) :: _ -> (tt4, lm4)
-          | _ -> invalid_arg "E6: sweep needs at least two node counts"
+          | _ -> invalid_arg "E8: sweep needs at least two node counts"
         in
         (* (b) commutative mobile fleet *)
         let commutative_profile =

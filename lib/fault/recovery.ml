@@ -1,7 +1,6 @@
 module Fstore = Dangers_storage.Store.Fstore
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
-module Update_log = Dangers_storage.Update_log
 
 type entry = { oid : Oid.t; value : float; stamp : Timestamp.t }
 
@@ -9,40 +8,37 @@ type t = {
   node : int;
   initial_value : float;
   store : Fstore.t;
-  journal : entry Update_log.t;
-  anchor : Update_log.cursor;  (** never read: pins full retention *)
+  mutable journal_rev : entry list;  (** newest first *)
+  mutable journal_length : int;
   mutable journaling : bool;  (** off while recovery itself writes *)
   mutable crash_count : int;
   mutable violations_rev : string list;
 }
 
 let attach ~node ~initial_value store =
-  let journal = Update_log.create () in
   let t =
     {
       node;
       initial_value;
       store;
-      journal;
-      anchor = Update_log.register journal;
+      journal_rev = [];
+      journal_length = 0;
       journaling = true;
       crash_count = 0;
       violations_rev = [];
     }
   in
   Fstore.on_write store (fun oid value stamp ->
-      if t.journaling then Update_log.append journal { oid; value; stamp });
+      if t.journaling then begin
+        t.journal_rev <- { oid; value; stamp } :: t.journal_rev;
+        t.journal_length <- t.journal_length + 1
+      end);
   t
 
-(* The full journal, oldest first, without consuming the anchor. *)
-let entries t =
-  let cursor = Update_log.register_at_start t.journal in
-  let all = Update_log.read_new t.journal cursor in
-  Update_log.unregister t.journal cursor;
-  all
-
 let replay_onto t store =
-  List.iter (fun e -> Fstore.write store e.oid e.value e.stamp) (entries t)
+  List.iter
+    (fun e -> Fstore.write store e.oid e.value e.stamp)
+    (List.rev t.journal_rev)
 
 let record t fmt = Format.kasprintf (fun msg ->
     t.violations_rev <- msg :: t.violations_rev) fmt
@@ -79,8 +75,5 @@ let restart t =
         (Oid.to_int first)
 
 let crashes t = t.crash_count
-let journal_length t = Update_log.length t.journal
+let journal_length t = t.journal_length
 let violations t = List.rev t.violations_rev
-
-(* The anchor is write-only state: it exists to pin journal retention. *)
-let _ = fun t -> t.anchor

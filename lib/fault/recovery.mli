@@ -1,10 +1,9 @@
 (** Per-node durable write journal and crash recovery.
 
     Every store mutation is captured via
-    {!Dangers_storage.Store.Fstore.on_write} into an append-only
-    {!Dangers_storage.Update_log} — a redo log, the §4 deferred-update
-    machinery doing double duty. The fault injector uses it to prove the
-    store is recoverable at both ends of a crash:
+    {!Dangers_storage.Store.Fstore.on_write} into an append-only redo
+    journal. The fault injector uses it to prove the store is recoverable
+    at both ends of a crash:
 
     - {!crash} checks {e journal completeness}: folding the journal over a
       fresh database must reproduce the live store exactly, i.e. no

@@ -263,9 +263,6 @@ let crossings =
     { x_name = "Domain_pool.parallel_for"; x_label = Some "f"; x_positional = [] };
     { x_name = "Task_pool.map"; x_label = Some "f"; x_positional = [] };
     { x_name = "Pool.parallel_for"; x_label = Some "f"; x_positional = [] };
-    (* the engine's post, also re-exported by the scheme-facing Clock *)
-    { x_name = "Engine.post"; x_label = None; x_positional = [ 1 ] };
-    { x_name = "Clock.post"; x_label = None; x_positional = [ 1 ] };
   ]
 
 let crossing_of name =

@@ -18,7 +18,7 @@
 
     - [DR1] — mutable state captured by, or reachable from, a closure
       that crosses a domain boundary ([Domain.spawn], [Thread.create],
-      [Domain_pool.parallel_for], [Task_pool.map], [Engine.post])
+      [Domain_pool.parallel_for], [Task_pool.map])
       without Atomic/Mutex/DLS synchronization.
     - [DR2] — [Atomic.set a (f (Atomic.get a))]: a lost-update window
       between two atomic operations.

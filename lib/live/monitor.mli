@@ -38,10 +38,6 @@ val poll : t -> frame
     can show per-second rates.
     @raise Failure on an unexpected reply or closed connection. *)
 
-val counter_rate : frame -> string -> float option
-(** The counter's per-second increase across the poll gap; [None] on the
-    first frame or when the counter is absent. *)
-
 val render : frame -> string
 (** A plain-text dashboard: headline totals, per-second rates, latency
     percentiles ({!Obs.histogram_quantile}) and per-mobile replication

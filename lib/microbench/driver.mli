@@ -1,8 +1,5 @@
 (** Entry point of [dangers bench]. *)
 
-val run_suite : quick:bool -> unit -> Bench_file.t
-(** Run every {!Suite} case, printing one summary line each. *)
-
 val main :
   quick:bool ->
   out:string option ->

@@ -255,15 +255,3 @@ let snapshot_of_json j =
     s_phases = List.map Profiling.of_json (Json.list_of (Json.member "phases" j));
     s_warnings_total = Json.int_of (Json.member "warnings_total" j);
   }
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s: %d@ " k v) s.s_counters;
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s: %g@ " k v) s.s_gauges;
-  List.iter
-    (fun (k, h) ->
-      Format.fprintf ppf "%s: n=%d sum=%g mean=%g@ " k h.hs_count h.hs_sum
-        (if h.hs_count = 0 then 0. else h.hs_sum /. float_of_int h.hs_count))
-    s.s_histograms;
-  List.iter (fun p -> Format.fprintf ppf "%a@ " Profiling.pp p) s.s_phases;
-  Format.fprintf ppf "warnings_total: %d@]" s.s_warnings_total

@@ -53,14 +53,11 @@ val gauge_value : gauge -> float
 
 type histogram
 
-val default_latency_buckets : unit -> float array
-(** 100 µs to 100 s in roughly 1–3–10 steps, for simulated-seconds
-    latencies. Returns a fresh array each call, so callers may mutate
-    their copy and no mutable state is shared across domains. *)
-
 val histogram : ?buckets:float array -> t -> string -> histogram
 (** Fixed upper-bound buckets plus an implicit overflow bucket. Interned by
-    name; [buckets] is only consulted on first creation.
+    name; [buckets] is only consulted on first creation. The default
+    spans 100 µs to 100 s in roughly 1–3–10 steps, for simulated-seconds
+    latencies.
     @raise Invalid_argument if [buckets] is empty or not strictly
     increasing. *)
 
@@ -122,5 +119,3 @@ val histogram_of_json : Json.t -> histogram_snapshot
 (** The snapshot codec's histogram object, exposed for the
     {!Timeseries} window codec.
     @raise Json.Parse_error on a shape mismatch. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

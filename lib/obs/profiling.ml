@@ -48,7 +48,3 @@ let of_json j =
     major_words = Json.to_float (Json.member "major_words" j);
     promoted_words = Json.to_float (Json.member "promoted_words" j);
   }
-
-let pp ppf p =
-  Format.fprintf ppf "%s: %.3fs wall, %.0f minor + %.0f major words"
-    p.phase p.wall_seconds p.minor_words p.major_words

@@ -26,5 +26,3 @@ val allocated_words : phase -> float
 val to_json : phase -> Json.t
 val of_json : Json.t -> phase
 (** @raise Json.Parse_error on a shape mismatch. *)
-
-val pp : Format.formatter -> phase -> unit

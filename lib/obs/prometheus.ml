@@ -88,8 +88,6 @@ let of_snapshot (s : Metrics.snapshot) =
       sample name (string_of_int s.Metrics.s_warnings_total));
   Buffer.contents buf
 
-let content_type = "text/plain; version=0.0.4"
-
 (* --- format check --- *)
 
 type lint_state = {

@@ -30,10 +30,6 @@ val of_snapshot : Metrics.snapshot -> string
 (** The full exposition, one family per metric, [# TYPE] first. The text
     ends with a newline as the format requires. *)
 
-val content_type : string
-(** ["text/plain; version=0.0.4"] — what an HTTP scrape endpoint would
-    declare. *)
-
 val lint : string -> (int, string) result
 (** Format check over an exposition: every line must be a comment or a
     valid sample ([name{labels} value]), names must fit the alphabet,

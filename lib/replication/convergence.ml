@@ -74,11 +74,6 @@ module Notes = struct
     r.stamp <- stamp;
     r.lineage <- Stamp_set.add stamp r.lineage
 
-  let read_register t ~key =
-    match Hashtbl.find_opt t.registers key with
-    | Some r when not (Timestamp.equal r.stamp Timestamp.zero) -> Some r.value
-    | Some _ | None -> None
-
   let notes t = Note_set.elements t.note_set |> List.map snd
 
   let merge_register ra rb =

@@ -27,7 +27,6 @@ module Notes : sig
       wins and concurrent updates are silently discarded — the lost-update
       problem. *)
 
-  val read_register : t -> key:string -> float option
   val notes : t -> string list
   (** Note bodies in timestamp order. *)
 

@@ -23,7 +23,6 @@ let read_one_write_all ~n =
   if n <= 0 then invalid_arg "Quorum.read_one_write_all: n must be positive";
   create ~weights:(Array.make n 1) ~read_quorum:1 ~write_quorum:n
 
-let total_votes t = Array.fold_left ( + ) 0 t.weights
 let replicas t = Array.length t.weights
 let read_quorum t = t.read_quorum
 let write_quorum t = t.write_quorum

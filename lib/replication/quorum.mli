@@ -18,7 +18,6 @@ val majority : n:int -> t
 val read_one_write_all : n:int -> t
 (** r = 1, w = n: fast reads, writes blocked by any failure. *)
 
-val total_votes : t -> int
 val replicas : t -> int
 val read_quorum : t -> int
 val write_quorum : t -> int

@@ -59,11 +59,8 @@ val run : ?jobs:int -> ?sim_domains:int -> task list -> item list
     task, so parallel workers never share a registry and the {!item}s are
     the same values {!run} would produce. *)
 
-val task_label : task -> string
-(** ["experiment:<id>"] or ["scheme:<name>"]. *)
-
 type observation = {
-  o_label : string;  (** {!task_label} of the task *)
+  o_label : string;  (** ["experiment:<id>"] or ["scheme:<name>"] *)
   o_seed : int;
   o_snapshot : Dangers_obs.Metrics.snapshot;
   o_trace : Dangers_sim.Trace_export.section option;

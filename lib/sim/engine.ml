@@ -28,9 +28,8 @@
    The same queue serves the simulator and the live server. A time source
    decides the one thing that differs: virtual time jumps to the next
    event, wall time reads a monotonic clock and waits for an event that is
-   not yet due. Both run loops also drain cross-domain posts and honour
-   [stop]; the virtual loop pays two atomic flag loads per event for that
-   and nothing else. *)
+   not yet due. Both run loops honour a cross-domain [stop]; the virtual
+   loop pays one atomic flag load per event for that and nothing else. *)
 
 type event = { mutable action : unit -> unit; mutable cancelled : bool }
 type event_id = event
@@ -70,12 +69,7 @@ type t = {
   filler : event; (* occupies [evs] and lane slots not in use *)
   mutable trace : Trace.t option;
   mutable idle_waiter : (timeout:float -> unit) option;
-  (* Cross-domain entry points. The flags let the single-domain hot loop
-     skip the mutex when nothing external happened. *)
-  mail_mutex : Mutex.t;
-  mutable mailbox_rev : (unit -> unit) list;
-  mail_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
+  stop_flag : bool Atomic.t; (* the one cross-domain entry point *)
 }
 
 (* Sources of the next event: lanes [0 .. lane_count - 1], then the heap. *)
@@ -116,9 +110,6 @@ let with_time time =
     filler;
     trace = None;
     idle_waiter = None;
-    mail_mutex = Mutex.create ();
-    mailbox_rev = [];
-    mail_flag = Atomic.make false;
     stop_flag = Atomic.make false;
   }
 
@@ -403,26 +394,12 @@ let step t =
     true
   end
 
-let post t thunk =
-  Mutex.lock t.mail_mutex;
-  t.mailbox_rev <- thunk :: t.mailbox_rev;
-  Atomic.set t.mail_flag true;
-  Mutex.unlock t.mail_mutex
-
-let drain_posts t =
-  Mutex.lock t.mail_mutex;
-  let posted = List.rev t.mailbox_rev in
-  t.mailbox_rev <- [];
-  Atomic.set t.mail_flag false;
-  Mutex.unlock t.mail_mutex;
-  List.iter (fun thunk -> thunk ()) posted
-
 let set_idle_waiter t waiter = t.idle_waiter <- waiter
 let stop t = Atomic.set t.stop_flag true
 
 exception Runaway of int
 
-(* The longest single park between checks of the stop flag and mailbox;
+(* The longest single park between checks of the stop flag;
    select-based waiters return early on I/O anyway. *)
 let max_idle = 0.05
 
@@ -440,14 +417,13 @@ let run_virtual t ~limit ~deadline =
   while !continue do
     if Atomic.get t.stop_flag then continue := false
     else begin
-      if Atomic.get t.mail_flag then drain_posts t;
       drop_cancelled t;
       if t.top <> none && head_time t t.top <= deadline then begin
         if !budget = 0 then raise (Runaway limit);
         decr budget;
         fire t
       end
-      else if not (Atomic.get t.mail_flag) then continue := false
+      else continue := false
     end
   done
 
@@ -457,7 +433,6 @@ let run_wall t ~elapsed ~sleep ~limit ~deadline =
   while !continue do
     if Atomic.get t.stop_flag then continue := false
     else begin
-      if Atomic.get t.mail_flag then drain_posts t;
       let now = elapsed () in
       if now > t.clock then t.clock <- now;
       drop_cancelled t;
@@ -476,10 +451,10 @@ let run_wall t ~elapsed ~sleep ~limit ~deadline =
       else if Float.is_finite deadline then idle t ~sleep (deadline -. t.clock)
       else begin
         match t.idle_waiter with
-        | None when not (Atomic.get t.mail_flag) ->
+        | None ->
             (* Queue drained, nothing can wake us: the run is over. *)
             continue := false
-        | None | Some _ -> idle t ~sleep max_idle
+        | Some _ -> idle t ~sleep max_idle
       end
     end
   done

@@ -17,8 +17,8 @@
       in [select] there) or the sleep it was built with.
 
     The engine itself is single-domain: only the domain running {!run} may
-    call [schedule]/[cancel]. Other domains hand work over with {!post}
-    and end a run with {!stop}, the only thread-safe entry points. *)
+    call [schedule]/[cancel]. Other domains end a run with {!stop}, the
+    only thread-safe entry point. *)
 
 type t
 
@@ -62,7 +62,7 @@ val next_time : t -> float option
 
 val step : t -> bool
 (** Fire the next event whatever the time source says; [false] when the
-    queue is empty. Posts and {!stop} are not consulted. *)
+    queue is empty. {!stop} is not consulted. *)
 
 exception Runaway of int
 (** Raised by {!run} when [max_events] fire without draining the queue —
@@ -71,7 +71,7 @@ exception Runaway of int
 
 val run : ?max_events:int -> ?until:float -> t -> unit
 (** Fire events until the queue drains, [until] passes, or {!stop} is
-    called. Posted closures run before the next event is considered.
+    called.
 
     With [~until], stops (leaving later events queued) once the next event
     lies beyond [until]; virtual time then sets the clock to [until]. With
@@ -85,11 +85,6 @@ val run : ?max_events:int -> ?until:float -> t -> unit
 
 val run_for : t -> float -> unit
 (** [run_for t span] = [run t ~until:(now t +. span)] (virtual time). *)
-
-val post : t -> (unit -> unit) -> unit
-(** Thread-safe: enqueue a closure to run on the engine's domain, at the
-    current time, before the next event is considered. This is how another
-    domain (or a socket-accept loop) injects work into a {!run}. *)
 
 val stop : t -> unit
 (** Thread-safe: make the current {!run} return after the event in

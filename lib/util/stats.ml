@@ -68,66 +68,3 @@ let loglog_slope points =
   let denom = (nf *. sxx) -. (sx *. sx) in
   if Float.equal denom 0. then invalid_arg "Stats.loglog_slope: degenerate x values";
   ((nf *. sxy) -. (sx *. sy)) /. denom
-
-let geometric_mean xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.geometric_mean: empty array";
-  let log_sum =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0. then invalid_arg "Stats.geometric_mean: non-positive value"
-        else acc +. log x)
-      0. xs
-  in
-  exp (log_sum /. float_of_int n)
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable n : int;
-  }
-
-  let create ~min ~max ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-    if min >= max then invalid_arg "Histogram.create: min must be < max";
-    {
-      lo = min;
-      hi = max;
-      width = (max -. min) /. float_of_int buckets;
-      counts = Array.make buckets 0;
-      n = 0;
-    }
-
-  let bucket_of t x =
-    let buckets = Array.length t.counts in
-    if x < t.lo then 0
-    else if x >= t.hi then buckets - 1
-    else
-      let idx = int_of_float ((x -. t.lo) /. t.width) in
-      if idx >= buckets then buckets - 1 else idx
-
-  let add t x =
-    t.n <- t.n + 1;
-    let idx = bucket_of t x in
-    t.counts.(idx) <- t.counts.(idx) + 1
-
-  let count t = t.n
-  let bucket_counts t = Array.copy t.counts
-
-  let bucket_bounds t =
-    Array.init (Array.length t.counts) (fun i ->
-        let lo = t.lo +. (float_of_int i *. t.width) in
-        (lo, lo +. t.width))
-
-  let pp ppf t =
-    let bounds = bucket_bounds t in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then
-          let lo, hi = bounds.(i) in
-          Format.fprintf ppf "[%.4g, %.4g): %d@." lo hi c)
-      t.counts
-end

@@ -41,27 +41,3 @@ val loglog_slope : (float * float) list -> float
     exponent of a power law. Points with non-positive coordinates are
     rejected with [Invalid_argument]; fewer than two points, or points all
     sharing one x (a vertical line has no slope), likewise. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean of positive values. @raise Invalid_argument if empty or
-    any value is non-positive. *)
-
-(** {1 Histogram} *)
-
-module Histogram : sig
-  type t
-
-  val create : min:float -> max:float -> buckets:int -> t
-  (** Fixed-width buckets spanning [min, max); out-of-range observations go
-      to saturating end buckets. @raise Invalid_argument if [buckets <= 0]
-      or [min >= max]. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  val bucket_bounds : t -> (float * float) array
-  (** Inclusive-lower, exclusive-upper bound per bucket. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Compact ASCII rendering, one line per non-empty bucket. *)
-end

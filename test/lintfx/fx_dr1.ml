@@ -46,14 +46,3 @@ let deliberate () =
   let d = (Domain.spawn (fun () -> scratch := 1) [@lint.allow "dr1"]) in
   Domain.join d;
   !scratch
-
-(* a local ref captured by a closure posted to an engine's run loop; the
-   stand-in exercises name-based matching like Domain_pool above *)
-module Engine = struct
-  let post _engine thunk = thunk ()
-end
-
-let post_writes_local engine =
-  let posted = ref 0 in
-  Engine.post engine (fun () -> incr posted);
-  !posted

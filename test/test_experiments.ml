@@ -94,6 +94,44 @@ let test_helpers () =
   checkb "near keeps the value" true
     (Experiment.finding_ok (Experiment.near "x" ~expected:0.972 ~tolerance:1e-9 0.972))
 
+(* T1's table lists the strategies in Table 1's order, the same order as
+   its findings. *)
+let test_taxonomy_order () =
+  let e = Option.get (Registry.find "T1") in
+  let result = Experiment.run e ~quick:true ~seed:42 in
+  let table =
+    match result.Experiment.tables with
+    | [ t ] -> t
+    | _ -> Alcotest.fail "T1 renders one table"
+  in
+  (* Rows follow the header's dashed separator; the strategy is the text
+     before the first column bar. *)
+  let rec rows = function
+    | line :: rest when String.length line > 0 && line.[0] = '-' -> rest
+    | _ :: rest -> rows rest
+    | [] -> []
+  in
+  let strategy line = String.trim (List.hd (String.split_on_char '|' line)) in
+  let table_order =
+    rows (String.split_on_char '\n' (Table.to_string table))
+    |> List.filter (fun line -> String.trim line <> "")
+    |> List.map strategy
+  in
+  let suffix = " transactions per user update" in
+  let finding_order =
+    List.map
+      (fun f ->
+        let label = f.Experiment.label in
+        String.sub label 0 (String.length label - String.length suffix))
+      result.Experiment.findings
+  in
+  let table1 =
+    [ "eager-group"; "eager-master"; "lazy-group"; "lazy-master"; "two-tier" ]
+  in
+  let checksl = Alcotest.check (Alcotest.list Alcotest.string) in
+  checksl "table rows in Table 1's order" table1 table_order;
+  checksl "findings in Table 1's order" table1 finding_order
+
 (* An invalid connectivity spec must fail before any system is built,
    not from inside the event loop once a stagger offset fires (or, on a
    short run, not at all). *)
@@ -124,6 +162,7 @@ let suite =
     Alcotest.test_case "quick runs all" `Slow test_quick_runs_all;
     Alcotest.test_case "experiment determinism" `Quick test_experiment_determinism;
     Alcotest.test_case "helpers" `Quick test_helpers;
+    Alcotest.test_case "taxonomy rows in Table 1 order" `Quick test_taxonomy_order;
     Alcotest.test_case "invalid connectivity rejected" `Quick
       test_invalid_connectivity_rejected;
   ]

@@ -9,7 +9,6 @@ module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Network = Dangers_net.Network
 module Delay = Dangers_runtime.Delay
-module Update_log = Dangers_storage.Update_log
 module Mode = Dangers_lock.Mode
 module Lock_table = Dangers_lock.Lock_table
 module Rng = Dangers_util.Rng
@@ -263,26 +262,6 @@ let engine_ordering =
          also show that events in the engine's lanes are counted *)
       play (engine_core ()) script = play (reference_core ()) script)
 
-(* --- Update log vs a pure reference. --- *)
-
-let update_log_matches_reference =
-  QCheck.Test.make ~name:"update log: matches list reference" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 40) (int_range 0 2))
-    (fun script ->
-      let log = Update_log.create () in
-      let cursor = Update_log.register log in
-      let appended = ref [] and read = ref [] in
-      List.iteri
-        (fun i action ->
-          match action with
-          | 0 | 1 ->
-              Update_log.append log i;
-              appended := i :: !appended
-          | _ -> read := !read @ Update_log.read_new log cursor)
-        script;
-      read := !read @ Update_log.read_new log cursor;
-      !read = List.rev !appended)
-
 (* --- Lock table: same-resource X grants follow request order. --- *)
 
 let lock_fifo =
@@ -401,7 +380,6 @@ let suite =
     [
       network_conservation;
       engine_ordering;
-      update_log_matches_reference;
       lock_fifo;
       lazy_group_always_converges;
       two_tier_exact_sums;

@@ -16,7 +16,6 @@ module Common = Dangers_replication.Common
 module Repl_stats = Dangers_replication.Repl_stats
 module Eager_group = Dangers_replication.Eager_group
 module Eager_impl = Dangers_replication.Eager_impl
-module Eager_master = Dangers_replication.Eager_master
 module Lazy_group = Dangers_replication.Lazy_group
 module Lazy_master = Dangers_replication.Lazy_master
 module Reconcile = Dangers_replication.Reconcile
@@ -118,12 +117,12 @@ let test_eager_duration_scales_with_nodes () =
 (* --- Eager master --- *)
 
 let test_eager_master_replicates () =
-  let sys = Eager_master.create small_params ~seed:5 in
-  Eager_master.submit sys ~node:2 [ Op.Increment (o 4, 10.) ];
-  Common.drain (Eager_master.base sys);
-  let stores = (Eager_master.base sys).Common.stores in
+  let sys = Eager_impl.create Eager_impl.Master small_params ~seed:5 in
+  Eager_impl.submit sys ~node:2 [ Op.Increment (o 4, 10.) ];
+  Common.drain (Eager_impl.base sys);
+  let stores = (Eager_impl.base sys).Common.stores in
   Array.iter (fun s -> checkf "replica updated" 10. (Fstore.read s (o 4))) stores;
-  checki "object 4 mastered at node 1" 1 (Eager_master.master_of sys (o 4))
+  checki "object 4 mastered at node 1" 1 (Eager_impl.master_of sys (o 4))
 
 (* --- Lazy group --- *)
 

@@ -1,7 +1,7 @@
 (* The runtime's contract: one event engine whose time source is the only
    difference between the simulator and the live server — the same
    schedule fires in the same order on virtual and on wall time, wall
-   time really elapses, other domains can post work and stop a run, and
+   time really elapses, another domain can stop a run, and
    the two-tier scheme is deterministic on the simulator runtime. *)
 
 module Clock = Dangers_runtime.Clock
@@ -88,22 +88,6 @@ let test_wall_stop_is_thread_safe () =
   Clock.run clock;
   Domain.join stopper;
   checkb "returned after stop" true true
-
-let test_post_crosses_domains () =
-  let clock = Live_clock.create Wall in
-  let hits = Atomic.make 0 in
-  Clock.set_idle_waiter clock (Some (fun ~timeout:_ -> ()));
-  let poster =
-    Domain.spawn (fun () ->
-        for _ = 1 to 100 do
-          Clock.post clock (fun () -> Atomic.incr hits)
-        done;
-        Unix.sleepf 0.05;
-        Clock.post clock (fun () -> Clock.stop clock))
-  in
-  Clock.run clock;
-  Domain.join poster;
-  checki "all posted closures ran on the clock domain" 100 (Atomic.get hits)
 
 (* --- codec --- *)
 
@@ -199,7 +183,6 @@ let suite =
       test_wall_mode_elapses;
     Alcotest.test_case "wall stop from another domain" `Quick
       test_wall_stop_is_thread_safe;
-    Alcotest.test_case "post crosses domains" `Quick test_post_crosses_domains;
     Alcotest.test_case "codec round-trips and rejects garbage" `Quick
       test_codec_roundtrip;
     Alcotest.test_case "two-tier: sim runtime is deterministic" `Quick

@@ -70,21 +70,6 @@ let test_loglog_rejects () =
     (Invalid_argument "Stats.loglog_slope: coordinates must be positive")
     (fun () -> ignore (Stats.loglog_slope [ (1., 0.); (2., 1.) ]))
 
-let test_geometric_mean () =
-  checkf "gm of 2,8" 4. (Stats.geometric_mean [| 2.; 8. |]);
-  checkf "gm of equal" 5. (Stats.geometric_mean [| 5.; 5.; 5. |])
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~min:0. ~max:10. ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.; 3.; 5.; 9.9; -1.; 42. ];
-  Alcotest.check Alcotest.int "count" 7 (Stats.Histogram.count h);
-  let counts = Stats.Histogram.bucket_counts h in
-  Alcotest.check (Alcotest.array Alcotest.int) "buckets"
-    [| 3; 1; 1; 0; 2 |] counts;
-  let bounds = Stats.Histogram.bucket_bounds h in
-  checkf "first lower bound" 0. (fst bounds.(0));
-  checkf "last upper bound" 10. (snd bounds.(4))
-
 let qcheck_props =
   let open QCheck in
   [
@@ -141,18 +126,6 @@ let qcheck_props =
         let s1 = Stats.loglog_slope points in
         let s2 = Stats.loglog_slope (points @ points) in
         Float.abs (s1 -. s2) <= 1e-6 *. (1. +. Float.abs s1));
-    Test.make ~name:"stats: histogram saturates out-of-range into end buckets"
-      ~count:300
-      (list_of_size (Gen.int_range 0 100) (float_range (-2.) 3.))
-      (fun xs ->
-        let h = Stats.Histogram.create ~min:0. ~max:1. ~buckets:4 in
-        List.iter (Stats.Histogram.add h) xs;
-        let counts = Stats.Histogram.bucket_counts h in
-        let below = List.length (List.filter (fun x -> x < 0.) xs) in
-        let above = List.length (List.filter (fun x -> x >= 1.) xs) in
-        Array.fold_left ( + ) 0 counts = List.length xs
-        && counts.(0) >= below
-        && counts.(Array.length counts - 1) >= above);
   ]
 
 let suite =
@@ -166,7 +139,5 @@ let suite =
     Alcotest.test_case "loglog slope quadratic" `Quick test_loglog_slope_exact;
     Alcotest.test_case "loglog slope cubic" `Quick test_loglog_slope_cubic;
     Alcotest.test_case "loglog rejects non-positive" `Quick test_loglog_rejects;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
-    Alcotest.test_case "histogram" `Quick test_histogram;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_props

@@ -1,10 +1,9 @@
-(* Oid, Timestamp, Store, Version_vector, Update_log tests. *)
+(* Oid, Timestamp, Store, Version_vector tests. *)
 
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
 module Fstore = Dangers_storage.Store.Fstore
 module Version_vector = Dangers_storage.Version_vector
-module Update_log = Dangers_storage.Update_log
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -271,48 +270,6 @@ let vv_lattice_props =
         && Version_vector.dominates_or_equal m b);
   ]
 
-(* --- Update log --- *)
-
-let test_update_log_cursors () =
-  let log = Update_log.create () in
-  let early = Update_log.register log in
-  Update_log.append log "a";
-  Update_log.append log "b";
-  let late = Update_log.register log in
-  Update_log.append log "c";
-  Alcotest.check (Alcotest.list Alcotest.string) "early sees all" [ "a"; "b"; "c" ]
-    (Update_log.read_new log early);
-  Alcotest.check (Alcotest.list Alcotest.string) "late sees tail" [ "c" ]
-    (Update_log.read_new log late);
-  Alcotest.check (Alcotest.list Alcotest.string) "drained" []
-    (Update_log.read_new log early);
-  checki "pending zero" 0 (Update_log.pending log late)
-
-let test_update_log_trim_and_unregister () =
-  let log = Update_log.create () in
-  let a = Update_log.register log in
-  let b = Update_log.register log in
-  for i = 1 to 100 do
-    Update_log.append log i
-  done;
-  checki "a sees 100" 100 (List.length (Update_log.read_new log a));
-  Update_log.unregister log b;
-  Alcotest.check_raises "read after unregister"
-    (Invalid_argument "Update_log.read_new: unregistered cursor") (fun () ->
-      ignore (Update_log.read_new log b));
-  Update_log.append log 101;
-  Alcotest.check (Alcotest.list Alcotest.int) "a continues" [ 101 ]
-    (Update_log.read_new log a)
-
-let test_update_log_register_at_start () =
-  let log = Update_log.create () in
-  let keeper = Update_log.register log in
-  Update_log.append log "x";
-  let replayer = Update_log.register_at_start log in
-  Alcotest.check (Alcotest.list Alcotest.string) "replays history" [ "x" ]
-    (Update_log.read_new log replayer);
-  ignore (Update_log.read_new log keeper)
-
 let suite =
   [
     Alcotest.test_case "oid" `Quick test_oid;
@@ -331,8 +288,5 @@ let suite =
     Alcotest.test_case "version vector basics" `Quick test_vv_basics;
     Alcotest.test_case "version vector causality" `Quick test_vv_causality;
     Alcotest.test_case "version vector validation" `Quick test_vv_of_list_validation;
-    Alcotest.test_case "update log cursors" `Quick test_update_log_cursors;
-    Alcotest.test_case "update log trim/unregister" `Quick test_update_log_trim_and_unregister;
-    Alcotest.test_case "update log register_at_start" `Quick test_update_log_register_at_start;
   ]
   @ List.map QCheck_alcotest.to_alcotest vv_lattice_props
