@@ -96,42 +96,14 @@ let seed_term =
 let jobs_term =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ]
-           ~doc:"Worker domains for independent simulation tasks. Results \
-                 are byte-identical at any value; only wall-clock changes. \
-                 0 means one per core.")
+           ~doc:"Domains the run may spend: up to N workers run the \
+                 independent simulation tasks, and each task gets an equal \
+                 share of the rest for its own simulation (only schemes \
+                 built on the parallel engine, such as par-eager-group, \
+                 use it). Results are byte-identical at any value; only \
+                 wall-clock changes. 0 means one per core.")
 
 let resolve_jobs jobs = if jobs = 0 then Task_pool.default_jobs () else jobs
-
-let sim_domains_term =
-  Arg.(value & opt int 1
-       & info [ "sim-domains" ]
-           ~docv:"N"
-           ~doc:"Domains for the conservative parallel simulation engine \
-                 $(i,inside) each run (as opposed to $(b,--jobs), which \
-                 parallelises across independent runs). Results are \
-                 byte-identical at any value; only schemes built on the \
-                 parallel engine (see `dangers list`) get faster. 0 means \
-                 one per core.")
-
-(* The ambient budget is harmless for serial schemes (they never consult
-   it), but silently ignoring an explicit request would read as a speedup
-   that never happened — say so, on stderr, outside the deterministic
-   stdout stream. *)
-let note_serial_schemes ~sim_domains names =
-  let sim_domains =
-    if sim_domains = 0 then Task_pool.default_jobs () else sim_domains
-  in
-  if sim_domains > 1 then
-    List.iter
-      (fun name ->
-        if not (Scheme.parallel_capable name) then
-          Dangers_obs.Warnings.warn
-            ~key:("cli.sim_domains.serial:" ^ name)
-            (Printf.sprintf
-               "note: scheme %s does not use the parallel engine; \
-                --sim-domains %d runs it serially (unchanged results)"
-               name sim_domains))
-      (List.sort_uniq String.compare names)
 
 (* --- shared observability flags --- *)
 
@@ -239,14 +211,10 @@ let write_observations opts observations =
 
 (* Run tasks with per-task observation when any sink is requested, plainly
    otherwise — the items are identical either way. *)
-let run_tasks ?(sim_domains = 1) ~opts ~jobs tasks =
-  let sim_domains =
-    if sim_domains = 0 then Task_pool.default_jobs () else sim_domains
-  in
-  let sim_domains = if sim_domains > 1 then Some sim_domains else None in
+let run_tasks ~opts ~jobs tasks =
   if observing opts then begin
     let observed =
-      Sweep.run_observed ~jobs ?sim_domains
+      Sweep.run_observed ~jobs
         ~trace:(opts.trace_out <> None)
         ~trace_capacity:opts.trace_capacity
         ?series_interval:
@@ -256,7 +224,7 @@ let run_tasks ?(sim_domains = 1) ~opts ~jobs tasks =
     write_observations opts (List.map snd observed);
     List.map fst observed
   end
-  else Sweep.run ~jobs ?sim_domains tasks
+  else Sweep.run ~jobs tasks
 
 (* Print [text] on stdout, or write it to [out]. *)
 let emit ~out text =
@@ -359,7 +327,7 @@ let experiment_cmd =
                    $(b,markdown) (the full paper-vs-measured report, with \
                    a reproduced-findings count).")
   in
-  let run ids quick format seed jobs sim_domains opts =
+  let run ids quick format seed jobs opts =
     match find_experiments ids with
     | None -> 1
     | Some selected ->
@@ -368,7 +336,7 @@ let experiment_cmd =
         in
         let results =
           Sweep.experiment_tasks ~quick experiments ~seeds:[ seed ]
-          |> run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs)
+          |> run_tasks ~opts ~jobs:(resolve_jobs jobs)
           |> List.map (function
                | Sweep.Experiment_item { result; _ } -> result
                | Sweep.Scheme_item _ -> assert false)
@@ -384,7 +352,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures (analytic vs measured).")
     Term.(const run $ ids $ quick $ format $ seed_term $ jobs_term
-          $ sim_domains_term $ obs_term)
+          $ obs_term)
 
 (* --- analytic --- *)
 
@@ -482,8 +450,7 @@ let simulate_cmd =
   let span =
     Arg.(value & opt float 120. & info [ "span" ] ~doc:"Measured seconds.")
   in
-  let run params scheme span seed sim_domains opts =
-    note_serial_schemes ~sim_domains [ Scheme.name scheme ];
+  let run params scheme span seed jobs opts =
     let task =
       Sweep.Scheme_task
         {
@@ -494,7 +461,7 @@ let simulate_cmd =
           span;
         }
     in
-    match run_tasks ~sim_domains ~opts ~jobs:1 [ task ] with
+    match run_tasks ~opts ~jobs:(resolve_jobs jobs) [ task ] with
     | [ Sweep.Scheme_item { outcome; _ } ] ->
         Format.printf "%a@." Repl_stats.pp_summary outcome.Scheme.summary;
         Format.printf "%a" pp_diagnostics outcome;
@@ -503,8 +470,8 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one scheme under generator load.")
-    Term.(const run $ params_term $ scheme $ span $ seed_term
-          $ sim_domains_term $ obs_term)
+    Term.(const run $ params_term $ scheme $ span $ seed_term $ jobs_term
+          $ obs_term)
 
 (* --- sweep --- *)
 
@@ -565,7 +532,7 @@ let sweep_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the output to FILE.")
   in
   let run params ids schemes scenario quick nseeds span format out seed jobs
-      sim_domains opts =
+      opts =
     let scheme_names =
       match (schemes, scenario) with
       | [], Some _ -> Scheme.names ()
@@ -603,10 +570,7 @@ let sweep_cmd =
           Sweep.experiment_tasks ~quick experiments ~seeds
           @ Sweep.scheme_tasks ~span ~seeds ~specs:[ spec ] scheme_names
         in
-        note_serial_schemes ~sim_domains scheme_names;
-        let items =
-          run_tasks ~sim_domains ~opts ~jobs:(resolve_jobs jobs) tasks
-        in
+        let items = run_tasks ~opts ~jobs:(resolve_jobs jobs) tasks in
         let records = List.map Export.record_of_item items in
         (match format with
         | `Table ->
@@ -631,8 +595,7 @@ let sweep_cmd =
              pool. Results are in task order and byte-identical at any \
              $(b,--jobs).")
     Term.(const run $ params_term $ ids $ schemes $ scenario $ quick $ seeds
-          $ span $ format $ out $ seed_term $ jobs_term $ sim_domains_term
-          $ obs_term)
+          $ span $ format $ out $ seed_term $ jobs_term $ obs_term)
 
 (* --- trace --- *)
 

@@ -51,7 +51,6 @@ let diagnostic outcome key = List.assoc_opt key outcome.diagnostics
 type t = {
   name : string;
   doc : string;
-  parallel_capable : bool;
   run_outcome : spec -> seed:int -> warmup:float -> span:float -> outcome;
 }
 
@@ -61,11 +60,10 @@ let checked spec =
   Params.validate spec.params;
   Option.iter Connectivity.validate spec.connectivity
 
-let scheme ?(parallel_capable = false) ~name ~doc run =
+let scheme ~name ~doc run =
   {
     name;
     doc;
-    parallel_capable;
     run_outcome =
       (fun spec ~seed ~warmup ~span ->
         checked spec;
@@ -193,13 +191,12 @@ let all =
                 else 0. );
             ];
         });
-    (* The one scheme that actually spends the ambient --sim-domains
-       budget; results are byte-identical at any value by construction. *)
-    scheme ~parallel_capable:true ~name:"par-eager-group"
+    (* The one scheme that actually spends the ambient domain budget;
+       results are byte-identical at any value by construction. *)
+    scheme ~name:"par-eager-group"
       ~doc:
         "Eager update-anywhere re-derived as a message-passing distributed \
-         system, one parallel-engine partition per node (honours \
-         --sim-domains)."
+         system, one parallel-engine partition per node."
       (fun c ~seed ~warmup ~span ->
         (match c.transport_delay with
         | Some d when not (Delay.min_bound d > 0.) ->
@@ -237,9 +234,6 @@ let find wanted =
       wanted
   in
   List.find_opt (fun s -> String.equal s.name wanted) all
-
-let parallel_capable wanted =
-  match find wanted with Some s -> s.parallel_capable | None -> false
 
 let run_outcome s = s.run_outcome
 let run s spec ~seed ~warmup ~span = (run_outcome s spec ~seed ~warmup ~span).summary

@@ -68,10 +68,6 @@ type t = {
   name : string;
       (** Registry key, also the CLI spelling ("eager-group", "two-tier", ...). *)
   doc : string;  (** One-line description for [--help] and listings. *)
-  parallel_capable : bool;
-      (** Whether the scheme spends the ambient [--sim-domains] budget
-          ({!Dangers_sim.Observe.with_domains}). Every scheme is
-          byte-identical at any budget; only capable ones get faster. *)
   run_outcome : spec -> seed:int -> warmup:float -> span:float -> outcome;
       (** Validate the spec, build a fresh system, drive it under generator
           load for [warmup + span] simulated seconds and summarise the
@@ -94,9 +90,6 @@ val names : unit -> string list
 val find : string -> t option
 (** Case-insensitive lookup by [name]; underscores are accepted for
     hyphens ("eager_group" finds "eager-group"). *)
-
-val parallel_capable : string -> bool
-(** The named scheme's [parallel_capable]; [false] for an unknown name. *)
 
 val named : string -> t
 (** Like {!find}. @raise Invalid_argument on an unknown name, listing the

@@ -50,15 +50,6 @@ let time_batch f runs =
   let per_run x = x /. float_of_int runs in
   (per_run (Int64.to_float (Int64.sub t1 t0)), per_run (w1 -. w0))
 
-(* Linear interpolation between closest ranks, as in numpy's default. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor rank) in
-  let hi = int_of_float (Float.ceil rank) in
-  if lo = hi then sorted.(lo)
-  else sorted.(lo) +. ((rank -. float_of_int lo) *. (sorted.(hi) -. sorted.(lo)))
-
 let of_samples ~name ~warmup ~runs xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Harness.of_samples: no samples";
@@ -78,8 +69,8 @@ let of_samples ~name ~warmup ~runs xs =
     s_runs = runs;
     mean;
     stddev;
-    p50 = percentile sorted 50.;
-    p99 = percentile sorted 99.;
+    p50 = Dangers_util.Stats.percentile sorted ~p:0.5;
+    p99 = Dangers_util.Stats.percentile sorted ~p:0.99;
     min = sorted.(0);
     max = sorted.(n - 1);
     words = None;

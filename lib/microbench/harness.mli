@@ -43,9 +43,5 @@ val of_samples :
     exposed for tests.
     @raise Invalid_argument on an empty array. *)
 
-val percentile : float array -> float -> float
-(** [percentile sorted p] with linear interpolation between closest ranks;
-    [sorted] must be ascending and non-empty. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 (** One aligned human-readable line (no trailing newline). *)

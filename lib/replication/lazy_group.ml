@@ -211,7 +211,6 @@ let divergence t =
     stores;
   !count
 
-let is_connected t ~node = Network.is_connected (network t) ~node
 let set_node_connected t ~node state = Network.set_connected (network t) ~node state
 let flush_node t ~node = Network.flush_node (network t) ~node
 

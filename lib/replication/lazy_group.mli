@@ -66,8 +66,6 @@ val divergence : t -> int
     replica — the system-delusion gauge. Zero after a drain under any
     converging rule; grows without bound under [Reconcile.Ignore]. *)
 
-val is_connected : t -> node:int -> bool
-
 val set_node_connected : t -> node:int -> bool -> unit
 (** Drive a node's connectivity directly — the fault injector's crash /
     restart lever (a [mobility] spec does the same through a schedule). *)

@@ -53,19 +53,22 @@ let run_task = function
       let outcome = Scheme.run_outcome_named scheme spec ~seed ~warmup ~span in
       Scheme_item { scheme; seed; outcome }
 
-(* The --sim-domains budget is ambient (Domain.DLS) and the worker domains
-   are fresh, so it must be installed inside the per-task callback, on the
-   domain that actually runs the task. *)
-let with_sim_domains sim_domains f =
-  match sim_domains with
-  | None -> f ()
-  | Some domains -> Observe.with_domains domains f
+(* The one split of a domain budget: [min budget tasks] workers, and each
+   task [budget / workers] domains, so their product never exceeds the
+   budget. The per-task budget is ambient (Domain.DLS) and the worker
+   domains are fresh, so it is installed inside the per-task callback, on
+   the domain that actually runs the task. *)
+let map_budgeted ~jobs ~f tasks =
+  let budget = max 1 (min Task_pool.max_workers jobs) in
+  let workers = max 1 (min budget (List.length tasks)) in
+  let domains = budget / workers in
+  let f =
+    if domains > 1 then fun task -> Observe.with_domains domains (fun () -> f task)
+    else f
+  in
+  Array.to_list (Task_pool.map ~jobs:workers ~f (Array.of_list tasks))
 
-let run ?(jobs = 1) ?sim_domains tasks =
-  Array.to_list
-    (Task_pool.map ~jobs
-       ~f:(fun task -> with_sim_domains sim_domains (fun () -> run_task task))
-       (Array.of_list tasks))
+let run ?(jobs = 1) tasks = map_budgeted ~jobs ~f:run_task tasks
 
 (* --- observed runs --- *)
 
@@ -116,11 +119,8 @@ let run_task_observed ?(trace = false) ?trace_capacity ?series_interval task =
   in
   (item, observation)
 
-let run_observed ?(jobs = 1) ?sim_domains ?(trace = false) ?trace_capacity
-    ?series_interval tasks =
-  Array.to_list
-    (Task_pool.map ~jobs
-       ~f:(fun task ->
-         with_sim_domains sim_domains (fun () ->
-             run_task_observed ~trace ?trace_capacity ?series_interval task))
-       (Array.of_list tasks))
+let run_observed ?(jobs = 1) ?(trace = false) ?trace_capacity ?series_interval
+    tasks =
+  map_budgeted ~jobs
+    ~f:(run_task_observed ~trace ?trace_capacity ?series_interval)
+    tasks

@@ -42,14 +42,19 @@ val scheme_tasks :
 val run_task : task -> item
 (** @raise Invalid_argument on an unknown experiment id or scheme name. *)
 
-val run : ?jobs:int -> ?sim_domains:int -> task list -> item list
-(** Execute every task on up to [jobs] domains (default 1) and return the
-    items in task order — byte-identical to a serial run. [sim_domains]
-    installs an ambient intra-simulation domain budget
-    ({!Dangers_sim.Observe.with_domains}) around each task: schemes built
-    on the conservative parallel engine run their partitions on that many
-    domains; every other scheme ignores it. Items are byte-identical at
-    any [sim_domains] (and any [jobs]). *)
+val run : ?jobs:int -> task list -> item list
+(** Execute every task under a domain budget of [jobs] (default 1,
+    clamped to 1..{!Task_pool.max_workers}) and return the items in task
+    order — byte-identical to a serial run.
+
+    The budget is split in one way: [min budget (List.length tasks)]
+    workers run the tasks, and each task gets [budget / workers] domains
+    for its own simulation, installed as the ambient budget
+    ({!Dangers_sim.Observe.with_domains}) only when above 1. So workers ×
+    per-task domains ≤ min(budget, 128), whatever [jobs] is. Schemes built
+    on the conservative parallel engine run their partitions on the
+    per-task domains; every other scheme ignores them. Items are
+    byte-identical at any [jobs]. *)
 
 (** {1 Observed runs}
 
@@ -84,13 +89,12 @@ val run_task_observed :
 
 val run_observed :
   ?jobs:int ->
-  ?sim_domains:int ->
   ?trace:bool ->
   ?trace_capacity:int ->
   ?series_interval:float ->
   task list ->
   (item * observation) list
-(** Items and observations in task order at any [jobs]. Wall-clock
-    profiles vary run to run, of course; everything else is
-    deterministic — including the sampled series, which runs on the
-    simulated clock. *)
+(** Items and observations in task order at any [jobs], split as in
+    {!run}. Wall-clock profiles vary run to run, of course; everything
+    else is deterministic — including the sampled series, which runs on
+    the simulated clock. *)

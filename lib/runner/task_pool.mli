@@ -21,9 +21,13 @@ val host_cores : unit -> int
 val default_jobs : unit -> int
 (** Defaults to {!host_cores}. *)
 
+val max_workers : int
+(** 128: {!Dangers_util.Domain_pool}'s limit, which is also the OCaml
+    runtime's limit on live domains. *)
+
 val map : jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs ~f tasks] applies [f] to every task on up to [jobs] domains
-    (at most 128, the pool's limit) and returns the results in task order.
+    (at most {!max_workers}) and returns the results in task order.
     [jobs <= 1] runs inline with no domains at all. If any task raises, the exception of the
     lowest-indexed failing task is re-raised (with its backtrace) after
     all workers have finished. *)

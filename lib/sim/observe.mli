@@ -27,9 +27,10 @@ val with_observation :
     measured window. *)
 
 val with_domains : int -> (unit -> 'a) -> 'a
-(** Install a simulation-domain budget — the CLI's [--sim-domains N] —
-    as part of this domain's ambient context for the duration of the
-    callback, preserving the registry/tracer slots. Schemes that support
+(** Install a simulation-domain budget — one task's share of the CLI's
+    [--jobs] budget, as {!Dangers_runner.Sweep.run} splits it — as part
+    of this domain's ambient context for the duration of the callback,
+    preserving the registry/tracer slots. Schemes that support
     partitioned execution size their {!Dangers_util.Domain_pool} from
     {!ambient_domains}; every other scheme ignores it and runs serially
     (which is trivially byte-identical at any budget).

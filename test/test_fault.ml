@@ -348,7 +348,7 @@ let test_fuzz_names_round_trip () =
    The partitioned eager scheme consults its fault hooks from partition
    windows that may run on several domains, so the hooks must be pure
    functions of (src, dst) — and a fixed plan must then replay
-   byte-identically at any --sim-domains. *)
+   byte-identically at any domain budget. *)
 
 module Par_eager = Dangers_replication.Par_eager
 module Params = Dangers_analytic.Params
@@ -396,7 +396,7 @@ let test_par_eager_faults_deterministic () =
 
 (* The legacy single-heap fuzzer ignores the ambient domain budget — an
    installed budget must not leak into its RNG streams or plans. *)
-let test_fuzz_ignores_sim_domains () =
+let test_fuzz_ignores_domain_budget () =
   let case =
     { Fuzz.scheme = Fuzz.Eager_group; seed = 77; nodes = 3; txns = 20;
       level = Fuzz.Chaotic }
@@ -442,6 +442,6 @@ let suite =
       test_fuzz_names_round_trip;
     Alcotest.test_case "parallel faults deterministic" `Slow
       test_par_eager_faults_deterministic;
-    Alcotest.test_case "fuzz ignores sim-domains budget" `Slow
-      test_fuzz_ignores_sim_domains;
+    Alcotest.test_case "fuzz ignores domain budget" `Slow
+      test_fuzz_ignores_domain_budget;
   ]

@@ -27,13 +27,6 @@ let test_stats_of_samples () =
   checkf "p99" 49.6 s.Harness.p99;
   checki "samples recorded" 5 s.Harness.s_samples
 
-let test_percentile_interpolation () =
-  let xs = [| 0.; 100. |] in
-  checkf "p0" 0. (Harness.percentile xs 0.);
-  checkf "p50 interpolates" 50. (Harness.percentile xs 50.);
-  checkf "p100" 100. (Harness.percentile xs 100.);
-  checkf "single sample" 7. (Harness.percentile [| 7. |] 99.)
-
 let test_harness_runs () =
   let hits = ref 0 in
   let stats =
@@ -196,8 +189,6 @@ let test_cases_explain_per_layer_metrics () =
 let suite =
   [
     Alcotest.test_case "stats of samples" `Quick test_stats_of_samples;
-    Alcotest.test_case "percentile interpolation" `Quick
-      test_percentile_interpolation;
     Alcotest.test_case "harness runs warmup and samples" `Quick
       test_harness_runs;
     Alcotest.test_case "harness counts words" `Quick test_harness_counts_words;

@@ -1,7 +1,7 @@
 (* The conservative parallel engine and its determinism-equivalence
    guarantee: partition routing, window synchronization, the Domain pool,
    and — the headline — byte-identical fixed-seed runs for every
-   registered scheme at --sim-domains 1, 2 and 4. *)
+   registered scheme at --jobs 1, 2 and 4. *)
 
 module Engine = Dangers_sim.Engine
 module Partition = Dangers_sim.Partition
@@ -305,16 +305,17 @@ let test_domain_pool_basics () =
       (* the pool survives a failed round *)
       Domain_pool.parallel_for pool ~n:4 ~f:ignore)
 
-(* --- The tentpole: every scheme, byte-identical at sim-domains 1/2/4 ---
+(* --- The tentpole: every scheme, byte-identical at jobs 1/2/4 ---
 
-   One observed run per (scheme, sim-domains); the comparison key is
+   One observed single-task run per (scheme, jobs), so the whole budget
+   goes to the task's own simulation; the comparison key is
    everything a run externalizes — summary, diagnostics, deadlock counts
    (via the export record), the metrics snapshot and the trace export —
    minus wall-clock phase profiles, which are honest nondeterminism. *)
 
 let strip_phases snap = { snap with Obs.s_phases = [] }
 
-let scheme_fingerprint ~sim_domains name =
+let scheme_fingerprint ~jobs name =
   let params =
     { Params.default with db_size = 300; nodes = 3; tps = 4.; actions = 3 }
   in
@@ -323,7 +324,7 @@ let scheme_fingerprint ~sim_domains name =
       { scheme = name; spec = Scheme.spec params; seed = 42; warmup = 1.;
         span = 6. }
   in
-  match Sweep.run_observed ~sim_domains ~trace:true [ task ] with
+  match Sweep.run_observed ~jobs ~trace:true [ task ] with
   | [ (item, o) ] ->
       String.concat "\n"
         [
@@ -337,14 +338,13 @@ let test_schemes_equivalent_across_domains () =
   List.iter
     (fun scheme ->
       let name = Scheme.name scheme in
-      let serial = scheme_fingerprint ~sim_domains:1 name in
+      let serial = scheme_fingerprint ~jobs:1 name in
       List.iter
-        (fun sim_domains ->
+        (fun jobs ->
           checks
-            (Printf.sprintf "%s: sim-domains=%d byte-identical to 1" name
-               sim_domains)
+            (Printf.sprintf "%s: jobs=%d byte-identical to 1" name jobs)
             serial
-            (scheme_fingerprint ~sim_domains name))
+            (scheme_fingerprint ~jobs name))
         [ 2; 4 ])
     Scheme.all
 
@@ -465,7 +465,7 @@ let par_eager_64_expected =
    channel_posts=366469 deadlock_probes=3261 timeout_aborts=0 \
    apply_dropped=0\n"
 
-let par_eager_64_output ~sim_domains =
+let par_eager_64_output ~jobs =
   let params =
     { Params.default with nodes = 64; db_size = 5000; tps = 1. }
   in
@@ -474,7 +474,7 @@ let par_eager_64_output ~sim_domains =
       { scheme = "par-eager-group"; spec = Scheme.spec params; seed = 42;
         warmup = 5.; span = 2. }
   in
-  match Sweep.run ~sim_domains [ task ] with
+  match Sweep.run ~jobs [ task ] with
   | [ Sweep.Scheme_item { outcome; _ } ] ->
       Format.asprintf "%a@.diagnostics:%a@." Par_eager.Repl_stats.pp_summary
         outcome.Scheme.summary
@@ -485,14 +485,39 @@ let par_eager_64_output ~sim_domains =
 let test_par_eager_pinned_at_64_nodes () =
   let stray_before = Dangers_obs.Warnings.count ~key:"par_eager.stray_grant" in
   List.iter
-    (fun sim_domains ->
+    (fun jobs ->
       checks
-        (Printf.sprintf "sim-domains=%d output" sim_domains)
+        (Printf.sprintf "jobs=%d output" jobs)
         par_eager_64_expected
-        (par_eager_64_output ~sim_domains))
+        (par_eager_64_output ~jobs))
     [ 1; 2; 4 ];
   checki "no stray grants" stray_before
     (Dangers_obs.Warnings.count ~key:"par_eager.stray_grant")
+
+(* --- The budget split: several par-eager tasks under one budget ---
+
+   At jobs=4, two tasks run on 2 workers x 2 domains each and three on
+   3 workers x 1 domain; both must export what the serial run does. *)
+
+let par_eager_tasks ~count =
+  let params =
+    { Params.default with db_size = 300; nodes = 3; tps = 4.; actions = 3 }
+  in
+  Sweep.scheme_tasks ~warmup:1. ~span:6.
+    ~seeds:(List.init count (fun i -> 42 + i))
+    ~specs:[ Scheme.spec params ] [ "par-eager-group" ]
+
+let test_budget_split_equivalent () =
+  List.iter
+    (fun count ->
+      let tasks = par_eager_tasks ~count in
+      let export jobs =
+        Export.to_jsonl (List.map Export.record_of_item (Sweep.run ~jobs tasks))
+      in
+      checks
+        (Printf.sprintf "%d tasks: jobs=4 byte-identical to 1" count)
+        (export 1) (export 4))
+    [ 2; 3 ]
 
 let suite =
   [
@@ -510,7 +535,7 @@ let suite =
     QCheck_alcotest.to_alcotest router_order_prop;
     Alcotest.test_case "pool sizes equivalent" `Slow test_pool_sizes_equivalent;
     Alcotest.test_case "domain pool basics" `Quick test_domain_pool_basics;
-    Alcotest.test_case "all schemes byte-identical at sim-domains 1/2/4" `Slow
+    Alcotest.test_case "all schemes identical at jobs 1/2/4" `Slow
       test_schemes_equivalent_across_domains;
     Alcotest.test_case "queue high water pinned across domains" `Slow
       test_queue_high_water_pinned_across_domains;
@@ -522,4 +547,6 @@ let suite =
       test_par_eager_stale_grant_released;
     Alcotest.test_case "par-eager pinned at 64 nodes" `Slow
       test_par_eager_pinned_at_64_nodes;
+    Alcotest.test_case "budget split across par-eager tasks" `Slow
+      test_budget_split_equivalent;
   ]

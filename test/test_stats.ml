@@ -38,6 +38,11 @@ let test_percentile () =
   checkf "min" 1. (Stats.percentile xs ~p:0.);
   checkf "max" 5. (Stats.percentile xs ~p:1.);
   checkf "interpolated p25" 2. (Stats.percentile xs ~p:0.25);
+  let ends = [| 0.; 100. |] in
+  checkf "p0 of two" 0. (Stats.percentile ends ~p:0.);
+  checkf "p50 interpolates" 50. (Stats.percentile ends ~p:0.5);
+  checkf "p100 of two" 100. (Stats.percentile ends ~p:1.);
+  checkf "single sample" 7. (Stats.percentile [| 7. |] ~p:0.99);
   Alcotest.check_raises "empty rejected"
     (Invalid_argument "Stats.percentile: empty array") (fun () ->
       ignore (Stats.percentile [||] ~p:0.5))
