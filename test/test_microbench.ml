@@ -27,6 +27,17 @@ let test_stats_of_samples () =
   checkf "p99" 49.6 s.Harness.p99;
   checki "samples recorded" 5 s.Harness.s_samples
 
+(* of_samples takes its percentiles from Stats.percentile: the harness
+   must interpolate between samples, not snap to the nearest one. *)
+let test_percentile_interpolation () =
+  let two = Harness.of_samples ~name:"two" ~warmup:0 ~runs:2 [| 100.; 0. |] in
+  checkf "p0" 0. two.Harness.min;
+  checkf "p50 interpolates" 50. two.Harness.p50;
+  checkf "p100" 100. two.Harness.max;
+  checkf "p99 interpolates" 99. two.Harness.p99;
+  let one = Harness.of_samples ~name:"one" ~warmup:0 ~runs:1 [| 7. |] in
+  checkf "single sample" 7. one.Harness.p99
+
 let test_harness_runs () =
   let hits = ref 0 in
   let stats =
@@ -189,6 +200,8 @@ let test_cases_explain_per_layer_metrics () =
 let suite =
   [
     Alcotest.test_case "stats of samples" `Quick test_stats_of_samples;
+    Alcotest.test_case "percentile interpolation" `Quick
+      test_percentile_interpolation;
     Alcotest.test_case "harness runs warmup and samples" `Quick
       test_harness_runs;
     Alcotest.test_case "harness counts words" `Quick test_harness_counts_words;
